@@ -107,9 +107,6 @@ def good_ideal(phi):
     return IdealHandle(phi.ring, gens)
 
 
-ideal_I_phi = good_ideal
-
-
 def degree_condition(f, k_size):
     """Separable degree at most #k - 2 in every variable; vacuous when k is infinite."""
     if k_size is None:
@@ -260,9 +257,6 @@ def span_good_ideal(phi, k_size, budget=200000, seed=0):
     """Lower bound for the degree-condition obstruction ideal; exact when the
     finite coefficient sweep fits the budget."""
     return span_good_scan(phi, k_size, budget=budget, seed=seed).handle
-
-
-ideal_J_phi = span_good_ideal
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotAUnit, Unsupported
+from .errors import NotAUnit, ResourceLimit, Unsupported
 from .poly import Polynomial
 from .rings import (
     IntegerModRing,
@@ -91,15 +91,6 @@ def compose(phi, psi):
     if phi.ring != psi.ring or phi.nvars != psi.nvars:
         raise ValueError("cannot compose maps over different rings or arities")
     return Endomorphism(phi.ring, [phi.apply(g) for g in psi.images])
-
-
-def compose_all(maps):
-    if not maps:
-        raise ValueError("empty composition")
-    acc = maps[0]
-    for m in maps[1:]:
-        acc = compose(acc, m)
-    return acc
 
 
 def extend(phi, r):
@@ -450,10 +441,6 @@ def is_affine(phi):
     return phi.is_affine()
 
 
-def invert_affine(ring, A, b):
-    return AffineMap(ring, A, b).inverse()
-
-
 # ---------------------------------------------------------------------------
 # structured inversion
 # ---------------------------------------------------------------------------
@@ -556,6 +543,22 @@ class PhiLetter:
         return "phi" if self.exp == 1 else "phi^-1"
 
 
+# Word evaluation stops once a partial product holds more terms than there
+# are monomials of degree at most max(deg phi, deg phi^-1) in the word's
+# variables, or than the floor if that is larger.
+_EVAL_TERM_FLOOR = 10_000
+
+
+def _term_count(phi):
+    return sum(len(img.terms) for img in phi.images)
+
+
+def _map_degree(phi):
+    return max(
+        (img.total_deg() for img in phi.images if not img.is_zero()), default=0
+    )
+
+
 class GeneratorWord:
     """A product of affine letters and phi^{+-1} in the ambient variable count.
 
@@ -592,7 +595,10 @@ class GeneratorWord:
         Associativity allows any parenthesization; matched phi/phi^-1
         pairs are collapsed innermost-first, which keeps every
         substitution into the (possibly high-degree) images of phi small
-        without trusting anything about where the word came from.
+        without trusting anything about where the word came from.  Each
+        distinct bracket phi o A o phi^-1 is composed once per call, keyed
+        on the exact value of A.  A partial product that outgrows the
+        term limit raises ResourceLimit.
         """
         ring = phi.ring
         if phi.nvars == self.ambient - 1:
@@ -615,12 +621,34 @@ class GeneratorWord:
                 )
             inv_ext = extend(base, self.ambient - base.nvars)
         ident = identity(ring, self.ambient)
+        # Any bracket eta o phi o A o phi^-1 o eta^-1 of a witness word has
+        # degree at most deg phi, so it fits however dense it is; a bracket
+        # that no longer cancels has degree up to deg phi * deg phi^-1 and
+        # its products grow without bound, so stop them.
+        degree = max(
+            _map_degree(m) for m in (phi_ext, inv_ext) if m is not None
+        )
+        limit = max(
+            _EVAL_TERM_FLOOR, math.comb(degree + self.ambient, self.ambient)
+        )
+
+        def bounded_compose(a, b):
+            out = compose(a, b)
+            size = _term_count(out)
+            if size > limit:
+                raise ResourceLimit(
+                    f"word evaluation grew to {size} terms (limit {limit})"
+                )
+            return out
+
+        # phi o A o phi^-1 for each distinct inner value A, computed once
+        brackets = {}
         # stack items: ("open", None) for a pending phi, ("val", endo) otherwise
         stack = []
 
         def fold_value(value):
             if stack and stack[-1][0] == "val":
-                stack[-1] = ("val", compose(stack[-1][1], value))
+                stack[-1] = ("val", bounded_compose(stack[-1][1], value))
             else:
                 stack.append(("val", value))
 
@@ -638,10 +666,16 @@ class GeneratorWord:
                 if stack[-1][0] == "val":
                     inner = stack.pop()[1]
                 stack.pop()  # the matching open marker
-                fold_value(compose(compose(phi_ext, inner), inv_ext))
+                bracket = brackets.get(inner)
+                if bracket is None:
+                    bracket = bounded_compose(
+                        bounded_compose(phi_ext, inner), inv_ext
+                    )
+                    brackets[inner] = bracket
+                fold_value(bracket)
         acc = ident
         for kind, value in stack:
-            acc = compose(acc, phi_ext if kind == "open" else value)
+            acc = bounded_compose(acc, phi_ext if kind == "open" else value)
         return acc
 
     def to_json(self):

@@ -4,17 +4,16 @@ Terms live in a dict mapping exponent tuples to nonzero raw coefficient
 values of the attached ring.  The variable count is fixed per polynomial;
 moving to more variables is an explicit embed step.  Degrees of the zero
 polynomial are the distinguished NEG_INF marker, never an integer.
+
+Products pack each exponent tuple into one int internally (fixed bit
+fields sized per call from the operands), so a monomial product is one int
+add; the result is unpacked, and `terms` stays the exponent-tuple dict.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    CompositeCharacteristic,
-    PolynomialSyntaxError,
-    Unsupported,
-    ZeroPolynomial,
-)
-from .rings import RingElement, is_prime
+from .errors import PolynomialSyntaxError, Unsupported, ZeroPolynomial
+from .rings import IntegerModRing, IntegerRing, RingElement, is_prime
 
 
 class _NegInfinity:
@@ -49,6 +48,34 @@ NEG_INF = _NegInfinity()
 def _term_order_key(exps):
     # graded lexicographic: total degree first, then the exponent tuple
     return (sum(exps), exps)
+
+
+# Rings whose raw values are Python ints (Z, Z/n, F_p): products accumulate
+# as plain ints and reduce once per output term.
+_INT_VALUED = (IntegerRing, IntegerModRing)
+
+
+def _max_exponents(terms):
+    """The largest exponent of each variable over a nonempty term dict."""
+    return [max(column) for column in zip(*terms)]
+
+
+def _pack_terms(terms, width):
+    """(key, value) pairs, key holding exps[i] in bits [i*width, (i+1)*width)."""
+    out = []
+    for exps, v in terms.items():
+        key = 0
+        for e in reversed(exps):
+            key = (key << width) | e
+        out.append((key, v))
+    return out
+
+
+def _unpack_terms(packed, width, nvars):
+    """The exponent-tuple dict of a dict keyed by packed monomials."""
+    mask = (1 << width) - 1
+    shifts = range(0, width * nvars, width)
+    return {tuple([(k >> s) & mask for s in shifts]): v for k, v in packed.items()}
 
 
 class Polynomial:
@@ -144,20 +171,46 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         ring = self.ring
-        zero = ring.zero_value()
-        out = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                prod = ring.mul(v1, v2)
-                if prod == zero:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = ring.add(out.get(key, zero), prod)
-                if s == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Polynomial(ring, self.nvars, out)
+        if not self.terms or not other.terms:
+            return Polynomial(ring, self.nvars)
+        # Packed monomials (Monagan & Pearce): each exponent tuple becomes one
+        # int with fixed bit fields wide enough for the largest exponent sum
+        # in any variable, so a monomial product is one int add.
+        widest = max(
+            a + b
+            for a, b in zip(_max_exponents(self.terms), _max_exponents(other.terms))
+        )
+        width = max(widest.bit_length(), 1)
+        left = _pack_terms(self.terms, width)
+        right = _pack_terms(other.terms, width)
+        if isinstance(ring, _INT_VALUED):
+            # Raw integer products, reduced mod n once per output term.
+            acc = {}
+            get = acc.get
+            for k1, v1 in left:
+                for k2, v2 in right:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + v1 * v2
+            if isinstance(ring, IntegerModRing):
+                n = ring.n
+                packed = {k: r for k, v in acc.items() if (r := v % n)}
+            else:
+                packed = {k: v for k, v in acc.items() if v}
+        else:
+            zero = ring.zero_value()
+            mul, add = ring.mul, ring.add
+            packed = {}
+            for k1, v1 in left:
+                for k2, v2 in right:
+                    key = k1 + k2
+                    s = add(packed.get(key, zero), mul(v1, v2))
+                    if s == zero:
+                        packed.pop(key, None)
+                    else:
+                        packed[key] = s
+        out = Polynomial(ring, self.nvars)
+        out.terms = _unpack_terms(packed, width, self.nvars)
+        return out
 
     def scale(self, c):
         ring = self.ring
@@ -175,13 +228,15 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        acc = Polynomial.constant(self.ring, self.nvars, 1)
+        acc = None
         base = self
         while k:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             base = base * base if k > 1 else base
             k >>= 1
+        if acc is None:
+            return Polynomial.constant(self.ring, self.nvars, 1)
         return acc
 
     def __eq__(self, other):
@@ -220,14 +275,19 @@ class Polynomial:
             return hit
 
         zero = ring.zero_value()
+        mul, add = ring.mul, ring.add
+        constant = {(0,) * m: ring.one_value()}
         acc = {}
         for exps, v in self.terms.items():
-            piece = Polynomial.constant(ring, m, RingElement(ring, v))
+            # the product of the image powers, scaled by v as it is collected
+            piece = None
             for i, e in enumerate(exps):
                 if e:
-                    piece = piece * img_power(i, e)
-            for key, pv in piece.terms.items():
-                s = ring.add(acc.get(key, zero), pv)
+                    power = img_power(i, e)
+                    piece = power if piece is None else piece * power
+            terms = constant if piece is None else piece.terms
+            for key, pv in terms.items():
+                s = add(acc.get(key, zero), mul(v, pv))
                 if s == zero:
                     acc.pop(key, None)
                 else:
@@ -331,15 +391,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.ring.spec_string()}>"
-
-
-def poly_ring_guard_prime(ring):
-    p = ring.characteristic
-    if p != 0 and not is_prime(p):
-        raise CompositeCharacteristic(
-            f"characteristic {p} is neither zero nor prime"
-        )
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 from cotame.cli import run
 
@@ -116,6 +117,41 @@ def test_witness_verify_and_tamper(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["match"] is False
     assert payload["first_mismatch_variable"] is not None
+
+
+def test_verify_bounds_inner_tampered_theta_word(tmp_path, capsys):
+    # One translation entry changed inside a phi bracket stops the brackets
+    # of the theta N=1 word from cancelling, so its partial products grow
+    # without bound; verify must end as a JSON error report, and soon.
+    theta = str(tmp_path / "theta.json")
+    code, _ = run_cli(capsys, ["theta", "--ring", "Fp:7", "--N", "1", "-o", theta])
+    assert code == OK
+    word_file = tmp_path / "word.json"
+    code, _ = run_cli(
+        capsys,
+        ["witness", "--phi", theta, "--target", "x2*x3", "-o", str(word_file)],
+    )
+    assert code == OK
+    verify = ["verify", "--phi", theta, "--phi-inverse", theta,
+              "--target", "x2*x3", "--word", str(word_file)]
+    code, out = run_cli(capsys, verify)
+    assert code == OK and json.loads(out)["payload"]["match"] is True
+
+    data = json.loads(word_file.read_text())
+    letters = data["letters"]
+    first_phi = next(i for i, l in enumerate(letters) if l["kind"] == "phi")
+    inner = next(l for l in letters[first_phi:] if l["kind"] == "affine")
+    inner["b"][0] = "1" if inner["b"][0] == "0" else "0"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    verify[verify.index("--word") + 1] = str(tampered)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, verify)
+    assert time.perf_counter() - start < 30
+    assert code == ERROR
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert "limit" in report["payload"]["error"]
 
 
 def test_witness_unknown_region(tmp_path, capsys):

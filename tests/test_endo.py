@@ -204,6 +204,77 @@ def test_word_inverse_round_trip():
         assert compose(back, value) == identity(F5, 4)
 
 
+def naive_evaluate(word, phi, phi_inv):
+    """Left-to-right composition over every letter, with no bracket memo."""
+    phi_ext, inv_ext = extend(phi, 1), extend(phi_inv, 1)
+    acc = identity(phi.ring, word.ambient)
+    for letter in word.letters:
+        if isinstance(letter, AffineLetter):
+            acc = compose(acc, letter.map.to_endo())
+        else:
+            acc = compose(acc, phi_ext if letter.exp == 1 else inv_ext)
+    return acc
+
+
+def shear(b):
+    """x4 += x2 plus a translation b, built afresh on every call."""
+    A = [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return AffineMap(F5, A, b)
+
+
+def bracket(inner):
+    return [PhiLetter(1), AffineLetter(inner), PhiLetter(-1)]
+
+
+def evaluate_counting(monkeypatch, word, phi, phi_inv):
+    """word.evaluate(phi, phi_inv) and the number of compose calls it made."""
+    from cotame import endo
+
+    calls = []
+
+    def counting_compose(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(endo, "compose", counting_compose)
+        value = word.evaluate(phi, phi_inv)
+    return value, len(calls)
+
+
+def test_word_memo_matches_naive_composition(monkeypatch):
+    phi = elementary(P("x2^2*x3", F5, 3), nvars=3)
+    phi_inv = invert_structured(phi)
+    sigma = AffineLetter(AffineMap.permutation(F5, [1, 3, 2, 4]))
+    # value-equal inner maps, each from its own construction
+    letters = []
+    for _ in range(4):
+        letters += bracket(shear([0, 0, 1, 0])) + [sigma]
+    word = GeneratorWord(4, letters)
+    value, calls = evaluate_counting(monkeypatch, word, phi, phi_inv)
+    assert value == naive_evaluate(word, phi, phi_inv)
+    once = GeneratorWord(4, bracket(shear([0, 0, 1, 0])) + [sigma])
+    _, calls_once = evaluate_counting(monkeypatch, once, phi, phi_inv)
+    # the bracket is composed once (two calls); each of the three repeats
+    # only folds the cached bracket and sigma into the product
+    assert calls == calls_once + 3 * 2
+
+
+def test_word_memo_keeps_distinct_brackets_apart():
+    phi = elementary(P("x2^2*x3", F5, 3), nvars=3)
+    phi_inv = invert_structured(phi)
+    same = GeneratorWord(
+        4, bracket(shear([0, 0, 1, 0])) + bracket(shear([0, 0, 1, 0]))
+    )
+    # the second bracket differs from the first in one translation entry
+    differ = GeneratorWord(
+        4, bracket(shear([0, 0, 1, 0])) + bracket(shear([0, 0, 2, 0]))
+    )
+    assert differ.evaluate(phi, phi_inv) == naive_evaluate(differ, phi, phi_inv)
+    assert same.evaluate(phi, phi_inv) == naive_evaluate(same, phi, phi_inv)
+    assert differ.evaluate(phi, phi_inv) != same.evaluate(phi, phi_inv)
+
+
 def test_word_json_round_trip():
     phi = elementary(P("x2*x3", F5, 3), nvars=3)
     sigma = AffineMap.permutation(F5, [2, 1, 3, 4])

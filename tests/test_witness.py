@@ -270,6 +270,21 @@ def test_compile_last_word_affine_only():
     assert word.evaluate(phi) == elementary_last(parse_poly("x1 + 2", F5, 3), 4)
 
 
+def test_compile_last_word_dense_translated_image():
+    # phi has five terms, but its image under a translation has 10,001:
+    # (x2 + 1)^99 * (x3 + 1)^99 keeps every binomial coefficient mod 101.
+    # The bracket fits the evaluator's term limit, which follows the degree
+    # of phi, not its term count.
+    f101 = PrimeField(101)
+    phi = elementary(parse_poly("x2^99*x3^99", f101, 3))
+    eta = AffineMap.translation(f101, [0, 1, 1])
+    target = eta.apply(phi.images[0])
+    assert len(target.terms) == 10_001
+    dec = SpanDecomposition(phi, target, Polynomial.zero(f101, 3), [(1, eta, 1)])
+    word = compile_last_word(dec)
+    assert word.evaluate(phi) == elementary_last(target, 4)
+
+
 def test_conjugated_seed_words():
     # the seed conjugates realize first-variable shifts by x_i * x_{n+1}
     phi = phi_product()
