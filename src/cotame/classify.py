@@ -165,13 +165,14 @@ def _strip_linear(f):
     )
 
 
-def _combo_poly(phi, combo):
-    ring, n = phi.ring, phi.nvars
-    acc = Polynomial.zero(ring, n)
-    for c, img in zip(combo, phi.images):
-        if c != ring.zero_value():
-            acc = acc + img.scale(RingElement(ring, c))
-    return acc
+def _span_outcome(ring, n, parts, key, k_size):
+    """(candidate, good monomials) of sum key_j * parts_j; no goods on a skip."""
+    candidate = Polynomial.zero(ring, n)
+    for c, part in zip(key, parts):
+        candidate = candidate + part.scale(c)
+    if candidate.is_zero() or not degree_condition(candidate, k_size):
+        return candidate, []
+    return candidate, good_monomials(candidate)
 
 
 def _span_combos(phi, budget, seed):
@@ -211,35 +212,41 @@ def span_good_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
     dropping degree-one monomials never hurts the degree condition and the
     good coefficients do not depend on them.  Over Q the degree condition
     is vacuous, so the single-image candidates already decide fullness.
+
+    Stripping commutes with the combination, so each image is stripped once
+    and the candidate depends only on the key of coefficients of the live
+    images (those with something left); each key is built once.
     """
     ring, n = phi.ring, phi.nvars
     _guard_characteristic(ring.characteristic)
+    stripped = [_strip_linear(img) for img in phi.images]
+    live = [j for j, part in enumerate(stripped) if not part.is_zero()]
+    parts = [stripped[j] for j in live]
+    memo = {}  # stays empty when every image is live: no key can repeat
     gens = []
     witnesses = []
     examined = 0
     diagnostics = []
     exhausted_all = True
-    handle = IdealHandle(ring, [])
     for combo in _span_combos(phi, budget, seed):
         examined += 1
-        candidate = _strip_linear(_combo_poly(phi, combo))
-        if candidate.is_zero():
-            continue
-        if not degree_condition(candidate, k_size):
-            continue
-        goods = good_monomials(candidate)
+        key = tuple([combo[j] for j in live])
+        outcome = memo.get(key) or _span_outcome(ring, n, parts, key, k_size)
+        if len(live) < n:
+            memo[key] = outcome
+        candidate, goods = outcome
         if not goods:
             continue
         for exps, coeff, gm_type in goods:
             witnesses.append(SpanWitness(combo, candidate, exps, coeff, gm_type))
             gens.append(coeff)
-        handle = IdealHandle(ring, gens)
-        if early_exit and handle.is_full():
+        if early_exit and IdealHandle(ring, gens).is_full():
             exhausted_all = False
             break
+    handle = IdealHandle(ring, gens)
     if ring.is_finite:
         total = ring.order**n
-        exhaustive = exhausted_all and total <= budget + n
+        exhaustive = exhausted_all and total <= budget
         if not exhaustive and exhausted_all:
             diagnostics.append(
                 f"span scan budget {budget} below the {total} coefficient vectors"

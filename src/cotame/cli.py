@@ -22,6 +22,7 @@ from .endo import (
     Endomorphism,
     GeneratorWord,
     IdealHandle,
+    check_inverse,
     compose,
     elementary,
     extend,
@@ -57,14 +58,8 @@ def _load_endo(path, ring_spec=None, n=None):
 
 def _resolve_inverse(phi, inverse_path):
     if inverse_path:
-        inverse = _load_endo(inverse_path)
-        from .endo import identity
-
-        if compose(phi, inverse) != identity(phi.ring, phi.nvars):
-            raise ValueError("supplied inverse fails the composition check")
-        if compose(inverse, phi) != identity(phi.ring, phi.nvars):
-            raise ValueError("supplied inverse fails the composition check")
-        return inverse
+        message = "supplied inverse fails the composition check"
+        return check_inverse(phi, _load_endo(inverse_path), message)
     return try_invert(phi)
 
 

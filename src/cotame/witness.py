@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .classify import (
     _guard_characteristic,
+    _strip_linear,
     degree_condition,
     direct_pattern_scan,
     resolve_k_size,
@@ -759,17 +760,13 @@ def _seed_from_span(phi, k_size, budget, seed, validate="auto"):
     witnesses = sorted(
         scan.witnesses, key=lambda w: (sum(w.monomial), w.monomial)
     )
+    negated_linear_parts = [_strip_linear(img) - img for img in phi.images]
     for witness in witnesses:
         if not witness.coefficient.is_unit():
             continue
-        linear = Polynomial(
-            ring,
-            phi.nvars,
-            {
-                e: ring.neg(v)
-                for e, v in _combo_terms_linear(phi, witness.combo).items()
-            },
-        )
+        linear = Polynomial.zero(ring, n)
+        for c, part in zip(witness.combo, negated_linear_parts):
+            linear = linear + part.scale(c)
         dec = span_decomposition(phi, witness.combo, linear=linear)
         if dec.target != witness.candidate:
             raise ValueError("span witness failed to rebuild")
@@ -787,16 +784,6 @@ def _seed_from_span(phi, k_size, budget, seed, validate="auto"):
             details=witness.describe(),
         )
     return None
-
-
-def _combo_terms_linear(phi, combo):
-    ring, n = phi.ring, phi.nvars
-    acc = Polynomial.zero(ring, n)
-    for c, img in zip(combo, phi.images):
-        cv = ring.coerce_value(c.value if isinstance(c, RingElement) else c)
-        if cv != ring.zero_value():
-            acc = acc + img.scale(RingElement(ring, cv))
-    return {e: v for e, v in acc.terms.items() if sum(e) == 1}
 
 
 def _seed_from_direct(phi, validate="auto"):

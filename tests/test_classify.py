@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cotame.classify import (
     ModulePattern,
+    SpanWitness,
+    _span_combos,
     decide,
     default_pattern,
     degree_condition,
@@ -12,13 +16,23 @@ from cotame.classify import (
     good_coefficients,
     good_ideal,
     good_monomial_type,
+    good_monomials,
     monomial_in_pattern,
     no_good_monomials,
     pattern_membership,
     reduction_search,
+    resolve_k_size,
     span_good_scan,
 )
-from cotame.endo import AffineMap, compose, elementary, identity, invert_structured
+from cotame.endo import (
+    AffineMap,
+    Endomorphism,
+    IdealHandle,
+    compose,
+    elementary,
+    identity,
+    invert_structured,
+)
 from cotame.errors import CompositeCharacteristic
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
@@ -27,6 +41,8 @@ from cotame.rings import (
     IntegerRing,
     PrimeField,
     RationalField,
+    RingElement,
+    ring_from_spec,
 )
 
 Q = RationalField()
@@ -104,6 +120,176 @@ def test_span_scan_affine_is_empty():
     phi = AffineMap.translation(F5, [1, 2, 0]).to_endo()
     scan = span_good_scan(phi, 5)
     assert scan.handle.is_zero()
+
+
+def oracle_span_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
+    """The span scan as a plain sweep: each combination is summed in full,
+    then stripped of its degree-one part, and its candidate checked anew.
+
+    The scan is exhaustive when every nonzero vector of k^n was examined.
+    """
+    ring, n = phi.ring, phi.nvars
+    zero = ring.zero_value()
+    gens, witnesses, seen = [], [], set()
+    examined = 0
+    exhausted_all = True
+    for combo in _span_combos(phi, budget, seed):
+        examined += 1
+        seen.add(combo)
+        acc = Polynomial.zero(ring, n)
+        for c, img in zip(combo, phi.images):
+            if c != zero:
+                acc = acc + img.scale(RingElement(ring, c))
+        candidate = Polynomial(
+            ring, n, {e: v for e, v in acc.terms.items() if sum(e) != 1}
+        )
+        if candidate.is_zero() or not degree_condition(candidate, k_size):
+            continue
+        goods = good_monomials(candidate)
+        for exps, coeff, gm_type in goods:
+            witnesses.append(SpanWitness(combo, candidate, exps, coeff, gm_type))
+            gens.append(coeff)
+        if goods and early_exit and IdealHandle(ring, gens).is_full():
+            exhausted_all = False
+            break
+    diagnostics = []
+    exhaustive = False
+    if ring.is_finite:
+        total = ring.order**n
+        exhaustive = exhausted_all and len(seen - {(zero,) * n}) == total - 1
+        if exhausted_all and not exhaustive:
+            diagnostics.append(
+                f"span scan budget {budget} below the {total} coefficient vectors"
+            )
+    elif exhausted_all:
+        diagnostics.append(
+            f"span scan sampled {examined} candidates over an infinite ring"
+        )
+    return IdealHandle(ring, gens), witnesses, exhaustive, examined, diagnostics
+
+
+def assert_scan_matches_oracle(phi, k_size, **options):
+    scan = span_good_scan(phi, k_size, **options)
+    handle, witnesses, exhaustive, examined, diagnostics = oracle_span_scan(
+        phi, k_size, **options
+    )
+    assert scan.examined == examined
+    assert scan.exhaustive == exhaustive
+    assert scan.diagnostics == diagnostics
+    assert [w.describe() for w in scan.witnesses] == [
+        w.describe() for w in witnesses
+    ]
+    assert repr(scan.handle) == repr(handle)
+    return scan
+
+
+SPAN_CORPUS = [
+    ("GF:2^5", "x1 + x2^31*x3 + x2*x3^31", 200000),
+    ("GF:3^2", "x1 + x2^5", 200000),
+    ("Fp:3", "x1 + x2^5", 200000),
+    ("Fp:3", "x1 + x2^2*x3^2", 200000),
+    ("Fp:3", "x1 + x2^3", 200000),
+    ("Fp:5", "x1 + x2*x3", 200000),
+    ("Q", "x1 + x2^2", 2000),
+]
+
+
+@pytest.mark.parametrize("spec, first, budget", SPAN_CORPUS)
+def test_span_scan_matches_oracle_on_corpus(spec, first, budget):
+    ring = ring_from_spec(spec)
+    phi = Endomorphism(ring, [parse_poly(t, ring, 3) for t in (first, "x2", "x3")])
+    for early_exit in (True, False):
+        assert_scan_matches_oracle(
+            phi, resolve_k_size(ring), budget=budget, early_exit=early_exit
+        )
+
+
+SPAN_SPECS = ["Fp:2", "Fp:3", "GF:2^2", "GF:3^2", "Q"]
+
+
+@st.composite
+def span_scan_cases(draw):
+    ring = ring_from_spec(draw(st.sampled_from(SPAN_SPECS)))
+    n = draw(st.integers(min_value=2, max_value=3))
+    if ring.is_finite:
+        values = st.sampled_from([el.value for el in ring.elements()])
+    else:
+        values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    # exponents up to q reach both sides of the degree bound q - 2, those up
+    # to max(1, q - 2) stay inside it
+    wide = ring.order or 4
+    narrow = max(1, wide - 2)
+    images = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["translation", "affine", "narrow", "wide"]))
+        if kind == "translation":
+            exps = st.just((0,) * n)
+        elif kind == "affine":
+            units = [tuple(int(j == k) for j in range(n)) for k in range(-1, n)]
+            exps = st.sampled_from(units)
+        else:
+            top = narrow if kind == "narrow" else wide
+            exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * n)
+        terms = draw(st.dictionaries(exps, values, max_size=3))
+        own = tuple(int(j == i) for j in range(n))
+        terms[own] = ring.add(terms.get(own, ring.zero_value()), ring.one_value())
+        images.append(Polynomial(ring, n, terms))
+    if ring.is_finite:
+        total = ring.order**n
+        budget = draw(
+            st.one_of(
+                st.integers(min_value=1, max_value=total + 2),
+                st.integers(min_value=max(1, total - n - 1), max_value=total + 2),
+            )
+        )
+    else:
+        budget = draw(st.integers(min_value=1, max_value=40))
+    options = {
+        "budget": budget,
+        "seed": draw(st.integers(min_value=0, max_value=3)),
+        "early_exit": draw(st.booleans()),
+    }
+    return Endomorphism(ring, images), options
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(span_scan_cases())
+def test_span_scan_matches_oracle_on_random_maps(case):
+    phi, options = case
+    assert_scan_matches_oracle(phi, resolve_k_size(phi.ring), **options)
+
+
+def test_span_scan_exhaustive_only_when_every_vector_is_examined():
+    phi = Endomorphism(
+        F3, [parse_poly("x1 + x2^2", F3, 2), parse_poly("x2", F3, 2)]
+    )
+    for budget, exhaustive in ((7, False), (8, False), (9, True)):
+        scan = assert_scan_matches_oracle(phi, 3, budget=budget)
+        assert scan.exhaustive is exhaustive, budget
+        below = f"span scan budget {budget} below the 9 coefficient vectors"
+        assert scan.diagnostics == ([] if exhaustive else [below])
+
+
+def test_span_scan_builds_one_candidate_per_live_key(monkeypatch):
+    # only the first image has a non-linear part, so the 64^3 vectors over
+    # GF(2^6) give 64 keys, each built with one scaling
+    ring = GaloisField(2, 6)
+    phi = elementary(parse_poly("x2^63*x3 + x2*x3^63", ring, 3))
+    calls = []
+    scale = Polynomial.scale
+
+    def counting_scale(self, c):
+        calls.append(1)
+        return scale(self, c)
+
+    monkeypatch.setattr(Polynomial, "scale", counting_scale)
+    scan = span_good_scan(phi, 64, budget=262144)
+    assert scan.exhaustive and scan.examined == 262144 + 3 - 4
+    assert len(calls) <= 64
 
 
 def test_pattern_membership_examples():

@@ -154,6 +154,33 @@ def test_verify_bounds_inner_tampered_theta_word(tmp_path, capsys):
     assert "limit" in report["payload"]["error"]
 
 
+def test_verify_rejects_a_tampered_inverse(tmp_path, capsys):
+    phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
+    word_file = str(tmp_path / "word.json")
+    code, _ = run_cli(
+        capsys, ["witness", "--phi", phi, "--target", "x2^2", "-o", word_file]
+    )
+    assert code == OK
+    verify = ["verify", "--phi", phi, "--target", "x2^2", "--word", word_file,
+              "--phi-inverse"]
+    good = write_phi(tmp_path, "inv.json", "Fp:5", 3, ["x1 + 4*x2*x3", "x2", "x3"])
+    code, out = run_cli(capsys, verify + [good])
+    assert code == OK and json.loads(out)["payload"]["match"] is True
+    # a changed coefficient, a changed constant, and phi itself, which is
+    # not an involution
+    for name, images in (
+        ("coeff.json", ["x1 + 3*x2*x3", "x2", "x3"]),
+        ("const.json", ["x1 + 4*x2*x3", "x2 + 1", "x3"]),
+        ("self.json", ["x1 + x2*x3", "x2", "x3"]),
+    ):
+        tampered = write_phi(tmp_path, name, "Fp:5", 3, images)
+        code, out = run_cli(capsys, verify + [tampered])
+        assert code == ERROR, name
+        report = json.loads(out)
+        assert report["status"] == "error"
+        assert "composition check" in report["payload"]["error"]
+
+
 def test_witness_unknown_region(tmp_path, capsys):
     phi = write_phi(tmp_path, "phi.json", "Fp:3", 3, ["x1 + x2^5", "x2", "x3"])
     code, out = run_cli(

@@ -9,6 +9,7 @@ from cotame.endo import (
     GeneratorWord,
     IdealHandle,
     PhiLetter,
+    check_inverse,
     compose,
     conjugate,
     elementary,
@@ -343,3 +344,36 @@ def test_try_invert():
     assert try_invert(elementary(P("x2^2"))) is not None
     tuple_map = Endomorphism(Q, [P("x1 + x2^2"), P("x2 + x1^2"), P("x3")])
     assert try_invert(tuple_map) is None
+
+
+def check_inverse_counting(monkeypatch, phi, inverse):
+    """The compose calls check_inverse makes, or None when it raises."""
+    from cotame import endo
+
+    calls = []
+
+    def counting_compose(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(endo, "compose", counting_compose)
+        try:
+            check_inverse(phi, inverse, "no inverse")
+        except ValueError:
+            return None
+    return calls
+
+
+def test_check_inverse_composes_both_orders_unless_self_inverse(monkeypatch):
+    phi = elementary(P("x2^2*x3", F5, 3), nvars=3)
+    phi_inv = invert_structured(phi)
+    calls = check_inverse_counting(monkeypatch, phi, phi_inv)
+    assert calls == [(phi, phi_inv), (phi_inv, phi)]
+    # an involution: phi o phi is both orders at once
+    swap = permutation(F5, [2, 1, 3])
+    assert check_inverse_counting(monkeypatch, swap, swap) == [(swap, swap)]
+    assert check_inverse_counting(monkeypatch, phi, phi) is None
+    assert check_inverse_counting(monkeypatch, phi_inv, phi_inv) is None
+    wrong = elementary(P("4*x2^2*x3 + 1", F5, 3), nvars=3)
+    assert check_inverse_counting(monkeypatch, phi, wrong) is None
