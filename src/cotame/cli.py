@@ -46,7 +46,12 @@ def _load_json(path):
 def _load_endo(path, ring_spec=None, n=None):
     data = _load_json(path)
     ring = ring_from_spec(ring_spec) if ring_spec else None
-    if ring is not None and "ring" in data and ring_from_spec(data["ring"]) != ring:
+    if (
+        ring is not None
+        and isinstance(data, dict)
+        and "ring" in data
+        and ring_from_spec(data["ring"]) != ring
+    ):
         raise ValueError(
             f"--ring {ring_spec} conflicts with ring {data['ring']!r} in {path}"
         )

@@ -21,6 +21,29 @@ from .rings import (
 )
 
 
+# JSON schema checks for map and word files
+
+def _field(data, key, check, expected):
+    """data[key] of a JSON object, once check(data[key]) holds."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with {key!r}")
+    if key not in data or not check(data[key]):
+        raise ValueError(f"{key!r} must be {expected}")
+    return data[key]
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _is_positive_int(v):
+    return type(v) is int and v > 0
+
+
+def _is_list(v, length):
+    return isinstance(v, list) and len(v) == length
+
+
 class Endomorphism:
     __slots__ = ("ring", "nvars", "images")
 
@@ -76,10 +99,15 @@ class Endomorphism:
         from .rings import ring_from_spec
 
         if ring is None:
-            ring = ring_from_spec(data["ring"])
-        n = data["n"]
-        images = [parse_poly(text, ring, n) for text in data["images"]]
-        return cls(ring, images)
+            ring = ring_from_spec(_field(data, "ring", _is_str, "a ring spec"))
+        n = _field(data, "n", _is_positive_int, "a positive integer")
+        texts = _field(
+            data,
+            "images",
+            lambda v: _is_list(v, n) and all(map(_is_str, v)),
+            f"a list of {n} polynomial strings",
+        )
+        return cls(ring, [parse_poly(text, ring, n) for text in texts])
 
 
 def identity(ring, n):
@@ -209,10 +237,11 @@ def _vec_mat(ring, v, a):
 
 
 class AffineMap:
-    """x -> xA + b with A invertible over R; the inverse is kept alongside.
+    """x -> xA + b with A invertible over R.
 
     Entries are raw ring values.  A[i][j] is the coefficient of x_{i+1} in
-    the image of x_{j+1}.
+    the image of x_{j+1}.  Construction checks only that det A is a unit;
+    the inverse is computed on the first call of inverse() and kept.
     """
 
     __slots__ = ("ring", "n", "A", "b", "_inv", "_img")
@@ -226,20 +255,18 @@ class AffineMap:
         self.A = [[ring.coerce_value(v) for v in row] for row in A]
         self.b = [ring.coerce_value(v) for v in b]
         self._img = None
-        if _inv is not None:
-            self._inv = _inv
-        else:
-            self._inv = self._compute_inverse()
+        self._inv = _inv
+        if _inv is None:
+            det = _mat_det(ring, self.A)
+            if not ring.is_unit(det):
+                raise NotAUnit(
+                    f"matrix determinant {ring.format_value(det)} is not a unit"
+                )
 
     def _compute_inverse(self):
+        """(A^-1, -b A^-1), with A^-1 the adjugate over the determinant."""
         ring, n = self.ring, self.n
-        det = _mat_det(ring, self.A)
-        try:
-            det_inv = ring.inv(det)
-        except NotAUnit:
-            raise NotAUnit(
-                f"matrix determinant {ring.format_value(det)} is not a unit"
-            ) from None
+        det_inv = ring.inv(_mat_det(ring, self.A))
         adj = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -254,6 +281,8 @@ class AffineMap:
         return (adj, _vec_mat(ring, neg_b, adj))
 
     def inverse(self):
+        if self._inv is None:
+            self._inv = self._compute_inverse()
         A_inv, b_inv = self._inv
         return AffineMap(self.ring, A_inv, b_inv, _inv=(self.A, self.b))
 
@@ -421,15 +450,24 @@ class AffineMap:
         }
 
     @classmethod
-    def from_json(cls, ring, data):
+    def from_json(cls, ring, data, n):
+        """The letter's A (n lists of n entries) and b (n entries)."""
+
         def val(x):
             if isinstance(x, str):
                 return ring.parse_literal(x).value
-            return ring.coerce_value(x)
+            if type(x) is int:
+                return ring.coerce_value(x)
+            raise ValueError(f"matrix entry {x!r} must be a string or an integer")
 
-        A = [[val(v) for v in row] for row in data["A"]]
-        b = [val(v) for v in data["b"]]
-        return cls(ring, A, b)
+        rows = _field(
+            data,
+            "A",
+            lambda v: _is_list(v, n) and all(_is_list(row, n) for row in v),
+            f"a list of {n} lists of {n} entries",
+        )
+        b = _field(data, "b", lambda v: _is_list(v, n), f"a list of {n} entries")
+        return cls(ring, [[val(v) for v in row] for row in rows], [val(v) for v in b])
 
 
 def from_affine(ring, A, b):
@@ -699,15 +737,19 @@ class GeneratorWord:
 
     @classmethod
     def from_json(cls, ring, data):
+        ambient = _field(data, "ambient", _is_positive_int, "a positive integer")
+        entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
         letters = []
-        for entry in data["letters"]:
-            if entry["kind"] == "affine":
-                letters.append(AffineLetter(AffineMap.from_json(ring, entry)))
-            elif entry["kind"] == "phi":
-                letters.append(PhiLetter(entry["exp"]))
+        for entry in entries:
+            kind = _field(entry, "kind", lambda v: v in ("affine", "phi"),
+                          "'affine' or 'phi'")
+            if kind == "affine":
+                letters.append(AffineLetter(AffineMap.from_json(ring, entry, ambient)))
             else:
-                raise ValueError(f"unknown letter kind {entry['kind']!r}")
-        return cls(data["ambient"], letters)
+                exp = _field(entry, "exp", lambda v: type(v) is int and v in (1, -1),
+                             "1 or -1")
+                letters.append(PhiLetter(exp))
+        return cls(ambient, letters)
 
 
 def word_eval(word, phi, phi_inverse=None):

@@ -12,7 +12,9 @@ add; the result is unpacked, and `terms` stays the exponent-tuple dict.
 
 from __future__ import annotations
 
-from .errors import PolynomialSyntaxError, Unsupported, ZeroPolynomial
+import math
+
+from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
 from .rings import IntegerModRing, IntegerRing, RingElement, is_prime
 
 
@@ -397,10 +399,68 @@ class Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
+# Parser guards: parentheses nest at most _MAX_DEPTH deep; a product, or a
+# power before it is expanded, is refused when its term-pair products (for a
+# power, predicted from the sizes of its steps) exceed _MAX_PRODUCTS; and a
+# power is refused when its exponent or (over Q and Z) its predicted
+# coefficient size exceeds a limit.  A one-variable power near the product
+# limit takes a few seconds over Q, with its large binomials.
+_MAX_DEPTH = 100
+_MAX_PRODUCTS = 500_000
+_MAX_EXPONENT = 1 << 20
+_MAX_POWER_BITS = 1 << 20
+
+
+def _check_products(products, what):
+    if products > _MAX_PRODUCTS:
+        raise ResourceLimit(
+            f"{what} takes {products} term products (limit {_MAX_PRODUCTS})"
+        )
+
+
+def _power_products(base, k):
+    """Term-pair products of base**k, from predicted sizes of the powers."""
+    n, d, t = base.nvars, base.total_deg(), len(base.terms)
+
+    def size(j):
+        # at most the monomials up to degree j*d, and the multisets of j terms
+        return min(math.comb(n + j * d, n), math.comb(t + j - 1, j))
+
+    # the steps of Polynomial.__pow__
+    products, acc, j = 0, 0, 1
+    while k:
+        if k & 1:
+            products += size(acc) * size(j) if acc else 0
+            acc += j
+        if k > 1:
+            products += size(j) ** 2
+        j, k = 2 * j, k >> 1
+    return products
+
+
+def _check_power(base, k):
+    if k > _MAX_EXPONENT:
+        raise ResourceLimit(f"exponent {k} exceeds the limit {_MAX_EXPONENT}")
+    if len(base.terms) > 1:
+        _check_products(_power_products(base, k), "a power")
+    if base.terms and not base.ring.is_finite:
+        # c^k has about k * log2|c| bits, over the numerator and denominator
+        bits = k * max(
+            v.numerator.bit_length() + v.denominator.bit_length() - 2
+            for v in base.terms.values()
+        )
+        if bits > _MAX_POWER_BITS:
+            raise ResourceLimit(
+                f"a power may have {bits}-bit coefficients"
+                f" (limit {_MAX_POWER_BITS})"
+            )
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -466,7 +526,9 @@ def _parse_term(tk, ring, nvars):
     acc = _parse_factor(tk, ring, nvars)
     while tk.peek() == "*":
         tk.pos += 1
-        acc = acc * _parse_factor(tk, ring, nvars)
+        factor = _parse_factor(tk, ring, nvars)
+        _check_products(len(acc.terms) * len(factor.terms), "a product")
+        acc = acc * factor
     return acc
 
 
@@ -477,6 +539,7 @@ def _parse_factor(tk, ring, nvars):
         e = tk.take_int()
         if e < 0:
             tk.error("negative exponent")
+        _check_power(base, e)
         base = base**e
     return base
 
@@ -484,11 +547,15 @@ def _parse_factor(tk, ring, nvars):
 def _parse_primary(tk, ring, nvars):
     ch = tk.peek()
     if ch == "(":
+        tk.depth += 1
+        if tk.depth > _MAX_DEPTH:
+            tk.error(f"parentheses nest deeper than {_MAX_DEPTH}")
         tk.pos += 1
         inner = _parse_expr(tk, ring, nvars)
         if tk.peek() != ")":
             tk.error("expected ')'")
         tk.pos += 1
+        tk.depth -= 1
         return inner
     if ch == "x":
         tk.pos += 1

@@ -4,6 +4,12 @@ Every ring works on canonical raw values (Fraction, int residue, or a
 coefficient tuple for extension fields) so that equality of elements,
 polynomials and maps is plain structural equality.  RingElement is the
 public wrapper; internal hot loops call the ring's raw methods directly.
+
+GF(p^e) of order at most 2^10 adds, negates, multiplies and inverts by
+table lookup: on first use it builds log and antilog tables over a
+generator of the unit group and Zech logs log(1 + g^k), all O(order).  The
+values stay coefficient tuples; larger fields keep the schoolbook product
+and polynomial division.
 """
 
 from __future__ import annotations
@@ -58,16 +64,7 @@ class RingElement:
         return RingElement(self.ring, self.ring.neg(self.value))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        acc = self.ring.one_value()
-        base = self.value
-        while k:
-            if k & 1:
-                acc = self.ring.mul(acc, base)
-            base = self.ring.mul(base, base)
-            k >>= 1
-        return RingElement(self.ring, acc)
+        return RingElement(self.ring, self.ring.pow(self.value, k))
 
     def inv(self):
         return RingElement(self.ring, self.ring.inv(self.value))
@@ -119,6 +116,18 @@ class Ring:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def pow(self, a, k):
+        """a^k by repeated squaring, for an int k >= 0."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        acc = self.one_value()
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return acc
 
     def is_unit(self, a):
         raise NotImplementedError
@@ -490,6 +499,10 @@ def _poly_is_irreducible(mod, p):
     return True
 
 
+# The largest field order served by log, antilog and Zech tables.
+_TABLE_MAX_ORDER = 1 << 10
+
+
 class GaloisField(Ring):
     """GF(p^e) as F_p[y]/(modulus); values are fixed-length coefficient tuples."""
 
@@ -521,26 +534,96 @@ class GaloisField(Ring):
         self.modulus = modulus
         self.characteristic = p
         self.order = p**e
+        self._zero = (0,) * e
+        if self.order > _TABLE_MAX_ORDER:
+            self._log = self._exp = self._zech = self._neg_log = None
 
     def _pad(self, c):
         c = list(c)[: self.e]
         return tuple(c + [0] * (self.e - len(c)))
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def __getattr__(self, name):
+        # reached only before the first table lookup of a field in the bound
+        if name in ("_log", "_exp", "_zech", "_neg_log"):
+            self._build_tables()
+            return self.__dict__[name]
+        raise AttributeError(name)
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def _build_tables(self):
+        """log and antilog over a generator g of the unit group; Zech logs.
+
+        exp holds g^0..g^(m-1) twice (m = order - 1), so exp[log a + log b]
+        needs no reduction; zech[k] = log(1 + g^k), None where 1 + g^k = 0,
+        and a negative difference of two logs indexes it from the end.
+        """
+        m = self.order - 1
+        one = self.one_value()
+        # y need not generate: under y^2 + 1 over F_3 it has order 4
+        for g in self.unit_values():
+            powers, v = [one], g
+            while v != one:
+                powers.append(v)
+                v = self._slow_mul(v, g)
+            if len(powers) == m:
+                break
+        log = {v: k for k, v in enumerate(powers)}
+        self._log, self._exp = log, powers * 2
+        self._zech = [log.get(self._slow_add(one, v)) for v in powers]
+        self._neg_log = log[self._slow_neg(one)]
+
+    def add(self, a, b):
+        log = self._log
+        if log is None:
+            return self._slow_add(a, b)
+        i = log.get(a)
+        if i is None:
+            return b
+        j = log.get(b)
+        if j is None:
+            return a
+        # g^i + g^j = g^i * (1 + g^(j-i))
+        z = self._zech[j - i]
+        return self._zero if z is None else self._exp[i + z]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        log = self._log
+        if log is None:
+            return self._slow_neg(a)
+        i = log.get(a)
+        return a if i is None else self._exp[i + self._neg_log]
 
     def mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._slow_mul(a, b)
+        i = log.get(a)
+        j = log.get(b)
+        if i is None or j is None:
+            return self._zero
+        return self._exp[i + j]
+
+    def inv(self, a):
+        log = self._log
+        if log is None:
+            return self._slow_inv(a)
+        i = log.get(a)
+        if i is None:
+            raise NotAUnit("0 is not invertible")
+        return self._exp[self.order - 1 - i]
+
+    # -- schoolbook arithmetic: above the table bound, and to build tables --
+    def _slow_add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def _slow_neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def _slow_mul(self, a, b):
         prod = _poly_mul_mod_p(list(a), list(b), self.p)
         _, rem = _poly_divmod_p(prod, list(self.modulus), self.p)
         return self._pad(rem)
 
-    def inv(self, a):
+    def _slow_inv(self, a):
         if all(x == 0 for x in a):
             raise NotAUnit("0 is not invertible")
         # extended Euclid in F_p[y]
@@ -561,7 +644,7 @@ class GaloisField(Ring):
         return all(x == 0 for x in a)
 
     def zero_value(self):
-        return (0,) * self.e
+        return self._zero
 
     def one_value(self):
         return self._pad([1])
@@ -627,6 +710,8 @@ def ring_from_spec(text):
     Accepted forms: ``Q``, ``Z``, ``Zn:<n>``, ``Fp:<p>``,
     ``GF:<p>^<e>`` and ``GF:<p>^<e>:[c0,c1,...]``.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a ring spec must be a string, not {text!r}")
     text = text.strip()
     if text == "Q":
         return RationalField()

@@ -301,9 +301,7 @@ def vandermonde_combination(g, monomial):
             rows = []
             rhs = []
             for i in index_set:
-                rows.append(
-                    [pow_value(ring, b, i) for b in betas]
-                )
+                rows.append([ring.pow(b, i) for b in betas])
                 rhs.append(
                     ring.one_value() if i == target_i else ring.zero_value()
                 )
@@ -345,17 +343,6 @@ def vandermonde_combination(g, monomial):
     ]
 
 
-def pow_value(ring, base, k):
-    acc = ring.one_value()
-    b = base
-    while k:
-        if k & 1:
-            acc = ring.mul(acc, b)
-        b = ring.mul(b, b)
-        k >>= 1
-    return acc
-
-
 def apply_scaling(g, scalevec):
     ring, n = g.ring, g.nvars
     out = {}
@@ -364,7 +351,7 @@ def apply_scaling(g, scalevec):
         factor = ring.one_value()
         for t, s in zip(exps, scalevec):
             if t:
-                factor = ring.mul(factor, pow_value(ring, s.value, t))
+                factor = ring.mul(factor, ring.pow(s.value, t))
         prod = ring.mul(factor, v)
         if prod != zero:
             out[exps] = prod
@@ -959,7 +946,7 @@ def kernel_generator(ring, n, i, a):
     lead = Polynomial.monomial(
         ring, tuple(p if t == i - 1 else 0 for t in range(n)), ring.one_value()
     )
-    coeff = pow_value(ring, av, p - 1)
+    coeff = ring.pow(av, p - 1)
     lin = Polynomial.variable(ring, n, i).scale(RingElement(ring, ring.neg(coeff)))
     return lead + lin
 

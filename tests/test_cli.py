@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from cotame.cli import run
 
 OK, ERROR, UNKNOWN = 0, 1, 2
@@ -276,3 +278,148 @@ def test_text_format(tmp_path, capsys):
     )
     assert code == OK
     assert "answer: StablyCotame" in out
+
+
+GOOD_MAP = {"ring": "Fp:5", "n": 3, "images": ["x1 + x2*x3", "x2", "x3"]}
+
+MALFORMED_MAPS = {
+    "n-string": {"n": "3"},
+    "n-float": {"n": 3.0},
+    "n-zero": {"n": 0},
+    "n-bool": {"n": True},
+    "n-null": {"n": None},
+    "images-string": {"images": "x1 + x2*x3"},
+    "images-short": {"images": ["x1 + x2*x3", "x2"]},
+    "image-int": {"images": ["x1 + x2*x3", 2, "x3"]},
+    "ring-int": {"ring": 5},
+    "ring-missing": {"ring": None},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS)
+def test_malformed_map_file_is_a_json_error(tmp_path, capsys, change):
+    data = {k: v for k, v in {**GOOD_MAP, **change}.items() if v is not None}
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, ["decide", "--phi", str(path)])
+    assert code == ERROR
+    report = json.loads(out)
+    assert report["status"] == "error" and report["payload"]["error"]
+
+
+@pytest.mark.parametrize("data", [[], "phi", 5], ids=["list", "string", "int"])
+@pytest.mark.parametrize("ring", [None, "Fp:5"], ids=["no-ring", "ring"])
+def test_map_file_that_is_no_object_is_a_json_error(tmp_path, capsys, data, ring):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    ring_args = ["--ring", ring] if ring else []
+    code, out = run_cli(capsys, ["decide", *ring_args, "--phi", str(path)])
+    assert code == ERROR and json.loads(out)["status"] == "error"
+
+
+@pytest.fixture(scope="module")
+def witness_word(tmp_path_factory):
+    """A map file and the word that witness writes for x2^2*x3 under it."""
+    folder = tmp_path_factory.mktemp("word")
+    phi = folder / "phi.json"
+    phi.write_text(json.dumps(GOOD_MAP))
+    word = folder / "word.json"
+    argv = ["witness", "--phi", str(phi), "--target", "x2^2*x3", "-o", str(word)]
+    assert run(argv) == OK
+    return phi, word.read_text()
+
+
+def verify_word(tmp_path, capsys, phi, data):
+    word = tmp_path / "changed.json"
+    word.write_text(json.dumps(data))
+    return run_cli(
+        capsys,
+        ["verify", "--phi", str(phi), "--target", "x2^2*x3", "--word", str(word)],
+    )
+
+
+def first_affine(data):
+    return next(l for l in data["letters"] if l["kind"] == "affine")
+
+
+MALFORMED_WORDS = {
+    "ambient-string": lambda d: d.update(ambient="4"),
+    "ambient-negative": lambda d: d.update(ambient=-4),
+    "letters-object": lambda d: d.update(letters={"kind": "phi", "exp": 1}),
+    "letter-string": lambda d: d["letters"].append("phi"),
+    "kind-unknown": lambda d: d["letters"].append({"kind": "psi", "exp": 1}),
+    "exp-missing": lambda d: d["letters"].append({"kind": "phi"}),
+    "exp-string": lambda d: d["letters"].append({"kind": "phi", "exp": "1"}),
+    "exp-two": lambda d: d["letters"].append({"kind": "phi", "exp": 2}),
+    "A-missing": lambda d: first_affine(d).pop("A"),
+    "A-int": lambda d: first_affine(d).update(A=5),
+    "A-short": lambda d: first_affine(d)["A"].pop(),
+    "A-row-short": lambda d: first_affine(d)["A"][0].pop(),
+    "A-rows-strings": lambda d: first_affine(d).update(
+        A=["1000", "0100", "0010", "0001"]
+    ),
+    "b-long": lambda d: first_affine(d)["b"].append("0"),
+    "b-string": lambda d: first_affine(d).update(b="0000"),
+    "entry-list": lambda d: first_affine(d)["b"].__setitem__(0, [1]),
+    "entry-float": lambda d: first_affine(d)["b"].__setitem__(0, 1.5),
+}
+
+
+def test_verify_accepts_the_unchanged_word(tmp_path, capsys, witness_word):
+    phi, text = witness_word
+    code, out = verify_word(tmp_path, capsys, phi, json.loads(text))
+    assert code == OK and json.loads(out)["payload"]["match"] is True
+
+
+@pytest.mark.parametrize("tamper", MALFORMED_WORDS.values(), ids=MALFORMED_WORDS)
+def test_malformed_word_file_is_a_json_error(tmp_path, capsys, witness_word, tamper):
+    phi, text = witness_word
+    data = json.loads(text)
+    tamper(data)
+    code, out = verify_word(tmp_path, capsys, phi, data)
+    assert code == ERROR
+    report = json.loads(out)
+    assert report["status"] == "error" and report["payload"]["error"]
+
+
+def test_verify_refuses_a_singular_affine_letter(tmp_path, capsys, witness_word):
+    phi, text = witness_word
+    data = json.loads(text)
+    letter = first_affine(data)
+    letter["A"][1] = list(letter["A"][0])  # two equal rows: det A = 0
+    code, out = verify_word(tmp_path, capsys, phi, data)
+    assert code == ERROR
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["error"] == "matrix determinant 0 is not a unit"
+
+
+GUARDED_POLYS = {
+    "deep-parentheses": "(" * 5000 + "x1" + ")" * 5000,
+    "dense-power": "(x1+x2+1)^100000",
+    "dense-product": "(x1+1)^300*(x2+1)^300*(x3+1)^300",
+    "huge-exponent": "x1^2000000",
+    "huge-coefficient": "((2*x1)^60000)^60000",
+}
+
+
+@pytest.mark.parametrize("poly", GUARDED_POLYS.values(), ids=GUARDED_POLYS)
+def test_parser_guards_end_as_json_errors(capsys, poly):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["parse", "--ring", "Q", "--n", "3", "--poly", poly])
+    assert time.perf_counter() - start < 5
+    assert code == ERROR
+    report = json.loads(out)
+    assert report["status"] == "error" and report["payload"]["error"]
+
+
+def test_parser_guards_keep_ordinary_input(capsys):
+    for poly, canonical in [
+        ("x1 + x2^63*x3 + x2*x3^63", "x2^63*x3 + x2*x3^63 + x1"),
+        ("(" * 100 + "x1" + ")" * 100, "x1"),
+        ("(x2 + 1)^4", "x2^4 + 4*x2^3 + 6*x2^2 + 4*x2 + 1"),
+    ]:
+        argv = ["parse", "--ring", "Q", "--n", "3", "--poly", poly]
+        code, out = run_cli(capsys, argv)
+        assert code == OK
+        assert json.loads(out)["payload"]["canonical"] == canonical

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from cotame.endo import (
 )
 from cotame.errors import NotAUnit, Unsupported
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import IntegerModRing, PrimeField, RationalField
+from cotame.rings import GaloisField, IntegerModRing, PrimeField, RationalField
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -79,6 +80,67 @@ def test_affine_inverse():
     m = AffineMap(F5, [[1, 2, 0], [0, 1, 4], [3, 0, 2]], [1, 0, 2])
     assert m.compose(m.inverse()).to_endo() == identity(F5, 3)
     assert m.inverse().compose(m).to_endo() == identity(F5, 3)
+
+
+def leibniz_det(ring, rows):
+    """Oracle: the determinant as a signed sum over all permutations."""
+    n = len(rows)
+    acc = ring.zero_value()
+    for perm in itertools.permutations(range(n)):
+        sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.one_value()
+        for i, j in enumerate(perm):
+            term = ring.mul(term, rows[i][j])
+        acc = ring.add(acc, ring.neg(term) if sign % 2 else term)
+    return acc
+
+
+def cofactor_inverse(ring, A, b):
+    """Oracle: A^-1 as the adjugate over det A, and -b A^-1."""
+    n = len(A)
+    det_inv = ring.inv(leibniz_det(ring, A))
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [v for c, v in enumerate(row) if c != i]
+                for r, row in enumerate(A)
+                if r != j
+            ]
+            cof = leibniz_det(ring, minor) if n > 1 else ring.one_value()
+            inv[i][j] = ring.mul(det_inv, ring.neg(cof) if (i + j) % 2 else cof)
+    shift = [ring.zero_value()] * n
+    for j in range(n):
+        for t in range(n):
+            shift[j] = ring.sub(shift[j], ring.mul(b[t], inv[t][j]))
+    return inv, shift
+
+
+def test_affine_inverse_is_lazy_and_matches_the_adjugate():
+    rng = random.Random(11)
+    for ring in (Q, Z6, PrimeField(7), GaloisField(3, 2)):
+        pool = (
+            [ring.coerce_value(v) for v in range(-3, 4)]
+            if ring.order is None
+            else [e.value for e in ring.elements()]
+        )
+        checked = 0
+        while checked < 12:
+            n = rng.randint(1, 4)
+            A = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            b = [rng.choice(pool) for _ in range(n)]
+            if not ring.is_unit(leibniz_det(ring, A)):
+                with pytest.raises(NotAUnit):
+                    AffineMap(ring, A, b)
+                continue
+            m = AffineMap(ring, A, b)
+            assert m._inv is None
+            inv = m.inverse()
+            assert (inv.A, inv.b) == cofactor_inverse(ring, A, b)
+            assert m._inv is not None and m.inverse() == inv
+            assert inv.inverse() == m
+            assert m.compose(inv) == AffineMap.identity(ring, n)
+            checked += 1
 
 
 def test_from_affine_endo_and_is_affine():

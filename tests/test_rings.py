@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotame.errors import NoSuchUnit, NotAUnit, Unsupported
 from cotame.rings import (
+    DEFAULT_MODULI,
     GaloisField,
     IntegerModRing,
     IntegerRing,
@@ -154,3 +157,54 @@ def test_spec_string_round_trip():
     for spec in ("Q", "Z", "Zn:10", "Fp:13", "GF:2^4", "GF:3^2:[1,0,1]"):
         ring = ring_from_spec(spec)
         assert ring_from_spec(ring.spec_string()) == ring
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"GF:{p}^{e}" for p, e in sorted(DEFAULT_MODULI)] + ["GF:3^2:[2,2,1]"],
+)
+def test_gf_tables_match_schoolbook_on_all_pairs(spec):
+    ring = ring_from_spec(spec)
+    values = [ring._index_value(i) for i in range(ring.order)]
+    p = ring.p
+    for a in values:
+        assert ring.neg(a) == ring._slow_neg(a)
+        if any(a):
+            assert ring.inv(a) == ring._slow_inv(a)
+        for b in values:
+            assert ring.add(a, b) == ring._slow_add(a, b)
+            assert ring.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+            assert ring.mul(a, b) == ring._slow_mul(a, b)
+    with pytest.raises(NotAUnit):
+        ring.inv(ring.zero_value())
+    # the lookups above ran on the tables, over a generator of all units
+    assert len(ring._log) == ring.order - 1
+
+
+# y^11 + y^2 + 1 is irreducible over F_2, and 2^11 is above the table bound
+GF2048 = ring_from_spec("GF:2^11:[1,0,1,0,0,0,0,0,0,0,0,1]")
+gf2048_values = st.integers(0, GF2048.order - 1).map(GF2048._index_value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf2048_values, gf2048_values, gf2048_values)
+def test_gf_above_the_table_bound_stays_schoolbook(a, b, c):
+    ring = GF2048
+    add, mul = ring.add, ring.mul
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert add(ring.sub(a, b), b) == a and add(a, ring.neg(a)) == ring.zero_value()
+    if any(a):
+        assert mul(a, ring.inv(a)) == ring.one_value()
+    assert ring._log is None and ring._exp is None and ring._zech is None
+
+
+def test_ring_pow_is_repeated_multiplication():
+    for ring in (RationalField(), IntegerModRing(12), GaloisField(3, 2)):
+        a = ring.coerce_value(2) if ring.order is None else ring.unit_values()[-1]
+        acc = ring.one_value()
+        for k in range(12):
+            assert ring.pow(a, k) == acc
+            acc = ring.mul(acc, a)
+    with pytest.raises(ValueError):
+        PrimeField(5).pow(2, -1)
