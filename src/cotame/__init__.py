@@ -33,8 +33,6 @@ from .endo import (
     invert_structured,
     permutation,
     reduce_mod,
-    word_eval,
-    word_inverse,
 )
 from .classify import (
     GoodMonomialType,
@@ -47,7 +45,6 @@ from .classify import (
     good_monomial_type,
     no_good_monomials,
     pattern_membership,
-    span_good_ideal,
 )
 from .witness import (
     DeltaSpec,

@@ -11,7 +11,9 @@ certify the positive direction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -175,37 +177,56 @@ def _span_outcome(ring, n, parts, key, k_size):
     return candidate, good_monomials(candidate)
 
 
-def _span_combos(phi, budget, seed):
-    """Deterministic candidate stream of coefficient vectors; singles first."""
-    ring, n = phi.ring, phi.nvars
+def _singles(ring, n):
     zero, one = ring.zero_value(), ring.one_value()
-    singles = []
-    for i in range(n):
-        vec = [zero] * n
-        vec[i] = one
-        singles.append(tuple(vec))
+    return [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+
+
+def _sampled_combos(ring, n, budget, seed):
+    """Over an infinite ring: the singles, then seeded random vectors with
+    entries in -2..2, skipping zero and the singles."""
+    zero, singles = ring.zero_value(), _singles(ring, n)
     yield from singles
-    if ring.is_finite:
-        values = [el.value for el in ring.elements()]
-        count = 0
-        for combo in itertools.product(values, repeat=n):
-            if count >= budget:
-                return
-            count += 1
-            if combo in singles or all(v == zero for v in combo):
-                continue
-            yield combo
-    else:
-        rng = random.Random(seed)
-        small = list(range(-2, 3))
-        for _ in range(budget):
-            combo = tuple(ring.coerce_value(rng.choice(small)) for _ in range(n))
-            if all(v == zero for v in combo) or combo in singles:
-                continue
+    rng = random.Random(seed)
+    for _ in range(budget):
+        combo = tuple(ring.coerce_value(rng.choice(range(-2, 3))) for _ in range(n))
+        if combo not in singles and not all(v == zero for v in combo):
             yield combo
 
 
-def span_good_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
+def _stream_length(q, n, t):
+    """Vectors of the finite stream up to product index t: the n singles, then
+    the indices below t but those of zero (0) and of the singles (q^i)."""
+    return n + t - bisect.bisect_left([0] + [q**i for i in range(n)], t)
+
+
+def _swept_combos(ring, n, live, bound):
+    """(position, vector) of the first vector of each live key in the finite
+    stream, in stream order, up to product index `bound`.
+
+    The stream is the singles, then itertools.product order over
+    ring.elements() (zero first, one second) without zero and the singles.
+    A key's first vector is zero off `live`, and its index t0 rises with the
+    key.  A skipped t0 belongs to a key met among the singles (or, when every
+    image is live, to the zero key, never met), so the rest come in key order.
+    """
+    values = [el.value for el in ring.elements()]
+    q = len(values)
+    yield from enumerate(_singles(ring, n), start=1)
+    skipped = [0] + [q**i for i in range(n)]
+    weights = [q ** (n - 1 - j) for j in live]
+    for digits in itertools.product(range(q), repeat=len(live)):
+        t0 = sum(map(operator.mul, digits, weights))
+        if t0 >= bound:
+            return
+        if t0 not in skipped:
+            combo = [values[0]] * n
+            for j, d in zip(live, digits):
+                combo[j] = values[d]
+            yield _stream_length(q, n, t0 + 1), tuple(combo)
+
+
+def span_good_scan(phi, k_size, budget=200000, seed=0):
     """Collect good coefficients of span elements that pass the degree condition.
 
     Over a finite ring the c-sweep with linear parts stripped is complete:
@@ -215,24 +236,31 @@ def span_good_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
 
     Stripping commutes with the combination, so each image is stripped once
     and the candidate depends only on the key of coefficients of the live
-    images (those with something left); each key is built once.
+    images (those with something left).  Over a finite ring only the first
+    vector of each key is visited, and the vectors are counted arithmetically.
+    The scan stops at the first vector whose good coefficients fill the ideal.
     """
     ring, n = phi.ring, phi.nvars
     _guard_characteristic(ring.characteristic)
     stripped = [_strip_linear(img) for img in phi.images]
     live = [j for j, part in enumerate(stripped) if not part.is_zero()]
     parts = [stripped[j] for j in live]
-    memo = {}  # stays empty when every image is live: no key can repeat
+    if ring.is_finite:
+        total = ring.order**n
+        bound = max(0, min(budget, total))
+        stream = _swept_combos(ring, n, live, bound)
+    else:
+        stream = enumerate(_sampled_combos(ring, n, budget, seed), start=1)
+    memo = {}  # keys repeat only with a dead image, among singles and samples
     gens = []
     witnesses = []
     examined = 0
     diagnostics = []
     exhausted_all = True
-    for combo in _span_combos(phi, budget, seed):
-        examined += 1
+    for examined, combo in stream:
         key = tuple([combo[j] for j in live])
         outcome = memo.get(key) or _span_outcome(ring, n, parts, key, k_size)
-        if len(live) < n:
+        if len(live) < n and (examined <= n or not ring.is_finite):
             memo[key] = outcome
         candidate, goods = outcome
         if not goods:
@@ -240,12 +268,13 @@ def span_good_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
         for exps, coeff, gm_type in goods:
             witnesses.append(SpanWitness(combo, candidate, exps, coeff, gm_type))
             gens.append(coeff)
-        if early_exit and IdealHandle(ring, gens).is_full():
+        if IdealHandle(ring, gens).is_full():
             exhausted_all = False
             break
     handle = IdealHandle(ring, gens)
     if ring.is_finite:
-        total = ring.order**n
+        if exhausted_all:
+            examined = _stream_length(ring.order, n, bound)
         exhaustive = exhausted_all and total <= budget
         if not exhaustive and exhausted_all:
             diagnostics.append(
@@ -258,12 +287,6 @@ def span_good_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
                 f"span scan sampled {examined} candidates over an infinite ring"
             )
     return SpanScan(handle, witnesses, exhaustive, examined, diagnostics)
-
-
-def span_good_ideal(phi, k_size, budget=200000, seed=0):
-    """Lower bound for the degree-condition obstruction ideal; exact when the
-    finite coefficient sweep fits the budget."""
-    return span_good_scan(phi, k_size, budget=budget, seed=seed).handle
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +349,6 @@ def no_good_monomials(phi):
     return all(not good_monomials(img) for img in phi.images)
 
 
-ngg_membership = no_good_monomials
-
-
 # ---------------------------------------------------------------------------
 # reduction obstruction: pass to a quotient with no good monomials
 # ---------------------------------------------------------------------------
@@ -384,41 +404,24 @@ def direct_pattern_scan(phi):
         c = nonlinear.terms[exps]
         if not ring.is_unit(c):
             continue
-        positive = [t for t in exps if t > 0]
-        support = [i for i, t in enumerate(exps) if t > 0]
-        if sorted(positive) == [1, 1]:
-            return {
-                "case": "a",
-                "image": j,
-                "monomial": exps,
-                "coefficient": c,
-            }
-        if positive == [2] and ring.is_unit(ring.coerce_value(2)):
-            return {
-                "case": "b",
-                "image": j,
-                "monomial": exps,
-                "coefficient": c,
-            }
-        if n == 2 and p == 2:
-            if sorted(positive) == [1, 2]:
-                return {
-                    "case": "c",
-                    "image": j,
-                    "monomial": exps,
-                    "coefficient": c,
-                }
-            if positive == [3]:
-                try:
-                    find_special_unit(ring)
-                except NoSuchUnit:
-                    continue
-                return {
-                    "case": "d",
-                    "image": j,
-                    "monomial": exps,
-                    "coefficient": c,
-                }
+        positive = sorted(t for t in exps if t > 0)
+        if positive == [1, 1]:
+            case = "a"
+        elif positive == [2] and ring.is_unit(ring.coerce_value(2)):
+            case = "b"
+        elif n != 2 or p != 2:
+            continue
+        elif positive == [1, 2]:
+            case = "c"
+        elif positive != [3]:
+            continue
+        else:
+            try:
+                find_special_unit(ring)
+            except NoSuchUnit:
+                continue
+            case = "d"
+        return {"case": case, "image": j, "monomial": exps, "coefficient": c}
     return None
 
 

@@ -68,6 +68,10 @@ def _resolve_inverse(phi, inverse_path):
     return try_invert(phi)
 
 
+def _k_size(args):
+    return "auto" if args.ksize is None else args.ksize
+
+
 def emit_report(result, fmt="json"):
     """Render a command result; field order is fixed for byte-stable output."""
     if fmt == "json":
@@ -133,7 +137,7 @@ def cmd_invert(args):
 
 def cmd_classify(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
-    ksize = args.ksize if args.ksize else "auto"
+    ksize = _k_size(args)
     goods = []
     for j, img in enumerate(phi.images, start=1):
         for exps, coeff, gm_type in good_monomials(img):
@@ -172,7 +176,7 @@ def cmd_classify(args):
 
 def cmd_decide(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
-    ksize = args.ksize if args.ksize else "auto"
+    ksize = _k_size(args)
     verdict = decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
     code = UNKNOWN if verdict.answer == "Unknown" else OK
     status = "unknown-verdict" if code == UNKNOWN else "ok"
@@ -189,7 +193,7 @@ def cmd_decide(args):
 def cmd_witness(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     target = parse_poly(args.target, phi.ring, phi.nvars)
-    ksize = args.ksize if args.ksize else "auto"
+    ksize = _k_size(args)
     inverse = _resolve_inverse(phi, args.phi_inverse)
     try:
         word, info = build_witness_with_info(

@@ -470,15 +470,6 @@ class AffineMap:
         return cls(ring, [[val(v) for v in row] for row in rows], [val(v) for v in b])
 
 
-def from_affine(ring, A, b):
-    """Affine endomorphism from matrix data; raises if A is not invertible."""
-    return AffineMap(ring, A, b).to_endo()
-
-
-def is_affine(phi):
-    return phi.is_affine()
-
-
 # ---------------------------------------------------------------------------
 # structured inversion
 # ---------------------------------------------------------------------------
@@ -750,14 +741,6 @@ class GeneratorWord:
                              "1 or -1")
                 letters.append(PhiLetter(exp))
         return cls(ambient, letters)
-
-
-def word_eval(word, phi, phi_inverse=None):
-    return word.evaluate(phi, phi_inverse)
-
-
-def word_inverse(word):
-    return word.inverse()
 
 
 def conjugate_word(word, sigma):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from cotame.classify import (
     ModulePattern,
     SpanWitness,
-    _span_combos,
     decide,
     default_pattern,
     degree_condition,
@@ -122,9 +122,40 @@ def test_span_scan_affine_is_empty():
     assert scan.handle.is_zero()
 
 
-def oracle_span_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
-    """The span scan as a plain sweep: each combination is summed in full,
-    then stripped of its degree-one part, and its candidate checked anew.
+def oracle_span_combos(phi, budget, seed):
+    """Deterministic candidate stream of coefficient vectors; singles first."""
+    ring, n = phi.ring, phi.nvars
+    zero, one = ring.zero_value(), ring.one_value()
+    singles = []
+    for i in range(n):
+        vec = [zero] * n
+        vec[i] = one
+        singles.append(tuple(vec))
+    yield from singles
+    if ring.is_finite:
+        values = [el.value for el in ring.elements()]
+        count = 0
+        for combo in itertools.product(values, repeat=n):
+            if count >= budget:
+                return
+            count += 1
+            if combo in singles or all(v == zero for v in combo):
+                continue
+            yield combo
+    else:
+        rng = random.Random(seed)
+        small = list(range(-2, 3))
+        for _ in range(budget):
+            combo = tuple(ring.coerce_value(rng.choice(small)) for _ in range(n))
+            if all(v == zero for v in combo) or combo in singles:
+                continue
+            yield combo
+
+
+def oracle_span_scan(phi, k_size, budget=200000, seed=0):
+    """The span scan as a plain sweep: each combination of the stream is
+    summed in full, then stripped of its degree-one part, and its candidate
+    checked anew; the sweep stops once the good coefficients fill the ideal.
 
     The scan is exhaustive when every nonzero vector of k^n was examined.
     """
@@ -133,7 +164,7 @@ def oracle_span_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
     gens, witnesses, seen = [], [], set()
     examined = 0
     exhausted_all = True
-    for combo in _span_combos(phi, budget, seed):
+    for combo in oracle_span_combos(phi, budget, seed):
         examined += 1
         seen.add(combo)
         acc = Polynomial.zero(ring, n)
@@ -149,7 +180,7 @@ def oracle_span_scan(phi, k_size, budget=200000, seed=0, early_exit=True):
         for exps, coeff, gm_type in goods:
             witnesses.append(SpanWitness(combo, candidate, exps, coeff, gm_type))
             gens.append(coeff)
-        if goods and early_exit and IdealHandle(ring, gens).is_full():
+        if goods and IdealHandle(ring, gens).is_full():
             exhausted_all = False
             break
     diagnostics = []
@@ -198,10 +229,7 @@ SPAN_CORPUS = [
 def test_span_scan_matches_oracle_on_corpus(spec, first, budget):
     ring = ring_from_spec(spec)
     phi = Endomorphism(ring, [parse_poly(t, ring, 3) for t in (first, "x2", "x3")])
-    for early_exit in (True, False):
-        assert_scan_matches_oracle(
-            phi, resolve_k_size(ring), budget=budget, early_exit=early_exit
-        )
+    assert_scan_matches_oracle(phi, resolve_k_size(ring), budget=budget)
 
 
 SPAN_SPECS = ["Fp:2", "Fp:3", "GF:2^2", "GF:3^2", "Q"]
@@ -238,16 +266,15 @@ def span_scan_cases(draw):
         total = ring.order**n
         budget = draw(
             st.one_of(
-                st.integers(min_value=1, max_value=total + 2),
+                st.integers(min_value=-2, max_value=total + 2),
                 st.integers(min_value=max(1, total - n - 1), max_value=total + 2),
             )
         )
     else:
-        budget = draw(st.integers(min_value=1, max_value=40))
+        budget = draw(st.integers(min_value=-2, max_value=40))
     options = {
         "budget": budget,
         "seed": draw(st.integers(min_value=0, max_value=3)),
-        "early_exit": draw(st.booleans()),
     }
     return Endomorphism(ring, images), options
 
@@ -274,11 +301,30 @@ def test_span_scan_exhaustive_only_when_every_vector_is_examined():
         assert scan.diagnostics == ([] if exhaustive else [below])
 
 
-def test_span_scan_builds_one_candidate_per_live_key(monkeypatch):
-    # only the first image has a non-linear part, so the 64^3 vectors over
-    # GF(2^6) give 64 keys, each built with one scaling
-    ring = GaloisField(2, 6)
-    phi = elementary(parse_poly("x2^63*x3 + x2*x3^63", ring, 3))
+# maps whose singles fail but a later combination has a good monomial,
+# with a dead image before, between or after the live ones
+SPAN_LATE_EXITS = [
+    ("Fp:5", ["x1 + x2^4 + x2*x3", "x2", "x3 + x2^4"]),
+    ("Fp:5", ["x1", "x2 + x3^4 + x1*x3", "x3 + x3^4"]),
+    ("Fp:3", ["x1 + x2^2 + x2*x3", "x2 + x2^2", "x3"]),
+    ("GF:2^2", ["x1 + x2^3 + x1*x2", "x2 + x2^3"]),
+]
+
+
+@pytest.mark.parametrize("spec, texts", SPAN_LATE_EXITS)
+def test_span_scan_exits_after_the_singles_at_every_budget(spec, texts):
+    ring = ring_from_spec(spec)
+    n = len(texts)
+    phi = Endomorphism(ring, [parse_poly(t, ring, n) for t in texts])
+    k_size = resolve_k_size(ring)
+    full = span_good_scan(phi, k_size, budget=ring.order**n)
+    assert full.certified_full() and full.examined > n
+    for budget in range(-1, ring.order**n + 2):
+        assert_scan_matches_oracle(phi, k_size, budget=budget)
+
+
+@pytest.fixture
+def scale_calls(monkeypatch):
     calls = []
     scale = Polynomial.scale
 
@@ -287,9 +333,52 @@ def test_span_scan_builds_one_candidate_per_live_key(monkeypatch):
         return scale(self, c)
 
     monkeypatch.setattr(Polynomial, "scale", counting_scale)
+    return calls
+
+
+def test_span_scan_builds_one_candidate_per_live_key(scale_calls):
+    # only the first image has a non-linear part, so the 64^3 vectors over
+    # GF(2^6) give 64 keys, each built with one scaling
+    ring = GaloisField(2, 6)
+    phi = elementary(parse_poly("x2^63*x3 + x2*x3^63", ring, 3))
     scan = span_good_scan(phi, 64, budget=262144)
     assert scan.exhaustive and scan.examined == 262144 + 3 - 4
-    assert len(calls) <= 64
+    assert len(scale_calls) <= 64
+
+
+def test_span_scan_with_every_image_live_builds_each_vector_once(scale_calls):
+    # keys are vectors: one candidate, of three scalings, per nonzero vector
+    images = ["x1 + x2^2", "x2 + x3^2", "x3 + x1^2"]
+    phi = Endomorphism(F3, [parse_poly(t, F3, 3) for t in images])
+    scan = span_good_scan(phi, 3, budget=27)
+    assert scan.exhaustive and scan.examined == 26 and not scan.witnesses
+    assert len(scale_calls) == 26 * 3
+
+
+def test_span_scan_sweeps_gf256_by_keys(scale_calls):
+    # 256^3 = 16,777,216 vectors but only 256 keys; the vectors are counted,
+    # not walked
+    ring = ring_from_spec("GF:2^8:[1,1,0,1,1,0,0,0,1]")
+    phi = elementary(parse_poly("x2^255*x3 + x2*x3^255", ring, 3))
+    start = time.perf_counter()
+    scan = span_good_scan(phi, 256, budget=16_777_216)
+    assert time.perf_counter() - start < 2
+    assert scan.exhaustive and scan.examined == 16_777_215
+    assert not scan.witnesses and scan.diagnostics == []
+    assert len(scale_calls) <= 256
+
+
+def test_span_scan_early_exit_is_lazy(scale_calls):
+    # every image is live, so keys are vectors: 256^3 of them; the first
+    # single already has a good monomial, so at most the n singles are built
+    ring = ring_from_spec("GF:2^8:[1,1,0,1,1,0,0,0,1]")
+    images = ["x1 + x2*x3", "x2 + x3^2", "x3 + x1^2"]
+    phi = Endomorphism(ring, [parse_poly(t, ring, 3) for t in images])
+    scan = span_good_scan(phi, 256, budget=10**9)
+    assert scan.certified_full() and scan.examined == 1
+    one, zero = ring.one_value(), ring.zero_value()
+    assert [w.combo for w in scan.witnesses] == [(one, zero, zero)]
+    assert len(scale_calls) <= 3 * 3
 
 
 def test_pattern_membership_examples():

@@ -62,6 +62,27 @@ def test_ring_mismatch_is_an_error(tmp_path, capsys):
     assert code == ERROR
 
 
+@pytest.mark.parametrize("command", ["decide", "classify", "witness"])
+@pytest.mark.parametrize("ksize", ["0", "1", "-3"])
+def test_ksize_below_two_is_an_error(tmp_path, capsys, command, ksize):
+    # --ksize 0 is a field size like any other, not a request for "auto"
+    phi = write_phi(tmp_path, "phi.json", "GF:2^5", 3,
+                    ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"])
+    argv = [command, "--ring", "GF:2^5", "--phi", phi, "--ksize", ksize]
+    if command == "witness":
+        argv += ["--target", "x2*x3"]
+    code, out = run_cli(capsys, argv)
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {"error": "a field has at least 2 elements"}
+
+
+def test_ksize_of_the_field_matches_auto(tmp_path, capsys):
+    phi = write_phi(tmp_path, "phi.json", "GF:2^5", 3,
+                    ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"])
+    argv = ["decide", "--ring", "GF:2^5", "--phi", phi]
+    assert run_cli(capsys, argv) == run_cli(capsys, argv + ["--ksize", "32"])
+
+
 def test_witness_verify_and_tamper(tmp_path, capsys):
     phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
     word_file = str(tmp_path / "word.json")
