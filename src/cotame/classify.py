@@ -42,14 +42,36 @@ def _guard_characteristic(p):
 @dataclass(frozen=True)
 class GoodMonomialType:
     tag: str  # one of "I".."V" or "NotGood"
-    i: int | None = None  # 1-based witness indices where applicable
+    i: int | None = None  # 1-based witness indices; j == i in one variable
     j: int | None = None
 
     def is_good(self):
         return self.tag != "NotGood"
 
+    def target(self, n):
+        """The quadratic or cubic monomial that the all-ones shift exposes:
+        x_i*x_j in cases I-III and x_i*x_j^2 in cases IV and V, so a square
+        or a pure cube when j == i."""
+        exps = [0] * n
+        exps[self.i - 1] += 1
+        exps[self.j - 1] += 2 if self.tag in ("IV", "V") else 1
+        return tuple(exps)
+
 
 NOT_GOOD = GoodMonomialType("NotGood")
+
+# The kind of each target monomial, keyed by its sorted positive exponents;
+# normalize_to_seed turns each kind into a seed.
+TARGET_KINDS = {
+    (1, 1): "product",
+    (2,): "square",
+    (1, 2): "mixed-cube",
+    (3,): "pure-cube",
+}
+
+
+def target_kind(exps):
+    return TARGET_KINDS.get(tuple(sorted(t for t in exps if t > 0)))
 
 
 def good_monomial_type(exps, n, p):
@@ -58,9 +80,14 @@ def good_monomial_type(exps, n, p):
     if len(exps) != n:
         raise ValueError("exponent vector length must equal n")
     if p == 0:
-        if sum(exps) >= 2:
-            return GoodMonomialType("I")
-        return NOT_GOOD
+        if sum(exps) < 2:
+            return NOT_GOOD
+        # a square where an exponent reaches 2, else the first two variables
+        big = [i + 1 for i, t in enumerate(exps) if t >= 2]
+        if big:
+            return GoodMonomialType("I", big[0], big[0])
+        ones = [i + 1 for i, t in enumerate(exps) if t == 1]
+        return GoodMonomialType("I", ones[0], ones[1])
     # case II: two indices with exponent 1 mod p
     ones = [i for i, t in enumerate(exps) if t % p == 1]
     if len(ones) >= 2:
@@ -68,7 +95,7 @@ def good_monomial_type(exps, n, p):
     if p >= 3:
         for i, t in enumerate(exps):
             if t % p not in (0, 1):
-                return GoodMonomialType("III", i + 1)
+                return GoodMonomialType("III", i + 1, i + 1)
         return NOT_GOOD
     if n == 2 and p == 2:
         for i, j in ((0, 1), (1, 0)):
@@ -76,7 +103,7 @@ def good_monomial_type(exps, n, p):
                 return GoodMonomialType("IV", i + 1, j + 1)
         for i, t in enumerate(exps):
             if t % 4 == 3:
-                return GoodMonomialType("V", i + 1)
+                return GoodMonomialType("V", i + 1, i + 1)
     return NOT_GOOD
 
 
@@ -436,6 +463,10 @@ class Verdict:
     reason: str | None = None
     certificate: dict | None = None
     diagnostics: list = field(default_factory=list)
+    # what the searches found, kept in memory for witness and classify:
+    # "direct" (the direct_pattern_scan match), "scan" (the SpanScan) and
+    # "delta" (the (dec, spec, info) of delta_search)
+    evidence: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self):
         cert = None
@@ -529,16 +560,19 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
                 "case": direct["case"],
             },
             diagnostics=diagnostics,
+            evidence={"direct": direct},
         )
+    evidence = {}
     ksz = resolve_k_size(ring, k_size)
     if ksz != "unavailable":
-        scan = span_good_scan(phi, ksz, budget=budget, seed=seed)
+        scan = evidence["scan"] = span_good_scan(
+            phi, ksz, budget=budget, seed=seed
+        )
         diagnostics.extend(scan.diagnostics)
         if scan.certified_full():
             witness = scan.witnesses[-1]
             cert = {"kind": "span-good-monomial"}
             cert.update(witness.describe())
-            route = "J-full"
             if ksz is None:
                 diagnostics.append(
                     "infinite base field: the degree condition is vacuous and the"
@@ -546,9 +580,10 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
                 )
             return Verdict(
                 "StablyCotame",
-                route=route,
+                route="J-full",
                 certificate=cert,
                 diagnostics=diagnostics,
+                evidence=evidence,
             )
         if scan.exhaustive:
             diagnostics.append(
@@ -562,8 +597,9 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
         if p**n <= delta_limit:
             from .witness import delta_search
 
-            found = delta_search(phi)
+            found = delta_search(phi, limit=delta_limit)
             if found is not None:
+                evidence["delta"] = found
                 dec, spec, info = found
                 return Verdict(
                     "StablyCotame",
@@ -576,10 +612,11 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
                         "target": str(dec.target),
                     },
                     diagnostics=diagnostics,
+                    evidence=evidence,
                 )
             diagnostics.append("difference-operator search exhausted")
         else:
             diagnostics.append(
                 f"difference-operator search skipped: {p}^{n} exceeds {delta_limit}"
             )
-    return Verdict("Unknown", diagnostics=diagnostics)
+    return Verdict("Unknown", diagnostics=diagnostics, evidence=evidence)

@@ -25,15 +25,19 @@ from .endo import (
     check_inverse,
     compose,
     elementary,
-    extend,
     invert_structured,
     reduce_mod,
     try_invert,
 )
 from .errors import CotameError, NoRouteFound, PolynomialSyntaxError
 from .poly import parse_poly
-from .rings import ring_from_spec
-from .witness import build_witness_with_info, theta_map, verify_witness
+from .rings import is_prime, ring_from_spec
+from .witness import (
+    build_witness_with_info,
+    first_mismatch,
+    theta_map,
+    verify_witness,
+)
 
 OK, ERROR, UNKNOWN = 0, 1, 2
 
@@ -150,21 +154,21 @@ def cmd_classify(args):
                 }
             )
     ideal = good_ideal(phi)
-    resolved = resolve_k_size(phi.ring, ksize)
-    certified = False
-    diagnostics = []
-    if resolved != "unavailable":
-        scan = span_good_scan(phi, resolved, budget=args.budget, seed=args.seed)
-        certified = scan.certified_full()
-        diagnostics.extend(scan.diagnostics)
-    else:
-        diagnostics.append("no base field available for the span scan")
     verdict = decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
+    resolved = resolve_k_size(phi.ring, ksize)
+    # the verdict's scan when decide got that far, else a scan of its own
+    scan = verdict.evidence.get("scan")
+    if scan is None and resolved != "unavailable":
+        scan = span_good_scan(phi, resolved, budget=args.budget, seed=args.seed)
+    if scan is not None:
+        diagnostics = scan.diagnostics
+    else:
+        diagnostics = ["no base field available for the span scan"]
     payload = {
         "good_monomials": goods,
         "I_phi": ideal.to_json(),
         "I_phi_full": ideal.is_full(),
-        "J_phi_certified": certified,
+        "J_phi_certified": scan is not None and scan.certified_full(),
         "ngg": no_good_monomials(phi),
         "verdict": verdict.to_json(),
     }
@@ -238,15 +242,9 @@ def cmd_verify(args):
     word = GeneratorWord.from_json(phi.ring, _load_json(args.word))
     target = elementary(parse_poly(args.target, phi.ring, phi.nvars))
     inverse = _resolve_inverse(phi, args.phi_inverse)
-    value = word.evaluate(phi, inverse)
-    expected = extend(target, word.ambient - target.nvars)
-    if value == expected:
+    mismatch = first_mismatch(word, phi, target, inverse)
+    if mismatch is None:
         return _finish(args, "verify", {"match": True, "word_length": len(word)})
-    mismatch = None
-    for i in range(word.ambient):
-        if value.images[i] != expected.images[i]:
-            mismatch = i + 1
-            break
     return _finish(
         args,
         "verify",
@@ -269,7 +267,7 @@ def cmd_theta(args):
             "degrees_theta_prime_x2": [img.deg_xi(i) for i in (1, 2, 3)],
             "term_counts": [len(i.terms) for i in theta.images],
         }
-        if ring.characteristic not in (0, 1):
+        if is_prime(ring.characteristic):
             analysis["ngg"] = no_good_monomials(theta)
         if args.N == 1:
             coeff = img.terms.get((2, 0, 4))

@@ -20,12 +20,12 @@ import itertools
 from dataclasses import dataclass
 
 from .classify import (
-    _guard_characteristic,
     _strip_linear,
+    decide,
     degree_condition,
-    direct_pattern_scan,
+    good_monomial_type,
     resolve_k_size,
-    span_good_scan,
+    target_kind,
 )
 from .endo import (
     AffineLetter,
@@ -383,37 +383,6 @@ def all_ones_shift(ring, n):
     return AffineMap.translation(ring, [ring.one_value()] * n)
 
 
-def _route_for_good_monomial(exps, n, p):
-    """Which extraction target the shifted monomial carries, recomputed fresh."""
-    if p == 0:
-        for i, t in enumerate(exps):
-            if t >= 2:
-                return "square", (i + 1, i + 1)
-        ones = [i + 1 for i, t in enumerate(exps) if t == 1]
-        if len(ones) >= 2:
-            return "product", (ones[0], ones[1])
-        raise ValueError("not a good monomial")
-    if n == 2 and p == 2:
-        for i, j in ((0, 1), (1, 0)):
-            if exps[i] % 4 == 1 and exps[j] % 4 == 2:
-                return "mixed-cube", (i + 1, j + 1)
-        for i, t in enumerate(exps):
-            if t % 4 == 3:
-                return "pure-cube", (i + 1, i + 1)
-        ones = [i + 1 for i, t in enumerate(exps) if t % 2 == 1]
-        if len(ones) >= 2:
-            return "product", (ones[0], ones[1])
-        raise ValueError("not a good monomial")
-    ones = [i + 1 for i, t in enumerate(exps) if t % p == 1]
-    if len(ones) >= 2:
-        return "product", (ones[0], ones[1])
-    if p >= 3:
-        for i, t in enumerate(exps):
-            if t % p not in (0, 1):
-                return "square", (i + 1, i + 1)
-    raise ValueError("not a good monomial")
-
-
 def shift_extract(dec, k_size=None, validate="auto"):
     """From a*m (m good) to a*u*(x_i x_j | x_i^2 | x_i x_j^2 | x_i^3).
 
@@ -423,28 +392,19 @@ def shift_extract(dec, k_size=None, validate="auto"):
     """
     ring = dec.phi.ring
     n = dec.phi.nvars
-    p = _guard_characteristic(ring.characteristic)
     exps, _ = dec.single_monomial()
-    kind, (i, j) = _route_for_good_monomial(exps, n, p)
+    gm_type = good_monomial_type(exps, n, ring.characteristic)
+    if not gm_type.is_good():
+        raise ValueError("not a good monomial")
+    target = gm_type.target(n)
     lam = all_ones_shift(ring, n)
     shifted = dec_apply_affine(dec, lam, validate=validate)
     if not degree_condition(shifted.target, k_size):
         raise DegreeConditionError(
             "shifted monomial violates the separable degree bound"
         )
-    target = [0] * n
-    if kind == "product":
-        target[i - 1] += 1
-        target[j - 1] += 1
-    elif kind == "square":
-        target[i - 1] = 2
-    elif kind == "mixed-cube":
-        target[i - 1] += 1
-        target[j - 1] += 2
-    elif kind == "pure-cube":
-        target[i - 1] = 3
-    out = vandermonde_extract(shifted, tuple(target), validate=validate)
-    return out, kind, tuple(target)
+    out = vandermonde_extract(shifted, target, validate=validate)
+    return out, target_kind(target), target
 
 
 # ---------------------------------------------------------------------------
@@ -719,29 +679,12 @@ class WitnessInfo:
     route: str
     seed_kind: str
     seed_dec: SpanDecomposition
-    word_length: int = 0
-    details: dict | None = None
 
 
-def _already_case_shape(exps, kind):
-    positive = sorted(t for t in exps if t > 0)
-    if kind == "product":
-        return positive == [1, 1]
-    if kind == "square":
-        return positive == [2]
-    if kind == "mixed-cube":
-        return positive == [1, 2]
-    if kind == "pure-cube":
-        return positive == [3]
-    return False
-
-
-def _seed_from_span(phi, k_size, budget, seed, validate="auto"):
-    scan = span_good_scan(phi, k_size, budget=budget, seed=seed)
-    if not scan.certified_full():
-        return None
+def _seed_from_span(phi, scan, k_size, validate="auto"):
+    """(seed decomposition, seed kind) from a span scan that certified J-full;
+    None when no witness coefficient is a unit, which needs a non-field."""
     ring, n = phi.ring, phi.nvars
-    p = ring.characteristic
     # low-degree good monomials first: they need no shift, so the resulting
     # words stay shorter and avoid translation wrappers entirely
     witnesses = sorted(
@@ -758,79 +701,33 @@ def _seed_from_span(phi, k_size, budget, seed, validate="auto"):
         if dec.target != witness.candidate:
             raise ValueError("span witness failed to rebuild")
         extracted = vandermonde_extract(dec, witness.monomial, validate=validate)
-        kind, _ = _route_for_good_monomial(witness.monomial, n, p)
-        if _already_case_shape(witness.monomial, kind):
-            shifted = extracted
-        else:
-            shifted, kind, _ = shift_extract(extracted, k_size, validate=validate)
-        seed_dec, seed_kind = normalize_to_seed(shifted, kind, validate=validate)
-        return WitnessInfo(
-            route="J-full",
-            seed_kind=seed_kind,
-            seed_dec=seed_dec,
-            details=witness.describe(),
-        )
+        target = witness.gm_type.target(n)
+        if target != witness.monomial:
+            extracted, _, _ = shift_extract(extracted, k_size, validate=validate)
+        return normalize_to_seed(extracted, target_kind(target), validate=validate)
     return None
 
 
-def _seed_from_direct(phi, validate="auto"):
-    found = direct_pattern_scan(phi)
-    if found is None:
-        return None
+def _seed_from_direct(phi, found, validate="auto"):
+    """(seed decomposition, seed kind) from an image unit*m + affine."""
     ring, n = phi.ring, phi.nvars
     j = found["image"]
-    img = phi.images[j - 1]
     monomial = Polynomial.monomial(
         ring, found["monomial"], RingElement(ring, found["coefficient"])
     )
-    affine_rest = img - monomial
+    affine_rest = phi.images[j - 1] - monomial
     base = span_decomposition(phi, _unit_vector(ring, n, j))
     dec = dec_linear_combine(
         [(1, base), (-1, trivial_decomposition(phi, affine_rest))],
         validate=validate,
     )
-    kind = {
-        "a": "product",
-        "b": "square",
-        "c": "mixed-cube",
-        "d": "pure-cube",
-    }[found["case"]]
-    seed_dec, seed_kind = normalize_to_seed(dec, kind, validate=validate)
-    return WitnessInfo(
-        route=f"M-phi-case-{found['case']}",
-        seed_kind=seed_kind,
-        seed_dec=seed_dec,
-        details={
-            "image": j,
-            "monomial": list(found["monomial"]),
-            "coefficient": ring.format_value(found["coefficient"]),
-        },
-    )
+    return normalize_to_seed(dec, target_kind(found["monomial"]), validate=validate)
 
 
 def _unit_vector(ring, n, j):
     vec = [ring.zero_value()] * n
     vec[j - 1] = ring.one_value()
     return vec
-
-
-def _seed_from_delta(phi, delta_limit, validate="auto"):
-    found = delta_search(phi, limit=delta_limit)
-    if found is None:
-        return None
-    dec, spec, info = found
-    exps, _ = dec.single_monomial()
-    if sum(exps) == 2 and max(exps) == 1:
-        kind = "product"
-    else:
-        kind = "square"
-    seed_dec, seed_kind = normalize_to_seed(dec, kind, validate=validate)
-    return WitnessInfo(
-        route="delta-route",
-        seed_kind=seed_kind,
-        seed_dec=seed_dec,
-        details={"l": list(spec.l), "image": info["image"]},
-    )
 
 
 def build_witness_with_info(
@@ -845,7 +742,8 @@ def build_witness_with_info(
     """Compile a generator word evaluating to the tame generator epsilon(target).
 
     The word lives in n+1 variables; its evaluation against extend(phi, 1)
-    equals extend(elementary(target), 1) exactly.
+    equals extend(elementary(target), 1) exactly.  The seed comes from the
+    evidence of decide's route, so the word certifies decide's verdict.
     """
     ring, n = phi.ring, phi.nvars
     if n < 2:
@@ -859,24 +757,29 @@ def build_witness_with_info(
         raise ResourceLimit(
             f"target degree {too_big} exceeds the word-size cap {max_degree}"
         )
-    ksz = resolve_k_size(ring, k_size)
-    info = None
-    if ksz != "unavailable":
-        info = _seed_from_span(phi, ksz, budget, seed)
-    if info is None:
-        info = _seed_from_direct(phi)
-    if info is None and ring.is_field and ring.characteristic > 0:
-        info = _seed_from_delta(phi, delta_limit)
-    if info is None:
+    verdict = decide(
+        phi, k_size=k_size, budget=budget, seed=seed, delta_limit=delta_limit
+    )
+    evidence = verdict.evidence
+    found = None
+    if verdict.route == "J-full":
+        ksz = resolve_k_size(ring, k_size)
+        found = _seed_from_span(phi, evidence["scan"], ksz)
+    elif verdict.route == "delta-route":
+        dec, _, delta_info = evidence["delta"]
+        found = normalize_to_seed(dec, delta_info["kind"])
+    elif verdict.route is not None:
+        found = _seed_from_direct(phi, evidence["direct"])
+    if found is None:
         raise NoRouteFound(
             "no span, direct, or difference-operator route certified this map"
         )
-    if info.seed_kind == "cube" and n != 2:
+    seed_dec, seed_kind = found
+    if seed_kind == "cube" and n != 2:
         raise NoRouteFound("cube seed arose outside n = 2")
-    seed_word = compile_last_word(info.seed_dec, validate=False)
-    word = compile_tame_word(seed_word, info.seed_kind, target, n)
-    info.word_length = len(word)
-    return word, info
+    seed_word = compile_last_word(seed_dec, validate=False)
+    word = compile_tame_word(seed_word, seed_kind, target, n)
+    return word, WitnessInfo(verdict.route, seed_kind, seed_dec)
 
 
 def build_witness(phi, target, k_size="auto", **kwargs):
@@ -884,13 +787,22 @@ def build_witness(phi, target, k_size="auto", **kwargs):
     return word
 
 
-def verify_witness(word, phi, target, phi_inverse=None):
-    """Exact check: the word evaluates to the target, both extended to ambient."""
+def first_mismatch(word, phi, target, phi_inverse=None):
+    """The first variable whose image differs between the word's value and
+    the target, both extended to ambient; None when they agree exactly."""
     if isinstance(target, Polynomial):
         target = elementary(target)
     value = word.evaluate(phi, phi_inverse)
     expected = extend(target, word.ambient - target.nvars)
-    return value == expected
+    for i in range(word.ambient):
+        if value.images[i] != expected.images[i]:
+            return i + 1
+    return None
+
+
+def verify_witness(word, phi, target, phi_inverse=None):
+    """Exact check: the word evaluates to the target, both extended to ambient."""
+    return first_mismatch(word, phi, target, phi_inverse) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1169,6 +1081,3 @@ def theta_map(N, ring, max_terms=2_000_000):
     theta = guarded(bwd_n, guarded(pi, fwd_n))
     theta_prime = guarded(theta, pi)
     return theta, theta_prime
-
-
-theta = theta_map

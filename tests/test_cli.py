@@ -272,6 +272,55 @@ def test_theta_analyze(capsys):
     assert analysis["verdict"]["answer"] == "StablyCotame"
 
 
+def test_theta_analyze_composite_characteristic(capsys):
+    # the good-monomial subgroup test is left out where it is undefined, and
+    # decide refutes the map through a quotient
+    code, out = run_cli(
+        capsys, ["theta", "--ring", "Zn:6", "--N", "1", "--analyze"]
+    )
+    assert code == OK
+    analysis = json.loads(out)["payload"]["analysis"]
+    assert "ngg" not in analysis
+    assert analysis["verdict"]["answer"] == "NotStablyCotame"
+    assert analysis["verdict"]["reason"] == "reduction-to-ngg"
+
+
+@pytest.mark.parametrize(
+    "ring, image, route",
+    [("Fp:5", "x1 + x2*x3", "M-phi-case-a"), ("Q", "x1 + x2^2", "M-phi-case-b")],
+)
+def test_witness_reports_the_route_of_decide(tmp_path, capsys, ring, image, route):
+    phi = write_phi(tmp_path, "phi.json", ring, 3, [image, "x2", "x3"])
+    code, out = run_cli(capsys, ["decide", "--phi", phi])
+    assert code == OK and json.loads(out)["payload"]["route"] == route
+    code, out = run_cli(capsys, ["witness", "--phi", phi, "--target", "x2*x3"])
+    assert code == OK
+    payload = json.loads(out)["payload"]
+    assert payload["route"] == route and payload["verified"] is True
+
+
+def test_classify_scans_once(tmp_path, capsys, monkeypatch):
+    import cotame.classify
+    import cotame.cli
+
+    calls = []
+    scan = cotame.classify.span_good_scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cotame.classify, "span_good_scan", counted)
+    monkeypatch.setattr(cotame.cli, "span_good_scan", counted)
+    phi = write_phi(tmp_path, "phi.json", "GF:3^2", 3, ["x1 + x2^5", "x2", "x3"])
+    code, out = run_cli(capsys, ["classify", "--phi", phi])
+    assert code == OK
+    payload = json.loads(out)["payload"]
+    assert payload["J_phi_certified"] is True
+    assert payload["verdict"]["route"] == "J-full"
+    assert len(calls) == 1
+
+
 def test_reduce_cli(tmp_path, capsys):
     phi = write_phi(tmp_path, "phi.json", "Zn:6", 2, ["x1 + 3*x2^2", "x2"])
     code, out = run_cli(

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cotame.classify import degree_condition
+from cotame.classify import decide, degree_condition, span_good_scan
 from cotame.endo import (
     AffineMap,
+    Endomorphism,
     compose,
     elementary,
     elementary_last,
@@ -15,7 +18,13 @@ from cotame.endo import (
 )
 from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import GaloisField, PrimeField, RationalField, enumerate_units
+from cotame.rings import (
+    GaloisField,
+    PrimeField,
+    RationalField,
+    enumerate_units,
+    ring_from_spec,
+)
 from cotame.witness import (
     SpanDecomposition,
     apply_scaling,
@@ -27,6 +36,7 @@ from cotame.witness import (
     convert_square,
     dec_apply_affine,
     dec_linear_combine,
+    normalize_to_seed,
     shift_extract,
     span_decomposition,
     trivial_decomposition,
@@ -291,9 +301,9 @@ def test_conjugated_seed_words():
     from cotame.witness import _seed_from_span
     from cotame.endo import conjugate_word
 
-    info = _seed_from_span(phi, 5, 1000, 0)
-    assert info is not None and info.seed_kind == "product"
-    seed_word = compile_last_word(info.seed_dec)
+    seed_dec, seed_kind = _seed_from_span(phi, span_good_scan(phi, 5, 1000), 5)
+    assert seed_kind == "product"
+    seed_word = compile_last_word(seed_dec)
     assert seed_word.evaluate(phi) == elementary_last(
         parse_poly("x1*x2", F5, 3), 4
     )
@@ -313,8 +323,8 @@ def test_compile_tame_word_targets():
     phi = phi_product()
     from cotame.witness import _seed_from_span
 
-    info = _seed_from_span(phi, 5, 1000, 0)
-    seed_word = compile_last_word(info.seed_dec)
+    seed_dec, _ = _seed_from_span(phi, span_good_scan(phi, 5, 1000), 5)
+    seed_word = compile_last_word(seed_dec)
     for text in ("3", "2*x3", "x2*x3", "x2^2"):
         f = parse_poly(text, F5, 3)
         word = compile_tame_word(seed_word, "product", f, 3)
@@ -406,3 +416,69 @@ def test_mixed_cube_seed_from_type_iv():
     phi_inv = compose(invert_structured(tame2), invert_structured(tame1))
     assert compose(phi, phi_inv) == identity(f16, 2)
     assert verify_witness(word, phi, f, phi_inverse=phi_inv)
+
+
+def test_shift_extract_two_odd_exponents_char_two():
+    # x1^3*x2 over GF(8) is case II (two odd exponents): the shift exposes
+    # x1*x2, although x1^3 is 3 mod 4 as well
+    f8 = GaloisField(2, 3)
+    phi = Endomorphism(f8, [parse_poly("x1 + x1^3*x2", f8, 2), parse_poly("x2", f8, 2)])
+    dec = vandermonde_extract(span_decomposition(phi, [1, 0]), (3, 1))
+    out, kind, target = shift_extract(dec, 8)
+    assert kind == "product" and target == (1, 1)
+    out.validate()
+    seed_dec, seed_kind = normalize_to_seed(out, kind)
+    assert seed_kind == "product"
+    assert seed_dec.target == parse_poly("x1*x2", f8, 2)
+
+
+TAME_RINGS = ["Fp:2", "Fp:3", "Fp:5", "GF:2^2", "Q"]
+
+
+@st.composite
+def tame_maps(draw):
+    """(phi, phi^-1): a composition of elementary and triangular maps in
+    three variables with small non-linear parts, inverted factor by factor."""
+    ring = ring_from_spec(draw(st.sampled_from(TAME_RINGS)))
+    if ring.is_finite:
+        coeff = st.sampled_from([el.value for el in ring.elements()])
+    else:
+        coeff = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
+
+    def part(variables):
+        # a sum of at most two terms of degree 2 to 4 in the given variables
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            exps = [0, 0, 0]
+            for _ in range(draw(st.integers(min_value=2, max_value=4))):
+                exps[draw(st.sampled_from(variables)) - 1] += 1
+            terms[tuple(exps)] = draw(coeff)
+        return Polynomial(ring, 3, terms)
+
+    x = [Polynomial.variable(ring, 3, i) for i in (1, 2, 3)]
+    phi = phi_inverse = identity(ring, 3)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        if draw(st.booleans()):
+            factor = elementary(part([2, 3]))
+        else:
+            factor = Endomorphism(ring, [x[0] + part([2, 3]), x[1] + part([3]), x[2]])
+        phi = compose(phi, factor)
+        phi_inverse = compose(invert_structured(factor, hint="triangular"), phi_inverse)
+    return phi, phi_inverse
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tame_maps())
+def test_witness_compiles_every_stably_cotame_verdict(case):
+    phi, phi_inverse = case
+    assert compose(phi, phi_inverse) == identity(phi.ring, 3)
+    target = parse_poly("x2*x3", phi.ring, 3)
+    verdict = decide(phi)
+    if verdict.answer != "StablyCotame":
+        with pytest.raises(NoRouteFound):
+            build_witness_with_info(phi, target)
+        return
+    word, info = build_witness_with_info(phi, target)
+    assert info.route == verdict.route
+    assert verify_witness(word, phi, target, phi_inverse=phi_inverse)
