@@ -15,7 +15,6 @@ from .rings import (
     RingElement,
     enumerate_units,
     find_special_unit,
-    make_ring,
     ring_from_spec,
 )
 from .poly import NEG_INF, Polynomial, parse_poly
@@ -31,7 +30,6 @@ from .endo import (
     extend,
     identity,
     invert_structured,
-    permutation,
     reduce_mod,
 )
 from .classify import (

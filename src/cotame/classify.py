@@ -24,7 +24,6 @@ from .rings import (
     IntegerModRing,
     IntegerRing,
     PrimeField,
-    RationalField,
     RingElement,
     find_special_unit,
     is_prime,
@@ -236,13 +235,16 @@ def _swept_combos(ring, n, live, bound):
     A key's first vector is zero off `live`, and its index t0 rises with the
     key.  A skipped t0 belongs to a key met among the singles (or, when every
     image is live, to the zero key, never met), so the rest come in key order.
+    Only the values whose digit can stay below `bound` are built.
     """
-    values = [el.value for el in ring.elements()]
-    q = len(values)
+    q = ring.order
     yield from enumerate(_singles(ring, n), start=1)
     skipped = [0] + [q**i for i in range(n)]
     weights = [q ** (n - 1 - j) for j in live]
-    for digits in itertools.product(range(q), repeat=len(live)):
+    # a digit d at the lightest weight puts t0 at d * weight or beyond
+    values = [ring.index_value(d)
+              for d in range(min(q, -(-bound // weights[-1])) if live else 0)]
+    for digits in itertools.product(range(len(values)), repeat=len(live)):
         t0 = sum(map(operator.mul, digits, weights))
         if t0 >= bound:
             return
@@ -384,8 +386,15 @@ def _reduction_moduli(ring, prime_budget=31):
     if isinstance(ring, PrimeField):
         return []
     if isinstance(ring, IntegerModRing):
-        n = ring.n
-        return [q for q in range(2, n) if n % q == 0 and is_prime(q)]
+        # the prime divisors below n, by trial division up to sqrt(n)
+        out, m, q = [], ring.n, 2
+        while q * q <= m:
+            if m % q == 0:
+                out.append(q)
+                while m % q == 0:
+                    m //= q
+            q += 1
+        return out + [m] if 1 < m < ring.n else out
     if isinstance(ring, IntegerRing):
         return [q for q in range(2, prime_budget + 1) if is_prime(q)]
     return []
@@ -489,13 +498,19 @@ class Verdict:
 
 
 def resolve_k_size(ring, k_size="auto"):
-    if k_size != "auto":
-        return k_size
-    if isinstance(ring, RationalField):
-        return None
-    if ring.is_field and ring.is_finite:
-        return ring.order
-    return "unavailable"
+    """The base-field size of the degree condition: None when the field is
+    infinite, "unavailable" over a ring with no base field."""
+    if k_size not in ("auto", None):
+        if k_size < 2:
+            raise ValueError("a field has at least 2 elements")
+        if ring.is_field and ring.is_finite and k_size > ring.order:
+            raise ValueError(
+                f"--ksize {k_size} exceeds the {ring.order} elements of"
+                f" {ring.spec_string()}"
+            )
+    if not ring.is_field:
+        return "unavailable"
+    return ring.order if k_size == "auto" else k_size
 
 
 def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):

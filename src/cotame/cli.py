@@ -139,39 +139,49 @@ def cmd_invert(args):
     return _finish(args, "invert", inverse, artifact=inverse)
 
 
+def _good_entry(phi, j, exps, coeff, gm_type):
+    return {
+        "image": j,
+        "monomial": list(exps),
+        "coefficient": phi.ring.format_value(coeff.value),
+        "case": gm_type.tag,
+    }
+
+
 def cmd_classify(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     ksize = _k_size(args)
-    goods = []
-    for j, img in enumerate(phi.images, start=1):
-        for exps, coeff, gm_type in good_monomials(img):
-            goods.append(
-                {
-                    "image": j,
-                    "monomial": list(exps),
-                    "coefficient": phi.ring.format_value(coeff.value),
-                    "case": gm_type.tag,
-                }
-            )
-    ideal = good_ideal(phi)
     verdict = decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
-    resolved = resolve_k_size(phi.ring, ksize)
-    # the verdict's scan when decide got that far, else a scan of its own
-    scan = verdict.evidence.get("scan")
-    if scan is None and resolved != "unavailable":
-        scan = span_good_scan(phi, resolved, budget=args.budget, seed=args.seed)
-    if scan is not None:
-        diagnostics = scan.diagnostics
+    p = phi.ring.characteristic
+    if p != 0 and not is_prime(p):
+        # good monomials exist in characteristic 0 or prime only
+        payload = dict.fromkeys(
+            ("good_monomials", "I_phi", "I_phi_full", "J_phi_certified", "ngg")
+        )
+        diagnostics = verdict.diagnostics
     else:
-        diagnostics = ["no base field available for the span scan"]
-    payload = {
-        "good_monomials": goods,
-        "I_phi": ideal.to_json(),
-        "I_phi_full": ideal.is_full(),
-        "J_phi_certified": scan is not None and scan.certified_full(),
-        "ngg": no_good_monomials(phi),
-        "verdict": verdict.to_json(),
-    }
+        ideal = good_ideal(phi)
+        resolved = resolve_k_size(phi.ring, ksize)
+        # the verdict's scan when decide got that far, else a scan of its own
+        scan = verdict.evidence.get("scan")
+        if scan is None and resolved != "unavailable":
+            scan = span_good_scan(phi, resolved, budget=args.budget, seed=args.seed)
+        if scan is not None:
+            diagnostics = scan.diagnostics
+        else:
+            diagnostics = ["no base field available for the span scan"]
+        payload = {
+            "good_monomials": [
+                _good_entry(phi, j, *good)
+                for j, img in enumerate(phi.images, start=1)
+                for good in good_monomials(img)
+            ],
+            "I_phi": ideal.to_json(),
+            "I_phi_full": ideal.is_full(),
+            "J_phi_certified": scan is not None and scan.certified_full(),
+            "ngg": no_good_monomials(phi),
+        }
+    payload["verdict"] = verdict.to_json()
     code = UNKNOWN if verdict.answer == "Unknown" else OK
     status = "unknown-verdict" if code == UNKNOWN else "ok"
     return _finish(args, "classify", payload, status=status,
@@ -296,13 +306,7 @@ def cmd_ngg_check(args):
         for j, img in enumerate(phi.images, start=1):
             goods = good_monomials(img)
             if goods:
-                exps, coeff, gm_type = goods[0]
-                payload["witness"] = {
-                    "image": j,
-                    "monomial": list(exps),
-                    "coefficient": phi.ring.format_value(coeff.value),
-                    "case": gm_type.tag,
-                }
+                payload["witness"] = _good_entry(phi, j, *goods[0])
                 break
     return _finish(args, "ngg-check", payload)
 

@@ -16,7 +16,6 @@ from .poly import Polynomial
 from .rings import (
     IntegerModRing,
     IntegerRing,
-    RationalField,
     RingElement,
 )
 
@@ -64,12 +63,6 @@ class Endomorphism:
 
     def is_affine(self):
         return all(img.is_affine() for img in self.images)
-
-    def is_identity(self):
-        return all(
-            img == Polynomial.variable(self.ring, self.nvars, i + 1)
-            for i, img in enumerate(self.images)
-        )
 
     def __eq__(self, other):
         return (
@@ -162,19 +155,11 @@ def elementary_last(f, ambient=None):
     return Endomorphism(g.ring, images)
 
 
-def permutation(ring, perm):
-    """The tuple (x_{perm[0]}, ..., x_{perm[n-1]}) with 1-based entries."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-    return Endomorphism(
-        ring, [Polynomial.variable(ring, n, perm[i]) for i in range(n)]
-    )
-
-
-def transposition_perm(n, a, b):
+def swap_perm(n, *pairs):
+    """The list 1..n with the 1-based positions of each pair swapped in turn."""
     perm = list(range(1, n + 1))
-    perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
+    for a, b in pairs:
+        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
     return perm
 
 
@@ -234,6 +219,24 @@ def _mat_mul(ring, a, b):
 
 def _vec_mat(ring, v, a):
     return _mat_mul(ring, [v], a)[0]
+
+
+def _affine_rows(ring, images):
+    """(A, b) of affine images: A[i][j] is the coefficient of x_{i+1} in
+    images[j], b[j] its constant term."""
+    n = len(images)
+    zero = ring.zero_value()
+    A = [[zero] * n for _ in range(n)]
+    b = [zero] * n
+    for j, img in enumerate(images):
+        if not img.is_affine():
+            raise ValueError("map is not affine")
+        for exps, v in img.terms.items():
+            if sum(exps) == 0:
+                b[j] = v
+            else:
+                A[exps.index(1)][j] = v
+    return A, b
 
 
 class AffineMap:
@@ -378,7 +381,7 @@ class AffineMap:
 
     @classmethod
     def transposition(cls, ring, n, a, b):
-        return cls.permutation(ring, transposition_perm(n, a, b))
+        return cls.permutation(ring, swap_perm(n, (a, b)))
 
     @classmethod
     def diagonal(cls, ring, scalars):
@@ -398,21 +401,7 @@ class AffineMap:
     @classmethod
     def from_affine_endo(cls, phi):
         """Extract (A, b) from an affine endomorphism; checks invertibility."""
-        ring, n = phi.ring, phi.nvars
-        zero = ring.zero_value()
-        A = [[zero] * n for _ in range(n)]
-        b = [zero] * n
-        for j, img in enumerate(phi.images):
-            if not img.is_affine():
-                raise ValueError("map is not affine")
-            for exps, v in img.terms.items():
-                total = sum(exps)
-                if total == 0:
-                    b[j] = v
-                else:
-                    i = exps.index(1)
-                    A[i][j] = v
-        return cls(ring, A, b)
+        return cls(phi.ring, *_affine_rows(phi.ring, phi.images))
 
     @classmethod
     def variable_shift(cls, h, ambient, index):
@@ -420,27 +409,14 @@ class AffineMap:
 
         h must avoid x_index, which keeps the map unipotent.
         """
-        ring = h.ring
         if not h.is_affine():
             raise ValueError("shift polynomial must be affine")
         g = h.embed(ambient) if h.nvars < ambient else h
-        m = cls.identity(ring, ambient)
-        A = [row[:] for row in m.A]
-        b = list(m.b)
-        for exps, v in g.terms.items():
-            if sum(exps) == 0:
-                b[index - 1] = v
-            else:
-                i = exps.index(1)
-                if i == index - 1:
-                    raise ValueError("shift polynomial must avoid the shifted variable")
-                A[i][index - 1] = v
-        return cls(ring, A, b)
-
-    @classmethod
-    def last_variable_shift(cls, h, ambient):
-        """The affine map adding the affine polynomial h(x_1..x_n) to x_ambient."""
-        return cls.variable_shift(h, ambient, ambient)
+        if any(exps[index - 1] for exps in g.terms):
+            raise ValueError("shift polynomial must avoid the shifted variable")
+        images = identity(h.ring, ambient).images
+        images[index - 1] = images[index - 1] + g
+        return cls(h.ring, *_affine_rows(h.ring, images))
 
     def to_json(self):
         fmt = self.ring.format_value
@@ -552,34 +528,6 @@ def try_invert(phi):
 # generator words
 # ---------------------------------------------------------------------------
 
-class AffineLetter:
-    __slots__ = ("map",)
-
-    def __init__(self, affine_map):
-        self.map = affine_map
-
-    def __eq__(self, other):
-        return isinstance(other, AffineLetter) and self.map == other.map
-
-    def __repr__(self):
-        return f"Aff{self.map.to_endo()!r}"
-
-
-class PhiLetter:
-    __slots__ = ("exp",)
-
-    def __init__(self, exp):
-        if exp not in (1, -1):
-            raise ValueError("phi letter exponent must be +1 or -1")
-        self.exp = exp
-
-    def __eq__(self, other):
-        return isinstance(other, PhiLetter) and self.exp == other.exp
-
-    def __repr__(self):
-        return "phi" if self.exp == 1 else "phi^-1"
-
-
 # Word evaluation stops once a partial product holds more terms than there
 # are monomials of degree at most max(deg phi, deg phi^-1) in the word's
 # variables, or than the floor if that is larger.
@@ -599,8 +547,9 @@ def _map_degree(phi):
 class GeneratorWord:
     """A product of affine letters and phi^{+-1} in the ambient variable count.
 
-    Evaluation is left-to-right composition: the word [l1, l2, l3] denotes
-    l1 o l2 o l3.
+    Each letter is an AffineMap in `ambient` variables or the int 1 (phi)
+    or -1 (phi^-1).  Evaluation is left-to-right composition: the word
+    [l1, l2, l3] denotes l1 o l2 o l3.
     """
 
     __slots__ = ("ambient", "letters")
@@ -618,13 +567,10 @@ class GeneratorWord:
         return GeneratorWord(self.ambient, self.letters + other.letters)
 
     def inverse(self):
-        out = []
-        for letter in reversed(self.letters):
-            if isinstance(letter, AffineLetter):
-                out.append(AffineLetter(letter.map.inverse()))
-            else:
-                out.append(PhiLetter(-letter.exp))
-        return GeneratorWord(self.ambient, out)
+        return GeneratorWord(self.ambient, [
+            letter.inverse() if isinstance(letter, AffineMap) else -letter
+            for letter in reversed(self.letters)
+        ])
 
     def evaluate(self, phi, phi_inverse=None):
         """Exact left-to-right composition product of the letters.
@@ -648,9 +594,7 @@ class GeneratorWord:
             raise ValueError(
                 f"word has ambient {self.ambient}, phi has {phi.nvars} variables"
             )
-        if inv_ext is None and any(
-            isinstance(l, PhiLetter) and l.exp == -1 for l in self.letters
-        ):
+        if inv_ext is None and -1 in self.letters:
             base = try_invert(phi)
             if base is None:
                 raise Unsupported(
@@ -690,9 +634,9 @@ class GeneratorWord:
                 stack.append(("val", value))
 
         for letter in self.letters:
-            if isinstance(letter, AffineLetter):
-                fold_value(letter.map.to_endo())
-            elif letter.exp == 1:
+            if isinstance(letter, AffineMap):
+                fold_value(letter.to_endo())
+            elif letter == 1:
                 stack.append(("open", None))
             else:
                 opened = any(kind == "open" for kind, _ in stack)
@@ -716,14 +660,12 @@ class GeneratorWord:
         return acc
 
     def to_json(self):
-        letters = []
-        for letter in self.letters:
-            if isinstance(letter, AffineLetter):
-                entry = {"kind": "affine"}
-                entry.update(letter.map.to_json())
-                letters.append(entry)
-            else:
-                letters.append({"kind": "phi", "exp": letter.exp})
+        letters = [
+            {"kind": "affine", **letter.to_json()}
+            if isinstance(letter, AffineMap)
+            else {"kind": "phi", "exp": letter}
+            for letter in self.letters
+        ]
         return {"ambient": self.ambient, "letters": letters}
 
     @classmethod
@@ -735,19 +677,17 @@ class GeneratorWord:
             kind = _field(entry, "kind", lambda v: v in ("affine", "phi"),
                           "'affine' or 'phi'")
             if kind == "affine":
-                letters.append(AffineLetter(AffineMap.from_json(ring, entry, ambient)))
+                letters.append(AffineMap.from_json(ring, entry, ambient))
             else:
-                exp = _field(entry, "exp", lambda v: type(v) is int and v in (1, -1),
-                             "1 or -1")
-                letters.append(PhiLetter(exp))
+                letters.append(_field(entry, "exp",
+                                      lambda v: type(v) is int and v in (1, -1),
+                                      "1 or -1"))
         return cls(ambient, letters)
 
 
 def conjugate_word(word, sigma):
     """The word for sigma^{-1} o w o sigma, sigma an affine map."""
-    pre = GeneratorWord(word.ambient, [AffineLetter(sigma.inverse())])
-    post = GeneratorWord(word.ambient, [AffineLetter(sigma)])
-    return pre + word + post
+    return GeneratorWord(word.ambient, [sigma.inverse(), *word.letters, sigma])
 
 
 # ---------------------------------------------------------------------------
@@ -774,22 +714,15 @@ class IdealHandle:
         return not self.generators
 
     def is_full(self):
-        ring = self.ring
-        if ring.is_field:
+        if self.ring.is_field:
             return bool(self.generators)
-        if isinstance(ring, IntegerRing):
-            g = 0
-            for gen in self.generators:
-                g = math.gcd(g, abs(gen.value))
-            return g == 1
-        if isinstance(ring, IntegerModRing):
-            g = ring.n
-            for gen in self.generators:
-                g = math.gcd(g, gen.value)
-            return g == 1
-        raise Unsupported(
-            f"ideal fullness is not decidable over {ring.spec_string()}"
-        )
+        return self.modulus() == 1
+
+    def modulus(self):
+        """Over Z or Z/n (the rings that are not fields): the m >= 0 with
+        this ideal equal to mZ, or to mZ/nZ."""
+        return math.gcd(self.ring.characteristic,
+                        *(g.value for g in self.generators))
 
     def to_json(self):
         return {
@@ -808,37 +741,18 @@ def reduce_mod(phi, ideal):
     ring = phi.ring
     if ideal.ring != ring:
         raise ValueError("ideal lives over a different ring")
-    if isinstance(ring, IntegerRing):
-        m = 0
-        for g in ideal.generators:
-            m = math.gcd(m, abs(g.value))
-        if m == 0:
+    if isinstance(ring, (IntegerRing, IntegerModRing)):
+        m = ideal.modulus()
+        if m == ring.characteristic:
             return phi
         if m == 1:
             raise Unsupported("quotient by the full ideal is the zero ring")
         target = IntegerModRing(m)
-        conv = lambda v: v % m
-    elif isinstance(ring, IntegerModRing):
-        m = ring.n
-        for g in ideal.generators:
-            m = math.gcd(m, g.value)
-        if m == ring.n:
-            return phi
-        if m == 1:
-            raise Unsupported("quotient by the full ideal is the zero ring")
-        target = IntegerModRing(m)
-        conv = lambda v: v % m
-    elif ring.is_field or isinstance(ring, RationalField):
-        if ideal.is_zero():
-            return phi
-        raise Unsupported("a field has no proper nonzero ideals")
+    elif ideal.is_zero():  # every other ring is a field
+        return phi
     else:
-        raise Unsupported(f"no quotient support for {ring.spec_string()}")
-    images = []
-    for img in phi.images:
-        images.append(
-            Polynomial(
-                target, phi.nvars, {e: conv(v) for e, v in img.terms.items()}
-            )
-        )
-    return Endomorphism(target, images)
+        raise Unsupported("a field has no proper nonzero ideals")
+    return Endomorphism(target, [
+        Polynomial(target, phi.nvars, {e: v % m for e, v in img.terms.items()})
+        for img in phi.images
+    ])

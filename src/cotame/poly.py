@@ -47,6 +47,23 @@ class _NegInfinity:
 NEG_INF = _NegInfinity()
 
 
+def p_power_split(exponents, p):
+    """Largest p-power dividing every positive exponent; 1 when p = 0."""
+    positive = [t for t in exponents if t > 0]
+    if not positive or p == 0:
+        return 1
+    vmin = None
+    for t in positive:
+        v = 0
+        while t % p == 0:
+            t //= p
+            v += 1
+        vmin = v if vmin is None else min(vmin, v)
+        if vmin == 0:
+            break
+    return p**vmin
+
+
 def _term_order_key(exps):
     # graded lexicographic: total degree first, then the exponent tuple
     return (sum(exps), exps)
@@ -121,9 +138,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(all(e == 0 for e in t) for t in self.terms)
-
     def is_affine(self):
         deg = self.total_deg()
         return deg is NEG_INF or deg <= 1
@@ -133,9 +147,6 @@ class Polynomial:
         if v is None:
             return self.ring.zero
         return RingElement(self.ring, v)
-
-    def constant_term(self):
-        return self.coefficient((0,) * self.nvars)
 
     def monomials(self):
         """Exponent tuples in canonical (graded-lex descending) order."""
@@ -325,22 +336,8 @@ class Polynomial:
             )
         if not self.terms:
             return NEG_INF
-        exps = [e[i - 1] for e in self.terms if e[i - 1] > 0]
-        if not exps:
-            return 0
-        d = max(exps)
-        if p == 0:
-            return d
-        e = None
-        for t in exps:
-            v = 0
-            while t % p == 0:
-                t //= p
-                v += 1
-            e = v if e is None else min(e, v)
-            if e == 0:
-                break
-        return d // (p**e)
+        exps = [e[i - 1] for e in self.terms]
+        return max(exps) // p_power_split(exps, p)
 
     def weighted_deg(self, weights):
         if len(weights) != self.nvars:

@@ -17,7 +17,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegreeConditionError, NotAUnit, NoSuchUnit, Unsupported
+from .errors import (
+    DegreeConditionError,
+    NotAUnit,
+    NoSuchUnit,
+    ResourceLimit,
+    Unsupported,
+)
+
+# The largest modulus or field order a ring spec may name.  The spec's
+# primality and irreducibility checks are trial divisions; at this bound the
+# slowest, a degree-24 modulus over F_2, takes ~0.2 s.
+MAX_RING_ORDER = 1 << 24
 
 
 def is_prime(n):
@@ -158,7 +169,10 @@ class Ring:
         return RingElement(self, self.coerce_value(x))
 
     def elements(self):
-        raise Unsupported(f"{self.spec_string()} is not finite")
+        """All elements of a finite ring, in index_value order."""
+        if not self.is_finite:
+            raise Unsupported(f"{self.spec_string()} is not finite")
+        return [RingElement(self, self.index_value(i)) for i in range(self.order)]
 
     def unit_values(self):
         raise Unsupported(f"cannot enumerate units of {self.spec_string()}")
@@ -379,8 +393,9 @@ class IntegerModRing(Ring):
             return x % self.n
         raise ValueError(f"cannot coerce {x!r} into Z/{self.n}")
 
-    def elements(self):
-        return [RingElement(self, a) for a in range(self.n)]
+    def index_value(self, i):
+        """The i-th element, 0 <= i < order: zero first, one second."""
+        return i
 
     def unit_values(self):
         return [a for a in range(1, self.n) if math.gcd(a, self.n) == 1]
@@ -662,10 +677,7 @@ class GaloisField(Ring):
             return self._pad([int(c) % self.p for c in x])
         raise ValueError(f"cannot coerce {x!r} into GF({self.p}^{self.e})")
 
-    def elements(self):
-        return [RingElement(self, self._index_value(i)) for i in range(self.order)]
-
-    def _index_value(self, i):
+    def index_value(self, i):
         coeffs = []
         for _ in range(self.e):
             coeffs.append(i % self.p)
@@ -673,7 +685,7 @@ class GaloisField(Ring):
         return tuple(coeffs)
 
     def unit_values(self):
-        return [self._index_value(i) for i in range(1, self.order)]
+        return [self.index_value(i) for i in range(1, self.order)]
 
     def sort_key(self, value):
         return sum(c * self.p**i for i, c in enumerate(value))
@@ -713,14 +725,22 @@ def ring_from_spec(text):
     if not isinstance(text, str):
         raise ValueError(f"a ring spec must be a string, not {text!r}")
     text = text.strip()
+
+    def bounded(order):
+        if order > MAX_RING_ORDER:
+            raise ResourceLimit(
+                f"ring {text!r} has more than {MAX_RING_ORDER} elements"
+            )
+        return order
+
     if text == "Q":
         return RationalField()
     if text == "Z":
         return IntegerRing()
     if text.startswith("Zn:"):
-        return IntegerModRing(_parse_int(text[3:]))
+        return IntegerModRing(bounded(_parse_int(text[3:])))
     if text.startswith("Fp:"):
-        return PrimeField(_parse_int(text[3:]))
+        return PrimeField(bounded(_parse_int(text[3:])))
     if text.startswith("GF:"):
         rest = text[3:]
         parts = rest.split(":", 1)
@@ -729,6 +749,8 @@ def ring_from_spec(text):
             raise ValueError(f"bad GF spec {text!r}; expected GF:p^e")
         p_str, e_str = base.split("^", 1)
         p, e = _parse_int(p_str), _parse_int(e_str)
+        if p > 1 and e > 0:  # p^e is past the bound once e reaches its bits
+            bounded(p ** min(e, MAX_RING_ORDER.bit_length()))
         modulus = None
         if len(parts) == 2:
             mtxt = parts[1].strip()
@@ -737,9 +759,6 @@ def ring_from_spec(text):
             modulus = tuple(_parse_int(c) for c in mtxt[1:-1].split(","))
         return GaloisField(p, e, modulus)
     raise ValueError(f"unknown ring spec {text!r}")
-
-
-make_ring = ring_from_spec
 
 
 def enumerate_units(ring):

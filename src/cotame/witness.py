@@ -28,19 +28,15 @@ from .classify import (
     target_kind,
 )
 from .endo import (
-    AffineLetter,
     AffineMap,
     Endomorphism,
     GeneratorWord,
-    PhiLetter,
     compose,
     conjugate_word,
     elementary,
     extend,
-    identity,
     invert_structured,
-    permutation,
-    transposition_perm,
+    swap_perm,
 )
 from .errors import (
     DegreeConditionError,
@@ -49,7 +45,7 @@ from .errors import (
     ResourceLimit,
     Unsupported,
 )
-from .poly import Polynomial
+from .poly import Polynomial, p_power_split
 from .rings import RingElement, distinct_scalars, find_special_unit, is_prime
 
 # Decompositions at most this many terms are re-validated after every
@@ -247,23 +243,6 @@ def solve_field_system(ring, rows, rhs):
 # scaling interpolation: isolate one monomial of a degree-condition element
 # ---------------------------------------------------------------------------
 
-def _p_power_split(exponents, p):
-    """Largest p-power dividing every positive exponent; 1 when p = 0."""
-    positive = [t for t in exponents if t > 0]
-    if not positive or p == 0:
-        return 1
-    vmin = None
-    for t in positive:
-        v = 0
-        while t % p == 0:
-            t //= p
-            v += 1
-        vmin = v if vmin is None else min(vmin, v)
-        if vmin == 0:
-            break
-    return p**vmin
-
-
 def vandermonde_combination(g, monomial):
     """Scalars (c_l, alpha_l) with sum c_l * g(alpha_l . x) = a * monomial.
 
@@ -287,7 +266,7 @@ def vandermonde_combination(g, monomial):
         exps = sorted({e[v - 1] for e in current.terms})
         if exps[-1] == 0:
             continue
-        pe = _p_power_split(exps, p)
+        pe = p_power_split(exps, p)
         support = sorted({t // pe for t in exps})
         if len(support) == 1:
             continue
@@ -379,10 +358,6 @@ def vandermonde_extract(dec, monomial, validate="auto"):
 # all-ones shift: expose a quadratic or cubic monomial of a good monomial
 # ---------------------------------------------------------------------------
 
-def all_ones_shift(ring, n):
-    return AffineMap.translation(ring, [ring.one_value()] * n)
-
-
 def shift_extract(dec, k_size=None, validate="auto"):
     """From a*m (m good) to a*u*(x_i x_j | x_i^2 | x_i x_j^2 | x_i^3).
 
@@ -397,7 +372,7 @@ def shift_extract(dec, k_size=None, validate="auto"):
     if not gm_type.is_good():
         raise ValueError("not a good monomial")
     target = gm_type.target(n)
-    lam = all_ones_shift(ring, n)
+    lam = AffineMap.translation(ring, [ring.one_value()] * n)
     shifted = dec_apply_affine(dec, lam, validate=validate)
     if not degree_condition(shifted.target, k_size):
         raise DegreeConditionError(
@@ -447,8 +422,8 @@ def convert_square(dec, validate="auto"):
     if exps[i - 1] != 2 or sum(exps) != 2:
         raise ValueError("target must be a single x_i^2 monomial")
     if i != 1:
-        dec = move_monomial(dec, transposition_perm(n, 1, i), validate=validate)
-    swapped = move_monomial(dec, transposition_perm(n, 1, 2), validate=validate)
+        dec = move_monomial(dec, swap_perm(n, (1, i)), validate=validate)
+    swapped = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
     diff = dec_linear_combine([(1, dec), (-1, swapped)], validate=validate)
     one, zero = ring.one_value(), ring.zero_value()
     A = [[one if r == c else zero for c in range(n)] for r in range(n)]
@@ -482,8 +457,8 @@ def convert_cube(dec, xi=None, validate="auto"):
     if exps[i - 1] != 3 or sum(exps) != 3:
         raise ValueError("target must be a single x_i^3 monomial")
     if i != 1:
-        dec = move_monomial(dec, transposition_perm(n, 1, i), validate=validate)
-    swapped = move_monomial(dec, transposition_perm(n, 1, 2), validate=validate)
+        dec = move_monomial(dec, swap_perm(n, (1, i)), validate=validate)
+    swapped = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
     one, zero = ring.one_value(), ring.zero_value()
     # x1 -> x1 + x2, x2 -> x2
     shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero])
@@ -531,7 +506,7 @@ def normalize_to_seed(dec, kind, validate="auto"):
     if kind == "mixed-cube":
         # want exponent pattern (1, 2)
         if exps[0] == 2:
-            dec = move_monomial(dec, transposition_perm(n, 1, 2), validate=validate)
+            dec = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
         return dec, "cube"
     if kind == "pure-cube":
         converted = convert_cube(dec, validate=validate)
@@ -558,28 +533,19 @@ def compile_last_word(dec, validate=True):
         dec.validate()
     letters = []
     if not dec.affine_part.is_zero():
-        letters.append(
-            AffineLetter(AffineMap.last_variable_shift(dec.affine_part, ambient))
-        )
+        letters.append(AffineMap.variable_shift(dec.affine_part, ambient, ambient))
     ident = AffineMap.identity(ring, n)
     for a, eta, i in dec.terms:
-        shift = AffineMap.last_variable_shift(
-            Polynomial.variable(ring, n, i).scale(a), ambient
+        shift = AffineMap.variable_shift(
+            Polynomial.variable(ring, n, i).scale(a), ambient, ambient
         )
-        inner = [PhiLetter(1), AffineLetter(shift), PhiLetter(-1)]
+        inner = [1, shift, -1]
         if eta == ident:
             letters.extend(inner)
         else:
             eta_ext = eta.embed(ambient)
-            letters.append(AffineLetter(eta_ext))
-            letters.extend(inner)
-            letters.append(AffineLetter(eta_ext.inverse()))
+            letters += [eta_ext, *inner, eta_ext.inverse()]
     return GeneratorWord(ambient, letters)
-
-
-def _first_variable_shift_letter(ring, ambient, poly):
-    """epsilon(h) for affine h: a single affine letter."""
-    return AffineLetter(AffineMap.variable_shift(poly, ambient, 1))
 
 
 def compile_tame_word(seed_word, seed_kind, f, n):
@@ -598,76 +564,51 @@ def compile_tame_word(seed_word, seed_kind, f, n):
     if f.deg_xi(1) > 0:
         raise ValueError("target polynomial must avoid x1")
     tau = AffineMap.transposition(ring, ambient, 1, ambient)
-    cache = {}
-
+    # reduce(exps): the exponents one commutator step lower, and the word
+    # whose commutator with the lower word's tau-conjugate climbs back
     if seed_kind == "product":
-        conj = {}
-        for i in range(2, n + 1):
-            sigma = AffineMap.permutation(
-                ring,
-                _product_perm(ambient, i),
-            )
-            conj[i] = conjugate_word(seed_word, sigma)
+        conj = {
+            i: conjugate_word(seed_word, AffineMap.permutation(
+                ring, swap_perm(ambient, (1, ambient), (2, i))))
+            for i in range(2, n + 1)
+        }
 
-        def word_for(coeff, exps):
-            key = (coeff, exps)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            if sum(exps) <= 1:
-                poly = Polynomial.monomial(ring, exps, RingElement(ring, coeff))
-                out = GeneratorWord(
-                    ambient, [_first_variable_shift_letter(ring, ambient, poly)]
-                )
-            else:
-                i = next(t + 1 for t, e in enumerate(exps) if e > 0 and t >= 1)
-                rest = tuple(
-                    e - 1 if t + 1 == i else e for t, e in enumerate(exps)
-                )
-                base = word_for(coeff, rest)
-                hat = conjugate_word(base, tau)
-                out = hat + conj[i] + hat.inverse() + conj[i].inverse()
-            cache[key] = out
-            return out
+        def reduce(exps):
+            t = next(t for t in range(1, n) if exps[t])
+            return exps[:t] + (exps[t] - 1,) + exps[t + 1:], conj[t + 1]
 
     elif seed_kind == "cube":
         if n != 2:
             raise ValueError("the cube seed applies to n = 2 only")
-        sigma = AffineMap.transposition(ring, 3, 1, 3)
-        climb = conjugate_word(seed_word, sigma)
+        climb = conjugate_word(seed_word, AffineMap.transposition(ring, 3, 1, 3))
 
-        def word_for(coeff, exps):
-            key = (coeff, exps)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            if exps[1] <= 1:
-                poly = Polynomial.monomial(ring, exps, RingElement(ring, coeff))
-                out = GeneratorWord(
-                    ambient, [_first_variable_shift_letter(ring, ambient, poly)]
-                )
-            else:
-                base = word_for(coeff, (0, exps[1] - 2))
-                hat = conjugate_word(base, tau)
-                out = hat + climb + hat.inverse() + climb.inverse()
-            cache[key] = out
-            return out
+        def reduce(exps):
+            return (0, exps[1] - 2), climb
 
     else:
         raise ValueError(f"unknown seed kind {seed_kind!r}")
+    cache = {}
+
+    def word_for(coeff, exps):
+        key = (coeff, exps)
+        out = cache.get(key)
+        if out is None:
+            if sum(exps) <= 1:
+                poly = Polynomial.monomial(ring, exps, RingElement(ring, coeff))
+                out = GeneratorWord(
+                    ambient, [AffineMap.variable_shift(poly, ambient, 1)]
+                )
+            else:
+                rest, step = reduce(exps)
+                hat = conjugate_word(word_for(coeff, rest), tau)
+                out = hat + step + hat.inverse() + step.inverse()
+            cache[key] = out
+        return out
 
     word = GeneratorWord(ambient, [])
     for exps in f.monomials():
         word = word + word_for(f.terms[exps], exps)
     return word
-
-
-def _product_perm(ambient, i):
-    """The permutation (1, ambient)(2, i) as an image list."""
-    perm = list(range(1, ambient + 1))
-    perm[0], perm[ambient - 1] = perm[ambient - 1], perm[0]
-    perm[1], perm[i - 1] = perm[i - 1], perm[1]
-    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +988,7 @@ def _theta_generators(ring):
     x3 = Polynomial.variable(ring, n, 3)
     bump = x2 + x3 * x3
     beta = Endomorphism(ring, [x1 + (x2 * x2) * (bump * bump), bump, x3])
-    pi = permutation(ring, [2, 1, 3])
+    pi = AffineMap.permutation(ring, [2, 1, 3]).to_endo()
     return beta, pi
 
 

@@ -22,7 +22,6 @@ from cotame.endo import (
     elementary,
     identity,
     invert_structured,
-    permutation,
     reduce_mod,
 )
 from cotame.poly import Polynomial, parse_poly

@@ -42,6 +42,7 @@ from cotame.rings import (
     PrimeField,
     RationalField,
     RingElement,
+    is_prime,
     ring_from_spec,
 )
 
@@ -501,6 +502,20 @@ def test_reduction_search():
     phiz = elementary(parse_poly("2*x2^2", Z, 3))
     found = reduction_search(phiz)
     assert found is not None and found["modulus"] == 2
+
+
+def test_reduction_moduli_are_the_prime_divisors_below_n():
+    from cotame.classify import _reduction_moduli
+
+    def oracle(n):
+        return [q for q in range(2, n) if n % q == 0 and is_prime(q)]
+
+    for n in list(range(2, 200)) + [1024, 3 * 5 * 7 * 11 * 13, 97 * 101, 4 * 9973]:
+        assert _reduction_moduli(IntegerModRing(n)) == oracle(n), n
+    start = time.perf_counter()
+    assert _reduction_moduli(IntegerModRing(10**12)) == [2, 5]
+    assert _reduction_moduli(IntegerModRing(999983 * 1000003)) == [999983, 1000003]
+    assert time.perf_counter() - start < 2
 
 
 def test_direct_pattern_scan():

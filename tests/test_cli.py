@@ -493,3 +493,89 @@ def test_parser_guards_keep_ordinary_input(capsys):
         code, out = run_cli(capsys, argv)
         assert code == OK
         assert json.loads(out)["payload"]["canonical"] == canonical
+
+
+def test_ksize_over_a_ring_without_base_field_changes_nothing(tmp_path, capsys):
+    # Z has no base field, so the degree-condition route is unavailable with
+    # or without --ksize, and no word is promised that witness cannot build
+    phi = write_phi(tmp_path, "phi.json", "Z", 3, ["x1 + x2^2 + x2*x3", "x2", "x3"])
+    argv = ["decide", "--phi", phi]
+    code, out = run_cli(capsys, argv)
+    assert code == UNKNOWN
+    assert run_cli(capsys, argv + ["--ksize", "5"]) == (code, out)
+    code, out = run_cli(capsys, ["witness", "--phi", phi, "--target", "x2*x3",
+                                 "--ksize", "5"])
+    assert code == UNKNOWN and json.loads(out)["status"] == "unknown-verdict"
+
+
+@pytest.mark.parametrize("command", ["decide", "classify", "witness"])
+def test_ksize_above_the_field_order_is_an_error(tmp_path, capsys, command):
+    phi = write_phi(tmp_path, "phi.json", "GF:2^5", 3,
+                    ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"])
+    argv = [command, "--phi", phi, "--ksize", "33"]
+    if command == "witness":
+        argv += ["--target", "x2*x3"]
+    code, out = run_cli(capsys, argv)
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {
+        "error": "--ksize 33 exceeds the 32 elements of GF:2^5"
+    }
+
+
+def test_classify_over_a_composite_characteristic(tmp_path, capsys):
+    phi = write_phi(tmp_path, "phi.json", "Zn:6", 2, ["x1 + 3*x2^2", "x2"])
+    code, out = run_cli(capsys, ["classify", "--phi", phi])
+    assert code == OK
+    report = json.loads(out)
+    _, decided = run_cli(capsys, ["decide", "--phi", phi])
+    decided = json.loads(decided)
+    assert report["payload"]["verdict"] == decided["payload"]
+    assert report["payload"]["verdict"]["reason"] == "reduction-to-ngg"
+    assert report["diagnostics"] == decided["diagnostics"]
+    for key in ("good_monomials", "I_phi", "I_phi_full", "J_phi_certified", "ngg"):
+        assert report["payload"][key] is None
+    # ngg-check asks for a good monomial, which Z/6 does not define
+    code, out = run_cli(capsys, ["ngg-check", "--phi", phi])
+    assert code == ERROR and "characteristic" in json.loads(out)["payload"]["error"]
+
+
+GF64_MODULUS = "[1,1,0,1,1" + ",0" * 59 + ",1]"
+
+
+@pytest.mark.parametrize("ring", ["Fp:1000000000000000003", "GF:2^64:" + GF64_MODULUS])
+def test_parse_on_a_large_ring_spec_is_refused(capsys, ring):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["parse", "--ring", ring, "--n", "2", "--poly", "x1"])
+    assert time.perf_counter() - start < 2
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {
+        "error": f"ring {ring!r} has more than 16777216 elements"
+    }
+
+
+@pytest.mark.parametrize("ring, images", [
+    ("Fp:1000000007", ["x1 + x2^2*x3", "x2", "x3"]),
+    ("Zn:1000000000000", ["x1 + x2^2", "x2"]),
+])
+def test_decide_on_a_large_ring_spec_is_refused(tmp_path, capsys, ring, images):
+    phi = write_phi(tmp_path, "phi.json", ring, len(images), images)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["decide", "--phi", phi])
+    assert time.perf_counter() - start < 2
+    assert code == ERROR
+    assert "more than 16777216 elements" in json.loads(out)["payload"]["error"]
+
+
+@pytest.mark.parametrize("ring, images, answer", [
+    # the span sweep builds only the ring values its budget can reach
+    ("Fp:16777213", ["x1 + x2^2*x3", "x2", "x3"], "StablyCotame"),
+    # 2^24 - 1 = 3^2*5*7*13*17*241: its prime divisors by trial division
+    ("Zn:16777215", ["x1 + x2^2", "x2"], "StablyCotame"),
+    ("Zn:16777214", ["x1 + x2^2", "x2"], "NotStablyCotame"),
+])
+def test_decide_on_the_largest_ring_specs(tmp_path, capsys, ring, images, answer):
+    phi = write_phi(tmp_path, "phi.json", ring, len(images), images)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["decide", "--phi", phi])
+    assert time.perf_counter() - start < 2
+    assert code == OK and json.loads(out)["payload"]["answer"] == answer

@@ -1,15 +1,16 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotame.endo import (
-    AffineLetter,
     AffineMap,
     Endomorphism,
     GeneratorWord,
     IdealHandle,
-    PhiLetter,
     check_inverse,
     compose,
     conjugate,
@@ -18,9 +19,8 @@ from cotame.endo import (
     extend,
     identity,
     invert_structured,
-    permutation,
     reduce_mod,
-    transposition_perm,
+    swap_perm,
     try_invert,
 )
 from cotame.errors import NotAUnit, Unsupported
@@ -43,7 +43,7 @@ def test_compose_convention():
     phi = elementary(P("x2*x3"))
     ident = identity(Q, 3)
     assert compose(phi, ident) == phi == compose(ident, phi)
-    pi = permutation(Q, [2, 1, 3])
+    pi = AffineMap.permutation(Q, [2, 1, 3]).to_endo()
     assert compose(pi, pi) == identity(Q, 3)
 
 
@@ -144,7 +144,7 @@ def test_affine_inverse_is_lazy_and_matches_the_adjugate():
 
 
 def test_from_affine_endo_and_is_affine():
-    pi = permutation(Q, [2, 1, 3])
+    pi = AffineMap.permutation(Q, [2, 1, 3]).to_endo()
     m = AffineMap.from_affine_endo(pi)
     assert m.to_endo() == pi
     assert not elementary(P("x2^2")).is_affine()
@@ -154,7 +154,7 @@ def test_from_affine_endo_and_is_affine():
 def test_conjugation_matches_hand_example():
     # moving the added product x1*x2 with the swap (1,4) relabels it to x2*x4
     phi = elementary_last(P("x1*x2"), 4)
-    sigma = AffineMap.permutation(Q, transposition_perm(4, 1, 4))
+    sigma = AffineMap.permutation(Q, swap_perm(4, (1, 4)))
     conj = conjugate(phi, sigma)
     expected = elementary(parse_poly("x2*x4", Q, 4), nvars=4)
     assert conj == expected
@@ -162,8 +162,28 @@ def test_conjugation_matches_hand_example():
 
 def test_conjugation_hand_example_two():
     phi = elementary_last(P("x1*x2^2", nvars=2), 3)
-    sigma = AffineMap.permutation(Q, transposition_perm(3, 1, 3))
+    sigma = AffineMap.permutation(Q, swap_perm(3, (1, 3)))
     assert conjugate(phi, sigma) == elementary(P("x2^2*x3"), nvars=3)
+
+
+def test_swap_perm_swaps_pairs_in_turn():
+    assert swap_perm(3, (1, 3)) == [3, 2, 1]
+    assert swap_perm(4, (1, 4), (2, 2)) == [4, 2, 3, 1]
+    assert swap_perm(4, (1, 4), (2, 3)) == [4, 3, 2, 1]
+    assert swap_perm(3) == [1, 2, 3]
+
+
+def test_variable_shift_is_the_elementary_map():
+    for text in ("x1 + 2*x2 + 3", "x3", "4"):
+        h = P(text, F5, 3)
+        shift = AffineMap.variable_shift(h, 4, 4)
+        assert shift.to_endo() == elementary_last(h, 4)
+    h = parse_poly("x2 + 2*x4 + 1", F5, 4)
+    assert AffineMap.variable_shift(h, 4, 1).to_endo() == elementary(h, nvars=4)
+    with pytest.raises(ValueError, match="must be affine"):
+        AffineMap.variable_shift(P("x2^2", F5, 3), 4, 4)
+    with pytest.raises(ValueError, match="must avoid the shifted variable"):
+        AffineMap.variable_shift(P("x1 + x2", F5, 3), 4, 2)
 
 
 def test_triangular_inverse_back_substitution():
@@ -238,13 +258,11 @@ def random_tame(rng, ring, n, max_letters=4, max_deg=2):
 
 def test_word_eval_and_inverse():
     phi = elementary(P("x2*x3"))
-    word = GeneratorWord(4, [PhiLetter(1), PhiLetter(-1)])
+    word = GeneratorWord(4, [1, -1])
     assert word.evaluate(phi) == identity(Q, 4)
     assert GeneratorWord(4).evaluate(phi) == identity(Q, 4)
     sigma = AffineMap.permutation(Q, [2, 3, 1, 4])
-    w = GeneratorWord(
-        4, [AffineLetter(sigma), PhiLetter(1), AffineLetter(sigma.inverse())]
-    )
+    w = GeneratorWord(4, [sigma, 1, sigma.inverse()])
     # sigma o phi o sigma^{-1} equals conjugation by sigma^{-1}
     assert w.evaluate(phi) == conjugate(extend(phi, 1), sigma.inverse())
 
@@ -257,9 +275,9 @@ def test_word_inverse_round_trip():
         letters = []
         for _ in range(rng.randint(1, 6)):
             if rng.random() < 0.5:
-                letters.append(AffineLetter(random_affine(rng, F5, 4)))
+                letters.append(random_affine(rng, F5, 4))
             else:
-                letters.append(PhiLetter(rng.choice([1, -1])))
+                letters.append(rng.choice([1, -1]))
         w = GeneratorWord(4, letters)
         value = w.evaluate(phi, phi_inv)
         back = w.inverse().evaluate(phi, phi_inv)
@@ -272,10 +290,10 @@ def naive_evaluate(word, phi, phi_inv):
     phi_ext, inv_ext = extend(phi, 1), extend(phi_inv, 1)
     acc = identity(phi.ring, word.ambient)
     for letter in word.letters:
-        if isinstance(letter, AffineLetter):
-            acc = compose(acc, letter.map.to_endo())
+        if isinstance(letter, AffineMap):
+            acc = compose(acc, letter.to_endo())
         else:
-            acc = compose(acc, phi_ext if letter.exp == 1 else inv_ext)
+            acc = compose(acc, phi_ext if letter == 1 else inv_ext)
     return acc
 
 
@@ -286,7 +304,7 @@ def shear(b):
 
 
 def bracket(inner):
-    return [PhiLetter(1), AffineLetter(inner), PhiLetter(-1)]
+    return [1, inner, -1]
 
 
 def evaluate_counting(monkeypatch, word, phi, phi_inv):
@@ -308,7 +326,7 @@ def evaluate_counting(monkeypatch, word, phi, phi_inv):
 def test_word_memo_matches_naive_composition(monkeypatch):
     phi = elementary(P("x2^2*x3", F5, 3), nvars=3)
     phi_inv = invert_structured(phi)
-    sigma = AffineLetter(AffineMap.permutation(F5, [1, 3, 2, 4]))
+    sigma = AffineMap.permutation(F5, [1, 3, 2, 4])
     # value-equal inner maps, each from its own construction
     letters = []
     for _ in range(4):
@@ -341,10 +359,27 @@ def test_word_memo_keeps_distinct_brackets_apart():
 def test_word_json_round_trip():
     phi = elementary(P("x2*x3", F5, 3), nvars=3)
     sigma = AffineMap.permutation(F5, [2, 1, 3, 4])
-    w = GeneratorWord(4, [AffineLetter(sigma), PhiLetter(1)])
+    w = GeneratorWord(4, [sigma, 1])
     data = w.to_json()
     w2 = GeneratorWord.from_json(F5, data)
     assert w2.evaluate(phi) == w.evaluate(phi)
+
+
+letters_over_f5 = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**32).map(lambda s: random_affine(random.Random(s), F5, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(letters_over_f5, max_size=8))
+def test_word_json_round_trip_gives_back_the_word(letters):
+    w = GeneratorWord(4, letters)
+    data = w.to_json()
+    back = GeneratorWord.from_json(F5, json.loads(json.dumps(data)))
+    assert back.ambient == w.ambient and back.letters == w.letters
+    assert all(type(a) is type(b) for a, b in zip(back.letters, w.letters))
+    assert back.to_json() == data
 
 
 def test_endo_json_round_trip():
@@ -362,6 +397,11 @@ def test_ideal_handles():
     Z = IntegerRing()
     assert IdealHandle(Z, [Z.of(6), Z.of(10)]).is_full() is False
     assert IdealHandle(Z, [Z.of(2), Z.of(3)]).is_full()
+    # the generator of the ideal as a subgroup: one gcd for Z and Z/n
+    assert IdealHandle(Z, [Z.of(-6), Z.of(10)]).modulus() == 2
+    assert IdealHandle(Z, []).modulus() == 0
+    assert IdealHandle(Z6, [Z6.of(4)]).modulus() == 2
+    assert IdealHandle(Z6, []).modulus() == 6
 
 
 def test_reduce_mod_examples():
@@ -433,7 +473,7 @@ def test_check_inverse_composes_both_orders_unless_self_inverse(monkeypatch):
     calls = check_inverse_counting(monkeypatch, phi, phi_inv)
     assert calls == [(phi, phi_inv), (phi_inv, phi)]
     # an involution: phi o phi is both orders at once
-    swap = permutation(F5, [2, 1, 3])
+    swap = AffineMap.permutation(F5, [2, 1, 3]).to_endo()
     assert check_inverse_counting(monkeypatch, swap, swap) == [(swap, swap)]
     assert check_inverse_counting(monkeypatch, phi, phi) is None
     assert check_inverse_counting(monkeypatch, phi_inv, phi_inv) is None

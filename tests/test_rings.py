@@ -1,12 +1,14 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotame.errors import NoSuchUnit, NotAUnit, Unsupported
+from cotame.errors import NoSuchUnit, NotAUnit, ResourceLimit, Unsupported
 from cotame.rings import (
     DEFAULT_MODULI,
+    MAX_RING_ORDER,
     GaloisField,
     IntegerModRing,
     IntegerRing,
@@ -35,6 +37,24 @@ def test_make_ring_examples():
     assert ring_from_spec("Zn:6").characteristic == 6
     with pytest.raises(ValueError):
         ring_from_spec("Fp:4")
+
+
+def test_ring_specs_are_bounded_in_order():
+    assert ring_from_spec(f"Zn:{MAX_RING_ORDER}").order == MAX_RING_ORDER
+    assert ring_from_spec("Fp:16777213").order == 16777213
+    for spec in (f"Zn:{MAX_RING_ORDER + 1}", "Fp:16777259", "GF:2^25", "GF:4099^2",
+                 "GF:2^1000000000"):
+        with pytest.raises(ResourceLimit):
+            ring_from_spec(spec)
+    # at the bound the irreducibility check of the modulus stays fast
+    start = time.perf_counter()
+    gf = ring_from_spec("GF:2^24:[1,1,1,0,0,0,0,1" + ",0" * 16 + ",1]")
+    assert gf.order == MAX_RING_ORDER
+    assert time.perf_counter() - start < 1
+    # invalid specs keep their own errors
+    for spec in ("GF:1^30", "GF:2^0", "Zn:1"):
+        with pytest.raises(ValueError):
+            ring_from_spec(spec)
 
 
 def test_gf9_default_modulus_has_no_root_mod_3():
@@ -165,7 +185,7 @@ def test_spec_string_round_trip():
 )
 def test_gf_tables_match_schoolbook_on_all_pairs(spec):
     ring = ring_from_spec(spec)
-    values = [ring._index_value(i) for i in range(ring.order)]
+    values = [ring.index_value(i) for i in range(ring.order)]
     p = ring.p
     for a in values:
         assert ring.neg(a) == ring._slow_neg(a)
@@ -183,7 +203,7 @@ def test_gf_tables_match_schoolbook_on_all_pairs(spec):
 
 # y^11 + y^2 + 1 is irreducible over F_2, and 2^11 is above the table bound
 GF2048 = ring_from_spec("GF:2^11:[1,0,1,0,0,0,0,0,0,0,0,1]")
-gf2048_values = st.integers(0, GF2048.order - 1).map(GF2048._index_value)
+gf2048_values = st.integers(0, GF2048.order - 1).map(GF2048.index_value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from cotame.endo import (
     extend,
     identity,
     invert_structured,
-    permutation,
 )
 from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.poly import Polynomial, parse_poly
@@ -255,12 +254,10 @@ def test_compile_last_word_image_itself():
     phi = phi_product()
     dec = span_decomposition(phi, [1, 0, 0])
     word = compile_last_word(dec)
-    from cotame.endo import AffineLetter, PhiLetter
-
     assert len(word) == 3
-    assert isinstance(word.letters[0], PhiLetter) and word.letters[0].exp == 1
-    assert isinstance(word.letters[1], AffineLetter)
-    assert isinstance(word.letters[2], PhiLetter) and word.letters[2].exp == -1
+    assert type(word.letters[0]) is int and word.letters[0] == 1
+    assert isinstance(word.letters[1], AffineMap)
+    assert type(word.letters[2]) is int and word.letters[2] == -1
     assert word.evaluate(phi) == elementary_last(phi.images[0], 4)
 
 
@@ -307,10 +304,10 @@ def test_conjugated_seed_words():
     assert seed_word.evaluate(phi) == elementary_last(
         parse_poly("x1*x2", F5, 3), 4
     )
-    from cotame.witness import _product_perm
+    from cotame.endo import swap_perm
 
     for i in (2, 3):
-        sigma = AffineMap.permutation(F5, _product_perm(4, i))
+        sigma = AffineMap.permutation(F5, swap_perm(4, (1, 4), (2, i)))
         conj = conjugate_word(seed_word, sigma)
         expected = elementary(
             Polynomial.monomial(F5, (0,) * (i - 1) + (1,) + (0,) * (3 - i) + (1,), 1),
@@ -402,7 +399,7 @@ def test_mixed_cube_seed_from_type_iv():
     # an exponent pattern of the (1 mod 4, 2 mod 4) kind
     f16 = GaloisField(2, 4)
     tame1 = elementary(parse_poly("x2^3", f16, 2), nvars=2)
-    swap = permutation(f16, [2, 1])
+    swap = AffineMap.permutation(f16, [2, 1]).to_endo()
     tame2 = compose(swap, compose(tame1, swap))  # adds x1^3 to x2
     phi = compose(tame1, tame2)
     img = phi.images[1]
