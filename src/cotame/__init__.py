@@ -4,62 +4,51 @@ The package decides (where the theory permits) whether a polynomial
 automorphism together with all affine maps in one extra variable
 generates every tame automorphism, and certifies positive answers with
 an explicit generator word that a dumb evaluator can re-check.
+
+Importing the package runs none of its submodules: each public name is
+looked up in its submodule on first access (PEP 562), so a command that
+never touches, say, ``witness`` never compiles it.
 """
 
-from .rings import (
-    GaloisField,
-    IntegerModRing,
-    IntegerRing,
-    PrimeField,
-    RationalField,
-    RingElement,
-    enumerate_units,
-    find_special_unit,
-    ring_from_spec,
-)
-from .poly import NEG_INF, Polynomial, parse_poly
-from .endo import (
-    AffineMap,
-    Endomorphism,
-    GeneratorWord,
-    IdealHandle,
-    compose,
-    conjugate,
-    elementary,
-    elementary_last,
-    extend,
-    identity,
-    invert_structured,
-    reduce_mod,
-)
-from .classify import (
-    GoodMonomialType,
-    ModulePattern,
-    Verdict,
-    decide,
-    degree_condition,
-    good_coefficients,
-    good_ideal,
-    good_monomial_type,
-    no_good_monomials,
-    pattern_membership,
-)
-from .witness import (
-    DeltaSpec,
-    SpanDecomposition,
-    build_witness,
-    compile_last_word,
-    compile_tame_word,
-    convert_cube,
-    convert_square,
-    delta_apply,
-    delta_module_membership,
-    delta_power,
-    delta_route,
-    shift_extract,
-    theta_map,
-    vandermonde_extract,
-    verify_witness,
-)
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "rings": (
+        "GaloisField", "IntegerModRing", "IntegerRing", "PrimeField",
+        "RationalField", "RingElement", "enumerate_units", "find_special_unit",
+        "ring_from_spec",
+    ),
+    "poly": ("NEG_INF", "Polynomial", "parse_poly"),
+    "endo": (
+        "AffineMap", "Endomorphism", "GeneratorWord", "IdealHandle", "compose",
+        "conjugate", "elementary", "elementary_last", "extend", "identity",
+        "invert_structured", "reduce_mod", "verify_witness",
+    ),
+    "classify": (
+        "GoodMonomialType", "ModulePattern", "Verdict", "decide",
+        "degree_condition", "good_coefficients", "good_ideal",
+        "good_monomial_type", "no_good_monomials", "pattern_membership",
+    ),
+    "witness": (
+        "DeltaSpec", "SpanDecomposition", "build_witness", "compile_last_word",
+        "compile_tame_word", "convert_cube", "convert_square", "delta_apply",
+        "delta_module_membership", "delta_power", "delta_route",
+        "shift_extract", "theta_map", "vandermonde_extract",
+    ),
+    "errors": (),  # in __all__ as before; its names stay in cotame.errors
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,37 +7,36 @@ search that ended without an answer).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from .classify import (
-    decide,
-    good_ideal,
-    good_monomials,
-    no_good_monomials,
-    resolve_k_size,
-    span_good_scan,
-)
-from .endo import (
-    Endomorphism,
-    GeneratorWord,
-    IdealHandle,
-    check_inverse,
-    compose,
-    elementary,
-    invert_structured,
-    reduce_mod,
-    try_invert,
-)
 from .errors import CotameError, NoRouteFound, PolynomialSyntaxError
 from .poly import parse_poly
 from .rings import is_prime, ring_from_spec
-from .witness import (
-    build_witness_with_info,
-    first_mismatch,
-    theta_map,
-    verify_witness,
-)
+
+
+def _lazy(name):
+    """Submodule `name` of the package, executed on first attribute access.
+
+    The module is registered in sys.modules at once, so imports and
+    lookups by name find it; only a command that uses it pays to compile
+    and run it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+endo = _lazy("endo")
+classify = _lazy("classify")
+witness = _lazy("witness")
 
 OK, ERROR, UNKNOWN = 0, 1, 2
 
@@ -59,7 +58,7 @@ def _load_endo(path, ring_spec=None, n=None):
         raise ValueError(
             f"--ring {ring_spec} conflicts with ring {data['ring']!r} in {path}"
         )
-    phi = Endomorphism.from_json(data, ring=ring)
+    phi = endo.Endomorphism.from_json(data, ring=ring)
     if n is not None and phi.nvars != n:
         raise ValueError(f"--n {n} conflicts with {phi.nvars} images in {path}")
     return phi
@@ -68,8 +67,8 @@ def _load_endo(path, ring_spec=None, n=None):
 def _resolve_inverse(phi, inverse_path):
     if inverse_path:
         message = "supplied inverse fails the composition check"
-        return check_inverse(phi, _load_endo(inverse_path), message)
-    return try_invert(phi)
+        return endo.check_inverse(phi, _load_endo(inverse_path), message)
+    return endo.try_invert(phi)
 
 
 def _k_size(args):
@@ -129,13 +128,13 @@ def cmd_parse(args):
 def cmd_compose(args):
     phi = _load_endo(args.phi, args.ring)
     psi = _load_endo(args.psi, args.ring)
-    value = compose(phi, psi).to_json()
+    value = endo.compose(phi, psi).to_json()
     return _finish(args, "compose", value, artifact=value)
 
 
 def cmd_invert(args):
     phi = _load_endo(args.phi, args.ring)
-    inverse = invert_structured(phi, hint=args.hint).to_json()
+    inverse = endo.invert_structured(phi, hint=args.hint).to_json()
     return _finish(args, "invert", inverse, artifact=inverse)
 
 
@@ -151,7 +150,7 @@ def _good_entry(phi, j, exps, coeff, gm_type):
 def cmd_classify(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     ksize = _k_size(args)
-    verdict = decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
+    verdict = classify.decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
     p = phi.ring.characteristic
     if p != 0 and not is_prime(p):
         # good monomials exist in characteristic 0 or prime only
@@ -160,12 +159,13 @@ def cmd_classify(args):
         )
         diagnostics = verdict.diagnostics
     else:
-        ideal = good_ideal(phi)
-        resolved = resolve_k_size(phi.ring, ksize)
+        ideal = classify.good_ideal(phi)
+        resolved = classify.resolve_k_size(phi.ring, ksize)
         # the verdict's scan when decide got that far, else a scan of its own
         scan = verdict.evidence.get("scan")
         if scan is None and resolved != "unavailable":
-            scan = span_good_scan(phi, resolved, budget=args.budget, seed=args.seed)
+            scan = classify.span_good_scan(phi, resolved, budget=args.budget,
+                                           seed=args.seed)
         if scan is not None:
             diagnostics = scan.diagnostics
         else:
@@ -174,12 +174,12 @@ def cmd_classify(args):
             "good_monomials": [
                 _good_entry(phi, j, *good)
                 for j, img in enumerate(phi.images, start=1)
-                for good in good_monomials(img)
+                for good in classify.good_monomials(img)
             ],
             "I_phi": ideal.to_json(),
             "I_phi_full": ideal.is_full(),
             "J_phi_certified": scan is not None and scan.certified_full(),
-            "ngg": no_good_monomials(phi),
+            "ngg": classify.no_good_monomials(phi),
         }
     payload["verdict"] = verdict.to_json()
     code = UNKNOWN if verdict.answer == "Unknown" else OK
@@ -191,7 +191,7 @@ def cmd_classify(args):
 def cmd_decide(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     ksize = _k_size(args)
-    verdict = decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
+    verdict = classify.decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
     code = UNKNOWN if verdict.answer == "Unknown" else OK
     status = "unknown-verdict" if code == UNKNOWN else "ok"
     return _finish(
@@ -210,7 +210,7 @@ def cmd_witness(args):
     ksize = _k_size(args)
     inverse = _resolve_inverse(phi, args.phi_inverse)
     try:
-        word, info = build_witness_with_info(
+        word, info = witness.build_witness_with_info(
             phi,
             target,
             k_size=ksize,
@@ -228,7 +228,7 @@ def cmd_witness(args):
         )
     verified = None
     if inverse is not None:
-        verified = verify_witness(word, phi, target, phi_inverse=inverse)
+        verified = endo.verify_witness(word, phi, target, phi_inverse=inverse)
         if not verified:
             raise CotameError("compiled word failed verification")
     payload = {
@@ -249,10 +249,10 @@ def cmd_witness(args):
 
 def cmd_verify(args):
     phi = _load_endo(args.phi, args.ring)
-    word = GeneratorWord.from_json(phi.ring, _load_json(args.word))
-    target = elementary(parse_poly(args.target, phi.ring, phi.nvars))
+    word = endo.GeneratorWord.from_json(phi.ring, _load_json(args.word))
+    target = endo.elementary(parse_poly(args.target, phi.ring, phi.nvars))
     inverse = _resolve_inverse(phi, args.phi_inverse)
-    mismatch = first_mismatch(word, phi, target, inverse)
+    mismatch = endo.first_mismatch(word, phi, target, inverse)
     if mismatch is None:
         return _finish(args, "verify", {"match": True, "word_length": len(word)})
     return _finish(
@@ -266,7 +266,7 @@ def cmd_verify(args):
 
 def cmd_theta(args):
     ring = ring_from_spec(args.ring)
-    theta, theta_prime = theta_map(args.N, ring, max_terms=args.max_terms)
+    theta, theta_prime = witness.theta_map(args.N, ring, max_terms=args.max_terms)
     payload = {
         "theta": theta.to_json(),
         "theta_prime": theta_prime.to_json(),
@@ -278,13 +278,13 @@ def cmd_theta(args):
             "term_counts": [len(i.terms) for i in theta.images],
         }
         if is_prime(ring.characteristic):
-            analysis["ngg"] = no_good_monomials(theta)
+            analysis["ngg"] = classify.no_good_monomials(theta)
         if args.N == 1:
             coeff = img.terms.get((2, 0, 4))
             analysis["x1^2*x3^4_coefficient"] = (
                 ring.format_value(coeff) if coeff is not None else "0"
             )
-        verdict = decide(theta, budget=args.budget, seed=args.seed)
+        verdict = classify.decide(theta, budget=args.budget, seed=args.seed)
         analysis["verdict"] = verdict.to_json()
         payload["analysis"] = analysis
     return _finish(args, "theta", payload, artifact=payload["theta"])
@@ -293,18 +293,18 @@ def cmd_theta(args):
 def cmd_reduce(args):
     phi = _load_endo(args.phi, args.ring)
     gens = [phi.ring.parse_literal(t) for t in args.ideal.split(",")]
-    ideal = IdealHandle(phi.ring, gens)
-    reduced = reduce_mod(phi, ideal).to_json()
+    ideal = endo.IdealHandle(phi.ring, gens)
+    reduced = endo.reduce_mod(phi, ideal).to_json()
     return _finish(args, "reduce", reduced, artifact=reduced)
 
 
 def cmd_ngg_check(args):
     phi = _load_endo(args.phi, args.ring)
-    member = no_good_monomials(phi)
+    member = classify.no_good_monomials(phi)
     payload = {"ngg": member}
     if not member:
         for j, img in enumerate(phi.images, start=1):
-            goods = good_monomials(img)
+            goods = classify.good_monomials(img)
             if goods:
                 payload["witness"] = _good_entry(phi, j, *goods[0])
                 break
@@ -399,36 +399,20 @@ def build_parser():
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PolynomialSyntaxError as exc:
-        sys.stdout.write(
-            emit_report(
-                {
-                    "status": "error",
-                    "command": args.command,
-                    "payload": {"error": str(exc), "position": exc.position},
-                    "diagnostics": [],
-                },
-                args.format,
-            )
-        )
-        return ERROR
+        payload = {"error": str(exc), "position": exc.position}
     except (CotameError, ValueError, OSError, KeyError) as exc:
-        sys.stdout.write(
-            emit_report(
-                {
-                    "status": "error",
-                    "command": args.command,
-                    "payload": {"error": str(exc)},
-                    "diagnostics": [],
-                },
-                args.format,
-            )
-        )
-        return ERROR
+        payload = {"error": str(exc)}
+    except Exception as exc:
+        # a defect, or a lazily loaded module that fails: still one report
+        payload = {"error": f"internal error: {type(exc).__name__}: {exc}"}
+    result = {"status": "error", "command": args.command, "payload": payload,
+              "diagnostics": []}
+    sys.stdout.write(emit_report(result, args.format))
+    return ERROR
 
 
 def main():

@@ -4,7 +4,9 @@ A tuple (f_1, ..., f_n) acts by x_i -> f_i.  Composition follows the
 convention (phi o psi)(x_i) = psi(x_i) evaluated at phi's images, i.e.
 apply psi's substitution first, then phi's.  Invertibility is never
 inferred from a bare tuple: it is carried by construction (affine,
-elementary, triangular, or word with invertible letters).
+elementary, triangular, or word with invertible letters).  The word
+verifier (`first_mismatch`, `verify_witness`) lives here too, so checking a
+word needs none of the code that builds one.
 """
 
 from __future__ import annotations
@@ -683,6 +685,24 @@ class GeneratorWord:
                                       lambda v: type(v) is int and v in (1, -1),
                                       "1 or -1"))
         return cls(ambient, letters)
+
+
+def first_mismatch(word, phi, target, phi_inverse=None):
+    """The first variable whose image differs between the word's value and
+    the target, both extended to ambient; None when they agree exactly."""
+    if isinstance(target, Polynomial):
+        target = elementary(target)
+    value = word.evaluate(phi, phi_inverse)
+    expected = extend(target, word.ambient - target.nvars)
+    for i in range(word.ambient):
+        if value.images[i] != expected.images[i]:
+            return i + 1
+    return None
+
+
+def verify_witness(word, phi, target, phi_inverse=None):
+    """Exact check: the word evaluates to the target, both extended to ambient."""
+    return first_mismatch(word, phi, target, phi_inverse) is None
 
 
 def conjugate_word(word, sigma):

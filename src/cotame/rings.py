@@ -14,6 +14,7 @@ and polynomial division.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -174,7 +175,8 @@ class Ring:
             raise Unsupported(f"{self.spec_string()} is not finite")
         return [RingElement(self, self.index_value(i)) for i in range(self.order)]
 
-    def unit_values(self):
+    def iter_units(self):
+        """The unit values, lazily, in a fixed deterministic order."""
         raise Unsupported(f"cannot enumerate units of {self.spec_string()}")
 
     def sort_key(self, value):
@@ -397,8 +399,8 @@ class IntegerModRing(Ring):
         """The i-th element, 0 <= i < order: zero first, one second."""
         return i
 
-    def unit_values(self):
-        return [a for a in range(1, self.n) if math.gcd(a, self.n) == 1]
+    def iter_units(self):
+        return (a for a in range(1, self.n) if math.gcd(a, self.n) == 1)
 
     def sort_key(self, value):
         return value
@@ -574,7 +576,7 @@ class GaloisField(Ring):
         m = self.order - 1
         one = self.one_value()
         # y need not generate: under y^2 + 1 over F_3 it has order 4
-        for g in self.unit_values():
+        for g in self.iter_units():
             powers, v = [one], g
             while v != one:
                 powers.append(v)
@@ -684,8 +686,8 @@ class GaloisField(Ring):
             i //= self.p
         return tuple(coeffs)
 
-    def unit_values(self):
-        return [self.index_value(i) for i in range(1, self.order)]
+    def iter_units(self):
+        return (self.index_value(i) for i in range(1, self.order))
 
     def sort_key(self, value):
         return sum(c * self.p**i for i, c in enumerate(value))
@@ -765,7 +767,7 @@ def enumerate_units(ring):
     """All units of a finite ring in a fixed deterministic order."""
     if not ring.is_finite:
         raise Unsupported(f"{ring.spec_string()} has infinitely many elements")
-    return [RingElement(ring, v) for v in ring.unit_values()]
+    return [RingElement(ring, v) for v in ring.iter_units()]
 
 
 def find_special_unit(ring):
@@ -774,7 +776,7 @@ def find_special_unit(ring):
         return ring.one
     if isinstance(ring, IntegerRing):
         raise NoSuchUnit("Z has no unit u with u+1 a unit")
-    for v in ring.unit_values():
+    for v in ring.iter_units():
         if ring.is_unit(ring.add(v, ring.one_value())):
             return RingElement(ring, v)
     raise NoSuchUnit(f"{ring.spec_string()} has no unit u with u+1 a unit")
@@ -786,9 +788,9 @@ def distinct_scalars(ring, count):
         return [ring.of(i) for i in range(1, count + 1)]
     if not ring.is_finite:
         raise Unsupported(f"cannot pick scalars from {ring.spec_string()}")
-    units = ring.unit_values()
+    units = list(itertools.islice(ring.iter_units(), count))
     if len(units) < count:
         raise DegreeConditionError(
             f"need {count} distinct units but {ring.spec_string()} has {len(units)}"
         )
-    return [RingElement(ring, v) for v in units[:count]]
+    return [RingElement(ring, v) for v in units]

@@ -33,10 +33,9 @@ from .endo import (
     GeneratorWord,
     compose,
     conjugate_word,
-    elementary,
-    extend,
     invert_structured,
     swap_perm,
+    verify_witness,  # re-exported: the verifier lives in endo
 )
 from .errors import (
     DegreeConditionError,
@@ -726,24 +725,6 @@ def build_witness_with_info(
 def build_witness(phi, target, k_size="auto", **kwargs):
     word, _ = build_witness_with_info(phi, target, k_size=k_size, **kwargs)
     return word
-
-
-def first_mismatch(word, phi, target, phi_inverse=None):
-    """The first variable whose image differs between the word's value and
-    the target, both extended to ambient; None when they agree exactly."""
-    if isinstance(target, Polynomial):
-        target = elementary(target)
-    value = word.evaluate(phi, phi_inverse)
-    expected = extend(target, word.ambient - target.nvars)
-    for i in range(word.ambient):
-        if value.images[i] != expected.images[i]:
-            return i + 1
-    return None
-
-
-def verify_witness(word, phi, target, phi_inverse=None):
-    """Exact check: the word evaluates to the target, both extended to ambient."""
-    return first_mismatch(word, phi, target, phi_inverse) is None
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,6 @@ def test_classify_scans_once(tmp_path, capsys, monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(cotame.classify, "span_good_scan", counted)
-    monkeypatch.setattr(cotame.cli, "span_good_scan", counted)
     phi = write_phi(tmp_path, "phi.json", "GF:3^2", 3, ["x1 + x2^5", "x2", "x3"])
     code, out = run_cli(capsys, ["classify", "--phi", phi])
     assert code == OK
@@ -579,3 +578,51 @@ def test_decide_on_the_largest_ring_specs(tmp_path, capsys, ring, images, answer
     code, out = run_cli(capsys, ["decide", "--phi", phi])
     assert time.perf_counter() - start < 2
     assert code == OK and json.loads(out)["payload"]["answer"] == answer
+
+
+def test_witness_on_the_largest_prime_field(tmp_path, capsys):
+    # the interpolation scalars are the first few units, not all 2^24 - 3
+    phi = write_phi(tmp_path, "phi.json", "Fp:16777213", 3,
+                    ["x1 + x2^2*x3", "x2", "x3"])
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["witness", "--phi", phi, "--target", "x2*x3"])
+    assert time.perf_counter() - start < 2
+    assert code == OK and json.loads(out)["payload"]["verified"] is True
+
+
+class _FailingModule:
+    """Stands in for a lazily loaded module whose code fails on first use."""
+
+    def __getattr__(self, name):
+        if name.startswith("__"):  # introspection by pytest
+            raise AttributeError(name)
+        raise SyntaxError("invalid syntax")
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("attr, value, argv, message", [
+    ("cmd_parse", _raise_runtime_error,
+     ["parse", "--ring", "Q", "--n", "1", "--poly", "x1"],
+     "internal error: RuntimeError: boom"),
+    ("classify", _FailingModule(), ["decide", "--phi", "PHI"],
+     "internal error: SyntaxError: invalid syntax"),
+], ids=["runtime-error", "failing-module"])
+def test_unexpected_exception_is_one_json_report(tmp_path, capsys, monkeypatch,
+                                                 attr, value, argv, message):
+    import cotame.cli
+
+    monkeypatch.setattr(cotame.cli, attr, value)
+    phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
+    code = run([phi if a == "PHI" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == ERROR
+    assert json.loads(captured.out) == {
+        "status": "error",
+        "command": argv[0],
+        "payload": {"error": message},
+        "diagnostics": [],
+    }
+    assert captured.err == "" and "Traceback" not in captured.out

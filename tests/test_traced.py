@@ -4,9 +4,15 @@ than break ``bench/run.py --trace 1`` at run time."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = ROOT / "bench" / "traced.py"
+SRC = ROOT / "src"
 
 
 def load_traced():
@@ -28,3 +34,22 @@ def test_every_wrapped_name_resolves():
                 assert attr in vars(getattr(owner, cls_name)), (name, path)
             else:
                 assert callable(getattr(owner, path, None)), (name, path)
+
+
+def test_traced_run_of_a_decide_request(tmp_path):
+    # install() reads modules the CLI registers for lazy loading
+    (tmp_path / "phi.json").write_text(json.dumps(
+        {"ring": "Fp:5", "n": 3, "images": ["x1 + x2*x3", "x2", "x3"]}
+    ))
+    spans = tmp_path / "spans.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "r1", "--",
+         "decide", "--phi", "phi.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["answer"] == "StablyCotame"
+    record = json.loads(spans.read_text().splitlines()[0])
+    assert record["exit"] == 0
+    assert record["agg"]["classify.decide"][0] == 1
