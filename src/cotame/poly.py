@@ -5,17 +5,20 @@ values of the attached ring.  The variable count is fixed per polynomial;
 moving to more variables is an explicit embed step.  Degrees of the zero
 polynomial are the distinguished NEG_INF marker, never an integer.
 
-Products pack each exponent tuple into one int internally (fixed bit
-fields sized per call from the operands), so a monomial product is one int
-add; the result is unpacked, and `terms` stays the exponent-tuple dict.
+Products and substitutions run on packed monomials (Monagan & Pearce):
+each exponent tuple becomes one mixed-radix int, with a radix per variable
+above any exponent the computation reaches, so a monomial product is one
+int add that never carries.  Results are unpacked, so `terms` stays the
+exponent-tuple dict.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
-from .rings import IntegerModRing, IntegerRing, RingElement, is_prime
+from .rings import IntegerModRing, IntegerRing, RationalField, RingElement, is_prime
 
 
 class _NegInfinity:
@@ -69,32 +72,79 @@ def _term_order_key(exps):
     return (sum(exps), exps)
 
 
-# Rings whose raw values are Python ints (Z, Z/n, F_p): products accumulate
-# as plain ints and reduce once per output term.
-_INT_VALUED = (IntegerRing, IntegerModRing)
-
-
 def _max_exponents(terms):
     """The largest exponent of each variable over a nonempty term dict."""
     return [max(column) for column in zip(*terms)]
 
 
-def _pack_terms(terms, width):
-    """(key, value) pairs, key holding exps[i] in bits [i*width, (i+1)*width)."""
-    out = []
-    for exps, v in terms.items():
-        key = 0
-        for e in reversed(exps):
-            key = (key << width) | e
-        out.append((key, v))
+def _pack(terms, radices):
+    """(key, value) pairs, key the mixed-radix number with digits exps."""
+    places = [1]
+    for r in radices[:-1]:
+        places.append(places[-1] * r)
+    return [(sum(map(operator.mul, exps, places)), v) for exps, v in terms.items()]
+
+
+def _unpack(packed, radices):
+    """The exponent-tuple dict of a dict keyed by packed monomials."""
+    out = {}
+    for key, v in packed.items():
+        exps = []
+        for r in radices:
+            key, e = divmod(key, r)
+            exps.append(e)
+        out[tuple(exps)] = v
     return out
 
 
-def _unpack_terms(packed, width, nvars):
-    """The exponent-tuple dict of a dict keyed by packed monomials."""
-    mask = (1 << width) - 1
-    shifts = range(0, width * nvars, width)
-    return {tuple([(k >> s) & mask for s in shifts]): v for k, v in packed.items()}
+def _mul_into(acc, left, right, ring):
+    """acc += left * right over packed (key, value) pairs.  Over Z, Z/n, F_p
+    and Q the raw values take native + and *, and sums stay unreduced."""
+    get = acc.get
+    if isinstance(ring, (IntegerRing, IntegerModRing, RationalField)):
+        for k1, v1 in left:
+            for k2, v2 in right:
+                key = k1 + k2
+                acc[key] = get(key, 0) + v1 * v2
+    else:
+        mul, add, zero = ring.mul, ring.add, ring.zero_value()
+        for k1, v1 in left:
+            for k2, v2 in right:
+                key = k1 + k2
+                acc[key] = add(get(key, zero), mul(v1, v2))
+
+
+def _reduce(acc, ring):
+    """The nonzero reduced values of an accumulator filled by `_mul_into`."""
+    if isinstance(ring, IntegerModRing):
+        n = ring.n
+        return {k: r for k, v in acc.items() if (r := v % n)}
+    zero = ring.zero_value()
+    return {k: v for k, v in acc.items() if v != zero}
+
+
+def _powers(g, needed, ring):
+    """{e: g^e} over packed terms for 1, each e > 1 in needed and its halves,
+    each built once.  So g^e = g^a * g^(e-a) is always at hand; the cheapest
+    such pair in term pairs is set against steps g * g^(s-1) from the largest
+    built power, counted at that power's size, and the cheaper is taken."""
+    closure = {h for e in needed for s in range(e.bit_length())
+               for h in (e >> s, -(-e >> s)) if h > 1}
+    built = {1: g}
+    for e in sorted(closure):
+        if e in built:
+            continue
+        top = max(built)
+        cost, a = min((len(built[a]) * len(built[e - a]), a)
+                      for a in built if e - a in built)
+        steps = [e]
+        if cost > (e - top) * len(g) * len(built[top]):
+            steps, a = range(top + 1, e + 1), 1
+        for s in steps:
+            acc = {}
+            _mul_into(acc, built[a].items(), built[s - a].items(), ring)
+            built[s] = _reduce(acc, ring)
+    return built
 
 
 class Polynomial:
@@ -186,43 +236,12 @@ class Polynomial:
         ring = self.ring
         if not self.terms or not other.terms:
             return Polynomial(ring, self.nvars)
-        # Packed monomials (Monagan & Pearce): each exponent tuple becomes one
-        # int with fixed bit fields wide enough for the largest exponent sum
-        # in any variable, so a monomial product is one int add.
-        widest = max(
-            a + b
-            for a, b in zip(_max_exponents(self.terms), _max_exponents(other.terms))
-        )
-        width = max(widest.bit_length(), 1)
-        left = _pack_terms(self.terms, width)
-        right = _pack_terms(other.terms, width)
-        if isinstance(ring, _INT_VALUED):
-            # Raw integer products, reduced mod n once per output term.
-            acc = {}
-            get = acc.get
-            for k1, v1 in left:
-                for k2, v2 in right:
-                    key = k1 + k2
-                    acc[key] = get(key, 0) + v1 * v2
-            if isinstance(ring, IntegerModRing):
-                n = ring.n
-                packed = {k: r for k, v in acc.items() if (r := v % n)}
-            else:
-                packed = {k: v for k, v in acc.items() if v}
-        else:
-            zero = ring.zero_value()
-            mul, add = ring.mul, ring.add
-            packed = {}
-            for k1, v1 in left:
-                for k2, v2 in right:
-                    key = k1 + k2
-                    s = add(packed.get(key, zero), mul(v1, v2))
-                    if s == zero:
-                        packed.pop(key, None)
-                    else:
-                        packed[key] = s
+        radices = [a + b + 1 for a, b in zip(
+            _max_exponents(self.terms), _max_exponents(other.terms))]
+        acc = {}
+        _mul_into(acc, _pack(self.terms, radices), _pack(other.terms, radices), ring)
         out = Polynomial(ring, self.nvars)
-        out.terms = _unpack_terms(packed, width, self.nvars)
+        out.terms = _unpack(_reduce(acc, ring), radices)
         return out
 
     def scale(self, c):
@@ -265,11 +284,20 @@ class Polynomial:
 
     # -- substitution -------------------------------------------------------------
     def substitute(self, images):
-        """f(images[0], ..., images[n-1]); the result lives where the images do."""
+        """f(images[0], ..., images[n-1]); the result lives where the images do.
+
+        An affine f is a direct linear combination of the images.  Any other
+        f is one packed kernel.  The radix of x_j's digit is 1 + the largest
+        sum_i e_i * deg_j(images[i]) over the terms of f, which bounds every
+        exponent of x_j reached below.  f is evaluated by Horner's rule over
+        its variables, the image with the most terms outermost: f = sum_k
+        images[i]^k * f_k(the other images), each f_k likewise.  Each image
+        power is built once (`_powers`).  Over Z, Z/n, F_p and Q the sums are
+        native and unreduced within one Horner level, which reduces them
+        once; the result is unpacked once.
+        """
         if len(images) != self.nvars:
-            raise ValueError(
-                f"need {self.nvars} images, got {len(images)}"
-            )
+            raise ValueError(f"need {self.nvars} images, got {len(images)}")
         ring = self.ring
         if not images:
             raise ValueError("substitution needs at least one variable")
@@ -277,35 +305,40 @@ class Polynomial:
         for img in images:
             if img.ring != ring or img.nvars != m:
                 raise ValueError("images must share the ring and a variable count")
-        power_cache = {}
+        if self.is_affine():
+            mul, add, zero = ring.mul, ring.add, ring.zero_value()
+            constant = {(0,) * m: ring.one_value()}
+            acc = {}
+            for exps, v in self.terms.items():
+                terms = images[exps.index(1)].terms if any(exps) else constant
+                for key, pv in terms.items():
+                    acc[key] = add(acc.get(key, zero), mul(v, pv))
+            return Polynomial(ring, m, acc)
+        terms = list(self.terms.items())
+        order = sorted((i for i in range(self.nvars) if any(e[i] for e, _ in terms)),
+                       key=lambda i: -len(images[i].terms))
+        degrees = {i: _max_exponents(images[i].terms or [(0,) * m]) for i in order}
+        radices = [1 + max(sum(e[i] * degrees[i][j] for i in order) for e, _ in terms)
+                   for j in range(m)]
+        powers = {i: _powers(dict(_pack(images[i].terms, radices)),
+                             {e[i] for e, _ in terms}, ring) for i in order}
 
-        def img_power(i, e):
-            key = (i, e)
-            hit = power_cache.get(key)
-            if hit is None:
-                hit = images[i] ** e
-                power_cache[key] = hit
-            return hit
+        def horner(part, depth):
+            if depth == len(order):
+                return {0: part[0][1]}
+            i, groups = order[depth], {}
+            for term in part:
+                groups.setdefault(term[0][i], []).append(term)
+            # the terms free of x_i are taken as they are, not times images[i]^0
+            acc = horner(groups.pop(0), depth + 1) if 0 in groups else {}
+            for k, group in groups.items():
+                _mul_into(acc, horner(group, depth + 1).items(),
+                          powers[i][k].items(), ring)
+            return _reduce(acc, ring) if groups else acc
 
-        zero = ring.zero_value()
-        mul, add = ring.mul, ring.add
-        constant = {(0,) * m: ring.one_value()}
-        acc = {}
-        for exps, v in self.terms.items():
-            # the product of the image powers, scaled by v as it is collected
-            piece = None
-            for i, e in enumerate(exps):
-                if e:
-                    power = img_power(i, e)
-                    piece = power if piece is None else piece * power
-            terms = constant if piece is None else piece.terms
-            for key, pv in terms.items():
-                s = add(acc.get(key, zero), mul(v, pv))
-                if s == zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return Polynomial(ring, m, acc)
+        out = Polynomial(ring, m)
+        out.terms = _unpack(horner(terms, 0), radices)
+        return out
 
     def embed(self, nvars):
         """The same polynomial viewed inside a larger variable set."""
