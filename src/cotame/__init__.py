@@ -7,7 +7,8 @@ an explicit generator word that a dumb evaluator can re-check.
 
 Importing the package runs none of its submodules: each public name is
 looked up in its submodule on first access (PEP 562), so a command that
-never touches, say, ``witness`` never compiles it.
+never touches, say, ``witness`` never compiles it; ``decide`` loads
+``delta`` and ``linalg`` only when the difference-operator search runs.
 """
 
 from importlib import import_module as _import_module
@@ -31,10 +32,13 @@ _EXPORTS = {
         "good_monomial_type", "no_good_monomials", "pattern_membership",
     ),
     "witness": (
-        "DeltaSpec", "SpanDecomposition", "build_witness", "compile_last_word",
-        "compile_tame_word", "convert_cube", "convert_square", "delta_apply",
-        "delta_module_membership", "delta_power", "delta_route",
-        "shift_extract", "theta_map", "vandermonde_extract",
+        "SpanDecomposition", "build_witness", "compile_last_word",
+        "compile_tame_word", "convert_cube", "convert_square",
+        "delta_decomposition", "shift_extract", "theta_map", "vandermonde_extract",
+    ),
+    "delta": (
+        "DeltaSpec", "delta_apply", "delta_match", "delta_module_membership",
+        "delta_power",
     ),
     "errors": (),  # in __all__ as before; its names stay in cotame.errors
 }

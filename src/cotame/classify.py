@@ -15,7 +15,6 @@ import bisect
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
 
 from .endo import IdealHandle, reduce_mod
 from .errors import CompositeCharacteristic, NoSuchUnit, Unsupported
@@ -24,6 +23,7 @@ from .rings import (
     IntegerModRing,
     IntegerRing,
     PrimeField,
+    Record,
     RingElement,
     find_special_unit,
     is_prime,
@@ -38,11 +38,13 @@ def _guard_characteristic(p):
     return p
 
 
-@dataclass(frozen=True)
-class GoodMonomialType:
-    tag: str  # one of "I".."V" or "NotGood"
-    i: int | None = None  # 1-based witness indices; j == i in one variable
-    j: int | None = None
+class GoodMonomialType(Record):
+    __slots__ = _fields = ("tag", "i", "j")
+
+    def __init__(self, tag, i=None, j=None):
+        self.tag = tag  # one of "I".."V" or "NotGood"
+        self.i = i  # 1-based witness indices; j == i in one variable
+        self.j = j
 
     def is_good(self):
         return self.tag != "NotGood"
@@ -152,13 +154,13 @@ def degree_condition(f, k_size):
 # span scan: good coefficients of degree-condition span elements
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpanWitness:
-    combo: tuple  # raw coefficient values c with candidate = sum c_i * phi(x_i) - linear part
-    candidate: Polynomial
-    monomial: tuple
-    coefficient: RingElement
-    gm_type: GoodMonomialType
+class SpanWitness(Record):
+    # combo: raw coefficient values c with candidate = sum c_i * phi(x_i) - linear part
+    __slots__ = _fields = ("combo", "candidate", "monomial", "coefficient", "gm_type")
+
+    def __init__(self, combo, candidate, monomial, coefficient, gm_type):
+        self.combo, self.candidate, self.monomial = combo, candidate, monomial
+        self.coefficient, self.gm_type = coefficient, gm_type
 
     def describe(self):
         return {
@@ -172,13 +174,14 @@ class SpanWitness:
         }
 
 
-@dataclass
-class SpanScan:
-    handle: IdealHandle
-    witnesses: list = field(default_factory=list)
-    exhaustive: bool = False
-    examined: int = 0
-    diagnostics: list = field(default_factory=list)
+class SpanScan(Record):
+    __slots__ = _fields = (
+        "handle", "witnesses", "exhaustive", "examined", "diagnostics"
+    )
+
+    def __init__(self, handle, witnesses, exhaustive, examined, diagnostics):
+        self.handle, self.witnesses, self.exhaustive = handle, witnesses, exhaustive
+        self.examined, self.diagnostics = examined, diagnostics
 
     def certified_full(self):
         return self.handle.is_full()
@@ -322,24 +325,21 @@ def span_good_scan(phi, k_size, budget=200000, seed=0):
 # exponent patterns and maps with no good monomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModulePattern:
+class ModulePattern(Record):
     """Monomial pattern R[x^{p^d}] + sum_i sum_{u in N} R[x^{p^e}] x_i^{p^u}."""
 
-    p: int
-    d: int
-    e: int
-    shifts: frozenset
+    __slots__ = _fields = ("p", "d", "e", "shifts")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise CompositeCharacteristic(f"{self.p} is not prime")
-        if not (0 <= self.d <= self.e):
+    def __init__(self, p, d, e, shifts):
+        self.p, self.d, self.e, self.shifts = p, d, e, shifts
+        if not is_prime(p):
+            raise CompositeCharacteristic(f"{p} is not prime")
+        if not (0 <= d <= e):
             raise ValueError("need 0 <= d <= e")
-        if not self.shifts:
+        if not shifts:
             raise ValueError("the shift set must be nonempty")
-        for u, v in itertools.product(self.shifts, repeat=2):
-            if (u + v) not in self.shifts and (u + v) < self.d:
+        for u, v in itertools.product(shifts, repeat=2):
+            if (u + v) not in shifts and (u + v) < d:
                 raise ValueError(
                     f"shift set violates closure: {u}+{v} not in N and < d"
                 )
@@ -465,17 +465,19 @@ def direct_pattern_scan(phi):
 # top-level decision
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Verdict:
-    answer: str  # "StablyCotame" | "NotStablyCotame" | "Unknown"
-    route: str | None = None
-    reason: str | None = None
-    certificate: dict | None = None
-    diagnostics: list = field(default_factory=list)
-    # what the searches found, kept in memory for witness and classify:
-    # "direct" (the direct_pattern_scan match), "scan" (the SpanScan) and
-    # "delta" (the (dec, spec, info) of delta_search)
-    evidence: dict = field(default_factory=dict, repr=False, compare=False)
+class Verdict(Record):
+    _fields = ("answer", "route", "reason", "certificate", "diagnostics")
+    __slots__ = _fields + ("evidence",)
+
+    def __init__(self, answer, route=None, reason=None, certificate=None,
+                 diagnostics=None, evidence=None):
+        self.answer = answer  # "StablyCotame" | "NotStablyCotame" | "Unknown"
+        self.route, self.reason, self.certificate = route, reason, certificate
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        # what the searches found, kept in memory for witness and classify,
+        # outside equality and repr: "direct" (the direct_pattern_scan
+        # match), "scan" (the SpanScan) and "delta" (delta_search's match)
+        self.evidence = {} if evidence is None else evidence
 
     def to_json(self):
         cert = None
@@ -610,21 +612,22 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
         )
     if not composite and p != 0 and ring.is_field:
         if p**n <= delta_limit:
-            from .witness import delta_search
+            from .delta import delta_search, pattern_exps
 
             found = delta_search(phi, limit=delta_limit)
             if found is not None:
                 evidence["delta"] = found
-                dec, spec, info = found
+                spec, j, _, pair = found
+                target = pattern_exps((0,) * n, pair)
                 return Verdict(
                     "StablyCotame",
                     route="delta-route",
                     certificate={
                         "kind": "delta",
-                        "image": info["image"],
+                        "image": j,
                         "l": list(spec.l),
-                        "monomial": list(info["monomial"]),
-                        "target": str(dec.target),
+                        "monomial": list(pattern_exps(spec.l, pair)),
+                        "target": str(Polynomial.monomial(ring, target)),
                     },
                     diagnostics=diagnostics,
                     evidence=evidence,

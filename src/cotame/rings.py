@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import (
     DegreeConditionError,
@@ -45,6 +44,26 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+class Record:
+    """Equality, hash and repr over the attributes named in ``_fields``, as
+    a frozen dataclass generates them, without importing ``dataclasses``."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 class RingElement:
@@ -219,6 +238,10 @@ class RationalField(Ring):
     kind = "Q"
     characteristic = 0
     is_field = True
+
+    def __init__(self):
+        global Fraction  # imported only by a request that works over Q
+        from fractions import Fraction
 
     def add(self, a, b):
         return a + b

@@ -16,9 +16,6 @@ tame generator.  The compiled word is re-checked by a dumb evaluator.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 from .classify import (
     _strip_linear,
     decide,
@@ -27,6 +24,8 @@ from .classify import (
     resolve_k_size,
     target_kind,
 )
+# delta_search is re-exported: decide runs it, and bench/traced.py wraps it here
+from .delta import delta_search, pattern_exps, unit_plus_affine
 from .endo import (
     AffineMap,
     Endomorphism,
@@ -44,8 +43,9 @@ from .errors import (
     ResourceLimit,
     Unsupported,
 )
+from .linalg import solve_field_system
 from .poly import Polynomial, p_power_split
-from .rings import RingElement, distinct_scalars, find_special_unit, is_prime
+from .rings import Record, RingElement, distinct_scalars, find_special_unit
 
 # Decompositions at most this many terms are re-validated after every
 # transformation; larger ones are checked once at the end of a pipeline
@@ -191,51 +191,6 @@ def dec_linear_combine(pairs, validate="auto"):
 
 def dec_scale(dec, c, validate="auto"):
     return dec_linear_combine([(c, dec)], validate=validate)
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over a field (raw values)
-# ---------------------------------------------------------------------------
-
-def solve_field_system(ring, rows, rhs):
-    """One solution of rows * x = rhs over a field, or None when inconsistent.
-
-    rows may be rectangular; free variables are set to zero.
-    """
-    zero, one = ring.zero_value(), ring.one_value()
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if m[rr][c] != zero:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inv(m[r][c])
-        m[r] = [ring.mul(inv, v) for v in m[r]]
-        for rr in range(nrows):
-            if rr != r and m[rr][c] != zero:
-                factor = m[rr][c]
-                m[rr] = [
-                    ring.sub(v, ring.mul(factor, w)) for v, w in zip(m[rr], m[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for rr in range(r, nrows):
-        if m[rr][ncols] != zero:
-            return None
-    x = [zero] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +569,11 @@ def compile_tame_word(seed_word, seed_kind, f, n):
 # seed construction and the full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WitnessInfo:
-    route: str
-    seed_kind: str
-    seed_dec: SpanDecomposition
+class WitnessInfo(Record):
+    __slots__ = _fields = ("route", "seed_kind", "seed_dec")
+
+    def __init__(self, route, seed_kind, seed_dec):
+        self.route, self.seed_kind, self.seed_dec = route, seed_kind, seed_dec
 
 
 def _seed_from_span(phi, scan, k_size, validate="auto"):
@@ -706,8 +661,8 @@ def build_witness_with_info(
         ksz = resolve_k_size(ring, k_size)
         found = _seed_from_span(phi, evidence["scan"], ksz)
     elif verdict.route == "delta-route":
-        dec, _, delta_info = evidence["delta"]
-        found = normalize_to_seed(dec, delta_info["kind"])
+        spec, j, kind, pair = evidence["delta"]
+        found = normalize_to_seed(delta_decomposition(phi, spec, j, pair), kind)
     elif verdict.route is not None:
         found = _seed_from_direct(phi, evidence["direct"])
     if found is None:
@@ -728,234 +683,36 @@ def build_witness(phi, target, k_size="auto", **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# difference operators: the decomposition behind a delta_match
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaSpec:
-    """Profile for iterated translation differences: orders l_i, steps a_i."""
-
-    ring: object
-    l: tuple
-    a: tuple
-
-    def __post_init__(self):
-        p = self.ring.characteristic
-        if not is_prime(p):
-            raise Unsupported("difference operators need prime characteristic")
-        if len(self.l) != len(self.a):
-            raise ValueError("order and step vectors must have equal length")
-        if any(not 0 <= li <= p - 1 for li in self.l):
-            raise ValueError("orders must satisfy 0 <= l_i <= p-1")
-        for av in self.a:
-            if not self.ring.is_unit(self.ring.coerce_value(av)):
-                raise ValueError("step values must be units")
-
-    @classmethod
-    def ones(cls, ring, l):
-        return cls(ring, tuple(l), tuple(ring.one_value() for _ in l))
-
-
-def delta_apply(f, i, a):
-    """f(..., x_i + a, ...) - f."""
-    ring, n = f.ring, f.nvars
-    images = [Polynomial.variable(ring, n, t + 1) for t in range(n)]
-    images[i - 1] = images[i - 1] + Polynomial.constant(ring, n, a)
-    return f.substitute(images) - f
-
-
-def delta_power(f, spec):
-    """Apply delta_i exactly l_i times for every i."""
-    out = f
+def delta_transport(phi, spec, j, validate="auto"):
+    """Decomposition of delta_power(phi(x_j), spec): each difference is the
+    decomposition transported by the translation minus itself."""
+    ring, n = phi.ring, phi.nvars
+    dec = span_decomposition(phi, _unit_vector(ring, n, j))
     for i, (li, ai) in enumerate(zip(spec.l, spec.a), start=1):
+        eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
         for _ in range(li):
-            out = delta_apply(out, i, ai)
-    return out
+            moved = dec_apply_affine(dec, eta, validate=False)
+            dec = dec_linear_combine([(1, moved), (-1, dec)], validate=validate)
+    return dec
 
 
-def kernel_generator(ring, n, i, a):
-    """x_i^p - a^{p-1} x_i, the invariant of the step-a translation in x_i."""
-    p = ring.characteristic
-    av = ring.coerce_value(a.value if isinstance(a, RingElement) else a)
-    lead = Polynomial.monomial(
-        ring, tuple(p if t == i - 1 else 0 for t in range(n)), ring.one_value()
-    )
-    coeff = ring.pow(av, p - 1)
-    lin = Polynomial.variable(ring, n, i).scale(RingElement(ring, ring.neg(coeff)))
-    return lead + lin
-
-
-def delta_module_membership(f, spec, degree_margin=None):
-    """Membership in sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j.
-
-    A_i is generated by the kernel polynomial q_i and the other variables,
-    so the module is spanned by x_i*x^l and q_i^s * mu * x_i^j with mu a
-    monomial in the remaining variables.  Generators up to deg(f) plus a
-    small margin feed one exact linear solve over the base field.
-    """
-    ring, n = f.ring, f.nvars
-    p = ring.characteristic
-    if not ring.is_field:
-        raise Unsupported("membership solving is implemented over fields")
-    if f.is_zero():
-        return True
-    if degree_margin is None:
-        degree_margin = p
-    D = f.total_deg() + degree_margin
-    gens = []
-    l = spec.l
-    base_exps = tuple(l)
-    # x_0 = 1 alongside the variables
-    gens.append(Polynomial.monomial(ring, base_exps, ring.one_value()))
-    for i in range(1, n + 1):
-        exps = list(base_exps)
-        exps[i - 1] += 1
-        gens.append(Polynomial.monomial(ring, tuple(exps), ring.one_value()))
-    for i in range(1, n + 1):
-        q = kernel_generator(ring, n, i, spec.a[i - 1])
-        q_pows = [Polynomial.constant(ring, n, 1)]
-        while len(q_pows) * p <= D:
-            q_pows.append(q_pows[-1] * q)
-        for j in range(l[i - 1]):
-            for s, qp in enumerate(q_pows):
-                room = D - s * p - j
-                if room < 0:
-                    break
-                xij = Polynomial.monomial(
-                    ring,
-                    tuple(j if t == i - 1 else 0 for t in range(n)),
-                    ring.one_value(),
-                )
-                base = qp * xij
-                for mu in _monomials_avoiding(n, i, room):
-                    gens.append(base * Polynomial.monomial(ring, mu, ring.one_value()))
-    monomials = sorted(
-        set(f.terms) | {e for g in gens for e in g.terms}
-    )
-    index = {e: r for r, e in enumerate(monomials)}
-    zero = ring.zero_value()
-    rows = [[zero] * len(gens) for _ in monomials]
-    for c, g in enumerate(gens):
-        for e, v in g.terms.items():
-            rows[index[e]][c] = v
-    rhs = [zero] * len(monomials)
-    for e, v in f.terms.items():
-        rhs[index[e]] = v
-    return solve_field_system(ring, rows, rhs) is not None
-
-
-def _monomials_avoiding(n, skip_i, max_total):
-    """Exponent tuples in the variables other than x_skip_i, total degree bounded."""
-    other = [t for t in range(n) if t != skip_i - 1]
-    for degs in itertools.product(range(max_total + 1), repeat=len(other)):
-        if sum(degs) <= max_total:
-            exps = [0] * n
-            for t, d in zip(other, degs):
-                exps[t] = d
-            yield tuple(exps)
-
-
-def _admissible_patterns(n, p, l):
-    """(kind, indices) patterns allowed by the order profile l."""
-    out = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if l[u - 1] <= p - 2 and l[v - 1] <= p - 2:
-                out.append(("product", (u, v)))
-    if p >= 3:
-        for u in range(1, n + 1):
-            if l[u - 1] <= p - 3:
-                out.append(("square", (u, u)))
-    return out
-
-
-def delta_route(phi, spec, j, pair=None, validate="auto"):
-    """A decomposition of x_u*x_v (or x_u^2) when phi(x_j) matches the
-    difference-operator pattern unit*m*x^l + (delta-kernel module).
-
-    Candidate monomials of phi(x_j) are matched against m = x_u*x_v*x^l or
-    x_u^2*x^l; the remainder must solve the module membership, after which
-    applying the iterated differences to the decomposition of phi(x_j)
-    leaves unit*target + affine, exactly.
-    """
+def delta_decomposition(phi, spec, j, pair, validate="auto"):
+    """Decomposition of x_u*x_v (x_u^2 when u == v), coefficient one, from the
+    differences of phi(x_j) less their affine rest; None if they are not so."""
     ring, n = phi.ring, phi.nvars
-    p = ring.characteristic
-    l = spec.l
-    patterns = _admissible_patterns(n, p, l)
-    if pair is not None:
-        u, v = pair
-        kind = "square" if u == v else "product"
-        if (kind, (min(u, v), max(u, v)) if u != v else (u, u)) not in patterns:
-            raise ValueError(
-                f"order profile {l} does not admit the {kind} pattern at {pair}"
-            )
-        patterns = [(kind, (min(u, v), max(u, v)) if u != v else (u, u))]
-    img = phi.images[j - 1]
-    for kind, (u, v) in patterns:
-        wanted = list(l)
-        wanted[u - 1] += 1
-        if kind == "product":
-            wanted[v - 1] += 1
-        else:
-            wanted[u - 1] += 1
-        wanted = tuple(wanted)
-        c = img.terms.get(wanted)
-        if c is None or not ring.is_unit(c):
-            continue
-        remainder = img - Polynomial.monomial(ring, wanted, RingElement(ring, c))
-        if not delta_module_membership(remainder, spec):
-            continue
-        dec = span_decomposition(phi, _unit_vector(ring, n, j))
-        for i, (li, ai) in enumerate(zip(spec.l, spec.a), start=1):
-            eta = AffineMap.variable_shift(
-                Polynomial.constant(ring, n, ai), n, i
-            )
-            for _ in range(li):
-                moved = dec_apply_affine(dec, eta, validate=False)
-                dec = dec_linear_combine([(1, moved), (-1, dec)], validate=validate)
-        target = [0] * n
-        target[u - 1] += 1
-        if kind == "product":
-            target[v - 1] += 1
-        else:
-            target[u - 1] += 1
-        target_exps = tuple(target)
-        c2 = dec.target.terms.get(target_exps)
-        if c2 is None or not ring.is_unit(c2):
-            continue
-        rest = dec.target - Polynomial.monomial(
-            ring, target_exps, RingElement(ring, c2)
-        )
-        if not rest.is_affine():
-            continue
-        dec = dec_linear_combine(
-            [(1, dec), (-1, trivial_decomposition(phi, rest))], validate=validate
-        )
-        dec = dec_scale(dec, RingElement(ring, ring.inv(c2)), validate=validate)
-        return dec, {"image": j, "monomial": wanted, "kind": kind, "pair": (u, v)}
-    return None
-
-
-def delta_search(phi, limit=128):
-    """Sweep small order profiles; unit steps of one in every variable."""
-    ring, n = phi.ring, phi.nvars
-    p = ring.characteristic
-    if not (is_prime(p) and ring.is_field):
+    dec = delta_transport(phi, spec, j, validate=validate)
+    target = pattern_exps((0,) * n, pair)
+    c = unit_plus_affine(dec.target, target)
+    if c is None:
         return None
-    if p**n > limit:
-        return None
-    for l in itertools.product(range(p), repeat=n):
-        if all(li == 0 for li in l):
-            continue
-        spec = DeltaSpec.ones(ring, l)
-        if not _admissible_patterns(n, p, l):
-            continue
-        for j in range(1, n + 1):
-            found = delta_route(phi, spec, j)
-            if found is not None:
-                dec, info = found
-                return dec, spec, info
-    return None
+    rest = dec.target - Polynomial.monomial(ring, target, c)
+    dec = dec_linear_combine(
+        [(1, dec), (-1, trivial_decomposition(phi, rest))], validate=validate
+    )
+    return dec_scale(dec, RingElement(ring, ring.inv(c)), validate=validate)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ from cotame.rings import (
     RationalField,
     enumerate_units,
 )
+from cotame.delta import DeltaSpec, delta_match
 from cotame.witness import (
-    DeltaSpec,
     apply_scaling,
     build_witness_with_info,
-    delta_route,
+    delta_decomposition,
     theta_map,
     vandermonde_combination,
     verify_witness,
@@ -289,9 +289,8 @@ def test_criterion_9_delta_route():
     scan = span_good_scan(phi, 3)
     assert not scan.certified_full()
     spec = DeltaSpec.ones(F3, (0, 1, 1))
-    out = delta_route(phi, spec, 1)
-    assert out is not None
-    dec, info = out
+    assert delta_match(phi, spec, 1) == ("product", (2, 3))
+    dec = delta_decomposition(phi, spec, 1, (2, 3))
     assert dec.target == parse_poly("x2*x3", F3, 3)
     dec.validate()
     f = parse_poly("x2*x3", F3, 3)
