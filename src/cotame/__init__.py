@@ -7,8 +7,11 @@ an explicit generator word that a dumb evaluator can re-check.
 
 Importing the package runs none of its submodules: each public name is
 looked up in its submodule on first access (PEP 562), so a command that
-never touches, say, ``witness`` never compiles it; ``decide`` loads
-``delta`` and ``linalg`` only when the difference-operator search runs.
+never touches, say, ``witness`` never compiles it.  The map core
+(``maps``) is apart from affine maps, inversion and words (``endo``), so
+``decide`` never compiles ``endo``; it loads ``delta`` and ``linalg`` only
+when the difference-operator search runs, and only a ``GF:`` ring loads
+``gf``.
 """
 
 from importlib import import_module as _import_module
@@ -16,15 +19,18 @@ from importlib import import_module as _import_module
 # submodule -> the public names it defines
 _EXPORTS = {
     "rings": (
-        "GaloisField", "IntegerModRing", "IntegerRing", "PrimeField",
-        "RationalField", "RingElement", "enumerate_units", "find_special_unit",
-        "ring_from_spec",
+        "IntegerModRing", "IntegerRing", "PrimeField", "RationalField",
+        "RingElement", "enumerate_units", "find_special_unit", "ring_from_spec",
     ),
+    "gf": ("GaloisField",),
     "poly": ("NEG_INF", "Polynomial", "parse_poly"),
+    "maps": (
+        "Endomorphism", "IdealHandle", "compose", "elementary", "elementary_last",
+        "extend", "identity", "reduce_mod",
+    ),
     "endo": (
-        "AffineMap", "Endomorphism", "GeneratorWord", "IdealHandle", "compose",
-        "conjugate", "elementary", "elementary_last", "extend", "identity",
-        "invert_structured", "reduce_mod", "verify_witness",
+        "AffineMap", "GeneratorWord", "conjugate", "invert_structured",
+        "verify_witness",
     ),
     "classify": (
         "GoodMonomialType", "ModulePattern", "Verdict", "decide",

@@ -16,8 +16,9 @@ import itertools
 import operator
 import random
 
-from .endo import IdealHandle, reduce_mod
-from .errors import CompositeCharacteristic, NoSuchUnit, Unsupported
+from .errors import (CompositeCharacteristic, NoRouteFound, NoSuchUnit,
+                     ResourceLimit, Unsupported)
+from .maps import IdealHandle, reduce_mod
 from .poly import Polynomial
 from .rings import (
     IntegerModRing,
@@ -513,6 +514,27 @@ def resolve_k_size(ring, k_size="auto"):
     if not ring.is_field:
         return "unavailable"
     return ring.order if k_size == "auto" else k_size
+
+
+# why a witness request whose verdict has no route ends unknown-verdict
+NO_ROUTE = "no span, direct, or difference-operator route certified this map"
+
+
+def check_witness_target(phi, target, max_degree=4):
+    """The checks on a witness target that come before deciding: n >= 2, the
+    target in R[x_2..x_n] and its degree at most the word-size cap."""
+    if phi.nvars < 2:
+        raise ValueError("need n >= 2")
+    if target.nvars != phi.nvars:
+        raise ValueError("target must live in R[x_1..x_n]")
+    if target.is_zero():
+        return
+    if target.deg_xi(1) > 0:
+        raise NoRouteFound("target must lie in R[x_2..x_n]")
+    if target.total_deg() > max_degree:
+        raise ResourceLimit(
+            f"target degree {target.total_deg()} exceeds the word-size cap {max_degree}"
+        )
 
 
 def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):

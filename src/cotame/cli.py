@@ -34,6 +34,7 @@ def _lazy(name):
     return module
 
 
+maps = _lazy("maps")
 endo = _lazy("endo")
 classify = _lazy("classify")
 witness = _lazy("witness")
@@ -58,7 +59,7 @@ def _load_endo(path, ring_spec=None, n=None):
         raise ValueError(
             f"--ring {ring_spec} conflicts with ring {data['ring']!r} in {path}"
         )
-    phi = endo.Endomorphism.from_json(data, ring=ring)
+    phi = maps.Endomorphism.from_json(data, ring=ring)
     if n is not None and phi.nvars != n:
         raise ValueError(f"--n {n} conflicts with {phi.nvars} images in {path}")
     return phi
@@ -111,6 +112,8 @@ def _finish(args, command, payload, status="ok", diagnostics=None, code=OK,
 
 
 def cmd_parse(args):
+    if args.n < 0:
+        raise ValueError(f"--n must be a non-negative integer, not {args.n}")
     ring = ring_from_spec(args.ring)
     f = parse_poly(args.poly, ring, args.n)
     payload = {
@@ -128,7 +131,7 @@ def cmd_parse(args):
 def cmd_compose(args):
     phi = _load_endo(args.phi, args.ring)
     psi = _load_endo(args.psi, args.ring)
-    value = endo.compose(phi, psi).to_json()
+    value = maps.compose(phi, psi).to_json()
     return _finish(args, "compose", value, artifact=value)
 
 
@@ -208,15 +211,18 @@ def cmd_witness(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     target = parse_poly(args.target, phi.ring, phi.nvars)
     ksize = _k_size(args)
-    inverse = _resolve_inverse(phi, args.phi_inverse)
+    # a supplied inverse is checked first; the builder loads only for a route
+    inverse = _resolve_inverse(phi, args.phi_inverse) if args.phi_inverse else None
     try:
+        classify.check_witness_target(phi, target, args.max_degree)
+        verdict = classify.decide(phi, k_size=ksize, budget=args.budget,
+                                  seed=args.seed)
+        if verdict.route is None:
+            raise NoRouteFound(classify.NO_ROUTE)
+        if inverse is None:
+            inverse = endo.try_invert(phi)
         word, info = witness.build_witness_with_info(
-            phi,
-            target,
-            k_size=ksize,
-            budget=args.budget,
-            seed=args.seed,
-            max_degree=args.max_degree,
+            phi, target, k_size=ksize, max_degree=args.max_degree, verdict=verdict
         )
     except NoRouteFound as exc:
         return _finish(
@@ -250,7 +256,7 @@ def cmd_witness(args):
 def cmd_verify(args):
     phi = _load_endo(args.phi, args.ring)
     word = endo.GeneratorWord.from_json(phi.ring, _load_json(args.word))
-    target = endo.elementary(parse_poly(args.target, phi.ring, phi.nvars))
+    target = maps.elementary(parse_poly(args.target, phi.ring, phi.nvars))
     inverse = _resolve_inverse(phi, args.phi_inverse)
     mismatch = endo.first_mismatch(word, phi, target, inverse)
     if mismatch is None:
@@ -293,8 +299,8 @@ def cmd_theta(args):
 def cmd_reduce(args):
     phi = _load_endo(args.phi, args.ring)
     gens = [phi.ring.parse_literal(t) for t in args.ideal.split(",")]
-    ideal = endo.IdealHandle(phi.ring, gens)
-    reduced = endo.reduce_mod(phi, ideal).to_json()
+    ideal = maps.IdealHandle(phi.ring, gens)
+    reduced = maps.reduce_mod(phi, ideal).to_json()
     return _finish(args, "reduce", reduced, artifact=reduced)
 
 
@@ -311,95 +317,100 @@ def cmd_ngg_check(args):
     return _finish(args, "ngg-check", payload)
 
 
-def build_parser():
+COMMANDS = ("parse", "compose", "invert", "classify", "decide", "witness",
+            "verify", "theta", "reduce", "ngg-check")
+
+
+def build_parser(command=None):
+    """The CLI parser; naming one of COMMANDS adds only that subparser."""
     parser = argparse.ArgumentParser(
         prog="cotame",
         description="Exact decision and certificate tools for stably co-tame"
         " polynomial automorphisms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command if command in COMMANDS else None
+    # with one subparser, usage errors still list every command
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}",
+    )
 
-    def common(p, ring_required=False):
+    def add(name, help, func, ring_required=False):
+        """The subparser for `name` with the common options, or None when
+        another command was named."""
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
         p.add_argument("--ring", required=ring_required,
                        help="ring spec: Q, Z, Zn:<n>, Fp:<p>, GF:<p>^<e>[:mod]")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=200000)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("-o", "--output", help="write the report to this file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("parse", help="parse a polynomial to canonical form")
-    common(p, ring_required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", required=True)
-    p.set_defaults(func=cmd_parse)
+    if p := add("parse", "parse a polynomial to canonical form", cmd_parse,
+                ring_required=True):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("compose", help="compose two maps given as JSON files")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.set_defaults(func=cmd_compose)
+    if p := add("compose", "compose two maps given as JSON files", cmd_compose):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--psi", required=True)
 
-    p = sub.add_parser("invert", help="invert a structured map exactly")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--hint", choices=("affine", "triangular", "elementary"))
-    p.set_defaults(func=cmd_invert)
+    if p := add("invert", "invert a structured map exactly", cmd_invert):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--hint", choices=("affine", "triangular", "elementary"))
 
-    p = sub.add_parser("classify", help="good monomials, ideals and the verdict")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ksize", type=int)
-    p.set_defaults(func=cmd_classify)
+    if p := add("classify", "good monomials, ideals and the verdict",
+                cmd_classify):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--ksize", type=int)
 
-    p = sub.add_parser("decide", help="decide stable co-tameness where possible")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ksize", type=int)
-    p.set_defaults(func=cmd_decide)
+    if p := add("decide", "decide stable co-tameness where possible",
+                cmd_decide):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--ksize", type=int)
 
-    p = sub.add_parser("witness", help="compile a generator word for a target")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--phi-inverse", dest="phi_inverse")
-    p.add_argument("--target", required=True)
-    p.add_argument("--ksize", type=int)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(func=cmd_witness)
+    if p := add("witness", "compile a generator word for a target",
+                cmd_witness):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--phi-inverse", dest="phi_inverse")
+        p.add_argument("--target", required=True)
+        p.add_argument("--ksize", type=int)
+        p.add_argument("--max-degree", type=int, default=4)
 
-    p = sub.add_parser("verify", help="re-check a word against a target exactly")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--phi-inverse", dest="phi_inverse")
-    p.add_argument("--target", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", "re-check a word against a target exactly",
+                cmd_verify):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--phi-inverse", dest="phi_inverse")
+        p.add_argument("--target", required=True)
+        p.add_argument("--word", required=True)
 
-    p = sub.add_parser("theta", help="the swap-conjugate family, exactly")
-    common(p, ring_required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--analyze", action="store_true")
-    p.add_argument("--max-terms", type=int, default=2_000_000)
-    p.set_defaults(func=cmd_theta)
+    if p := add("theta", "the swap-conjugate family, exactly", cmd_theta,
+                ring_required=True):
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--analyze", action="store_true")
+        p.add_argument("--max-terms", type=int, default=2_000_000)
 
-    p = sub.add_parser("reduce", help="pass to a quotient of the coefficient ring")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--ideal", required=True, help="comma-separated generators")
-    p.set_defaults(func=cmd_reduce)
+    if p := add("reduce", "pass to a quotient of the coefficient ring",
+                cmd_reduce):
+        p.add_argument("--phi", required=True)
+        p.add_argument("--ideal", required=True, help="comma-separated generators")
 
-    p = sub.add_parser("ngg-check", help="does the map avoid good monomials?")
-    common(p)
-    p.add_argument("--phi", required=True)
-    p.set_defaults(func=cmd_ngg_check)
+    if p := add("ngg-check", "does the map avoid good monomials?",
+                cmd_ngg_check):
+        p.add_argument("--phi", required=True)
 
     return parser
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except PolynomialSyntaxError as exc:

@@ -17,7 +17,9 @@ tame generator.  The compiled word is re-checked by a dumb evaluator.
 from __future__ import annotations
 
 from .classify import (
+    NO_ROUTE,
     _strip_linear,
+    check_witness_target,
     decide,
     degree_condition,
     good_monomial_type,
@@ -28,9 +30,7 @@ from .classify import (
 from .delta import delta_search, pattern_exps, unit_plus_affine
 from .endo import (
     AffineMap,
-    Endomorphism,
     GeneratorWord,
-    compose,
     conjugate_word,
     invert_structured,
     swap_perm,
@@ -44,6 +44,7 @@ from .errors import (
     Unsupported,
 )
 from .linalg import solve_field_system
+from .maps import Endomorphism, compose
 from .poly import Polynomial, p_power_split
 from .rings import Record, RingElement, distinct_scalars, find_special_unit
 
@@ -633,28 +634,21 @@ def build_witness_with_info(
     seed=0,
     max_degree=4,
     delta_limit=128,
+    verdict=None,
 ):
     """Compile a generator word evaluating to the tame generator epsilon(target).
 
     The word lives in n+1 variables; its evaluation against extend(phi, 1)
     equals extend(elementary(target), 1) exactly.  The seed comes from the
-    evidence of decide's route, so the word certifies decide's verdict.
+    evidence of decide's route, so the word certifies decide's verdict.  A
+    caller that has already decided with these settings passes the verdict.
     """
     ring, n = phi.ring, phi.nvars
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if target.nvars != n:
-        raise ValueError("target must live in R[x_1..x_n]")
-    if not target.is_zero() and target.deg_xi(1) > 0:
-        raise NoRouteFound("target must lie in R[x_2..x_n]")
-    too_big = target.total_deg()
-    if not target.is_zero() and too_big > max_degree:
-        raise ResourceLimit(
-            f"target degree {too_big} exceeds the word-size cap {max_degree}"
+    check_witness_target(phi, target, max_degree)
+    if verdict is None:
+        verdict = decide(
+            phi, k_size=k_size, budget=budget, seed=seed, delta_limit=delta_limit
         )
-    verdict = decide(
-        phi, k_size=k_size, budget=budget, seed=seed, delta_limit=delta_limit
-    )
     evidence = verdict.evidence
     found = None
     if verdict.route == "J-full":
@@ -666,9 +660,7 @@ def build_witness_with_info(
     elif verdict.route is not None:
         found = _seed_from_direct(phi, evidence["direct"])
     if found is None:
-        raise NoRouteFound(
-            "no span, direct, or difference-operator route certified this map"
-        )
+        raise NoRouteFound(NO_ROUTE)
     seed_dec, seed_kind = found
     if seed_kind == "cube" and n != 2:
         raise NoRouteFound("cube seed arose outside n = 2")

@@ -15,18 +15,11 @@ from cotame.classify import (
     no_good_monomials,
     span_good_scan,
 )
-from cotame.endo import (
-    AffineMap,
-    IdealHandle,
-    compose,
-    elementary,
-    identity,
-    invert_structured,
-    reduce_mod,
-)
+from cotame.endo import AffineMap, invert_structured
+from cotame.gf import GaloisField
+from cotame.maps import IdealHandle, compose, elementary, identity, reduce_mod
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
-    GaloisField,
     IntegerModRing,
     PrimeField,
     RationalField,

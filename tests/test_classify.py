@@ -24,19 +24,12 @@ from cotame.classify import (
     resolve_k_size,
     span_good_scan,
 )
-from cotame.endo import (
-    AffineMap,
-    Endomorphism,
-    IdealHandle,
-    compose,
-    elementary,
-    identity,
-    invert_structured,
-)
+from cotame.endo import AffineMap, invert_structured
 from cotame.errors import CompositeCharacteristic
+from cotame.gf import GaloisField
+from cotame.maps import Endomorphism, IdealHandle, compose, elementary, identity
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
-    GaloisField,
     IntegerModRing,
     IntegerRing,
     PrimeField,

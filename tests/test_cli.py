@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cotame.cli import run
+from cotame.cli import COMMANDS, build_parser, run
 
 OK, ERROR, UNKNOWN = 0, 1, 2
 
@@ -626,3 +626,115 @@ def test_unexpected_exception_is_one_json_report(tmp_path, capsys, monkeypatch,
         "diagnostics": [],
     }
     assert captured.err == "" and "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("n", ["-2", "-1"])
+def test_parse_refuses_a_negative_n(capsys, n):
+    code, out = run_cli(capsys, ["parse", "--ring", "Fp:5", "--n", n, "--poly", "3"])
+    assert code == ERROR
+    assert json.loads(out) == {
+        "status": "error",
+        "command": "parse",
+        "payload": {"error": f"--n must be a non-negative integer, not {n}"},
+        "diagnostics": [],
+    }
+
+
+def exit_outcome(capsys, parse, argv):
+    """stdout, stderr and exit code of parse(argv), which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("tail", [["--help"], [], ["--format", "xml"],
+                                  ["--phi", "p.json", "--stray"]],
+                         ids=["help", "missing-option", "bad-choice", "unrecognized"])
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, command, tail):
+    argv = [command, *tail]
+    single = exit_outcome(capsys, build_parser(command).parse_args, argv)
+    assert single == exit_outcome(capsys, build_parser().parse_args, argv)
+    assert single[2] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--format", "text"]])
+def test_usage_without_a_command_lists_every_command(capsys, argv):
+    out, err, code = exit_outcome(capsys, run, argv)
+    assert "{" + ",".join(COMMANDS) + "}" in out + err
+    assert code == (0 if argv == ["--help"] else 2)
+    if argv == ["--help"]:
+        assert all(f"    {name} " in out for name in COMMANDS)
+
+
+NO_ROUTE = "no span, direct, or difference-operator route certified this map"
+BAD_INVERSE = "supplied inverse fails the composition check"
+
+
+# (map name, target, --phi-inverse or None, extra options, exit code, error):
+# a supplied inverse is checked first, then n, x1 in the target and the
+# degree cap, and only then the verdict
+WITNESS_PRECEDENCE = [
+    ("phi", "T", "bad", [], ERROR, BAD_INVERSE),
+    ("phi", "x1*x2", "bad", [], ERROR, BAD_INVERSE),
+    ("phi", "x2^5", "bad", [], ERROR, BAD_INVERSE),
+    ("phi", "x1*x2", None, [], UNKNOWN, "target must lie in R[x_2..x_n]"),
+    ("phi", "x1^9", None, [], UNKNOWN, "target must lie in R[x_2..x_n]"),
+    ("phi", "x2^5", None, [], ERROR, "target degree 5 exceeds the word-size cap 4"),
+    ("phi", "x2^3", None, ["--max-degree", "2"], ERROR,
+     "target degree 3 exceeds the word-size cap 2"),
+    ("one", "1", None, [], ERROR, "need n >= 2"),
+    ("one", "x1", None, [], ERROR, "need n >= 2"),
+    ("phi", "T", None, [], UNKNOWN, NO_ROUTE),
+    ("phi", "T", "phi", [], UNKNOWN, NO_ROUTE),
+]
+
+
+@pytest.mark.parametrize("ring, images, target", [
+    ("GF:2^5", ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"], "x2*x3"),
+    ("Zn:6", ["x1 + 3*x2^2", "x2"], "x2^2"),
+], ids=["GF(2^5)", "Z/6"])
+@pytest.mark.parametrize("name, target_text, inverse, extra, code, error",
+                         WITNESS_PRECEDENCE)
+def test_witness_errors_keep_their_precedence(tmp_path, capsys, ring, images,
+                                              target, name, target_text,
+                                              inverse, extra, code, error):
+    n = len(images)
+    shear = ["x1"] + [f"x{i}" for i in range(2, n)] + [f"x{n} + 1"]
+    files = {
+        "phi": write_phi(tmp_path, "phi.json", ring, n, images),
+        "bad": write_phi(tmp_path, "bad.json", ring, n, shear),
+        "one": write_phi(tmp_path, "one.json", ring, 1, ["x1 + 1"]),
+    }
+    argv = ["witness", "--phi", files[name],
+            "--target", target if target_text == "T" else target_text, *extra]
+    if inverse is not None:
+        argv += ["--phi-inverse", files[inverse]]
+    assert run_cli(capsys, argv) == (code, json.dumps({
+        "status": "unknown-verdict" if code == UNKNOWN else "error",
+        "command": "witness",
+        "payload": {"error": error},
+        "diagnostics": [],
+    }, indent=2) + "\n")
+
+
+def test_witness_decides_once(tmp_path, capsys, monkeypatch):
+    import cotame.classify
+    import cotame.witness
+
+    theta = str(tmp_path / "theta.json")
+    run_cli(capsys, ["theta", "--ring", "Fp:7", "--N", "1", "-o", theta])
+    calls = []
+    decide = cotame.classify.decide
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(cotame.classify, "decide", counted)
+    monkeypatch.setattr(cotame.witness, "decide", counted)
+    code, out = run_cli(capsys, ["witness", "--phi", theta, "--target", "x2*x3"])
+    assert code == OK
+    assert json.loads(out)["payload"]["route"] == "J-full"
+    assert len(calls) == 1

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cotame.classify import decide
-from cotame.endo import AffineMap, Endomorphism, elementary, try_invert
+from cotame.endo import AffineMap, try_invert
+from cotame.maps import Endomorphism, elementary
 from cotame.errors import Unsupported
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import PrimeField

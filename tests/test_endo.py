@@ -8,24 +8,27 @@ from hypothesis import strategies as st
 
 from cotame.endo import (
     AffineMap,
-    Endomorphism,
     GeneratorWord,
-    IdealHandle,
     check_inverse,
-    compose,
     conjugate,
-    elementary,
-    elementary_last,
-    extend,
-    identity,
     invert_structured,
-    reduce_mod,
     swap_perm,
     try_invert,
 )
 from cotame.errors import NotAUnit, Unsupported
+from cotame.gf import GaloisField
+from cotame.maps import (
+    Endomorphism,
+    IdealHandle,
+    compose,
+    elementary,
+    elementary_last,
+    extend,
+    identity,
+    reduce_mod,
+)
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import GaloisField, IntegerModRing, PrimeField, RationalField
+from cotame.rings import IntegerModRing, PrimeField, RationalField
 
 Q = RationalField()
 F5 = PrimeField(5)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from cotame.errors import PolynomialSyntaxError, ZeroPolynomial
+from cotame.gf import GaloisField
 from cotame.poly import NEG_INF, Polynomial, parse_poly
-from cotame.rings import GaloisField, PrimeField, RationalField
+from cotame.rings import PrimeField, RationalField
 
 
 Q = RationalField()

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotame.errors import NoSuchUnit, NotAUnit, ResourceLimit, Unsupported
+from cotame.gf import DEFAULT_MODULI, GaloisField
 from cotame.rings import (
-    DEFAULT_MODULI,
     MAX_RING_ORDER,
-    GaloisField,
     IntegerModRing,
     IntegerRing,
     PrimeField,

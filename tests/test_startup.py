@@ -6,7 +6,8 @@ loading but not yet run has no ``__builtins__`` in its namespace; the
 namespace is read with ``object.__getattribute__``, which does not trigger
 the load.  It also lists the other modules the command added to
 ``sys.modules``: no command imports ``dataclasses``, and only a request
-over ``Q`` imports ``fractions``.
+over ``Q`` imports ``fractions``.  Only a request over ``GF:`` executes
+``cotame.gf``.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import cotame
-from cotame.endo import elementary
+from cotame.maps import elementary
 from cotame.poly import parse_poly
 from cotame.rings import ring_from_spec
 from cotame.witness import build_witness
@@ -43,10 +44,15 @@ sys.stderr.write(json.dumps([executed, added]))
 RUN_CLI = "import cotame.cli\ncotame.cli.run(sys.argv[1:])"
 
 BASE = ["cotame", "cotame.cli", "cotame.errors", "cotame.poly", "cotame.rings"]
-VERIFIER = sorted(BASE + ["cotame.endo"])
-DECIDER = sorted(VERIFIER + ["cotame.classify"])
+MAPS = sorted(BASE + ["cotame.maps"])
+VERIFIER = sorted(MAPS + ["cotame.endo"])
+DECIDER = sorted(MAPS + ["cotame.classify"])
 DELTA = sorted(DECIDER + ["cotame.delta", "cotame.linalg"])
-EVERYTHING = sorted(DELTA + ["cotame.witness"])
+EVERYTHING = sorted(DELTA + ["cotame.endo", "cotame.witness"])
+
+
+def with_gf(modules):
+    return sorted(modules + ["cotame.gf"])
 
 
 def executed_modules(setup, argv=(), cwd=None):
@@ -92,8 +98,8 @@ CASES = [
     case(["parse", "--ring", "Fp:5", "--n", "3", "--poly", "x1 + x2"], BASE),
     case(["verify", "--phi", "phi.json", "--target", "x2*x3", "--word",
           "word.json"], VERIFIER),
-    case(["reduce", "--phi", "phi6.json", "--ideal", "3"], VERIFIER),
-    case(["compose", "--phi", "phi.json", "--psi", "phi.json"], VERIFIER),
+    case(["reduce", "--phi", "phi6.json", "--ideal", "3"], MAPS),
+    case(["compose", "--phi", "phi.json", "--psi", "phi.json"], MAPS),
     case(["invert", "--phi", "phi.json"], VERIFIER),
     case(["decide", "--phi", "phi.json"], DECIDER),
     case(["classify", "--phi", "phi.json"], DECIDER),
@@ -104,15 +110,26 @@ CASES = [
     # it certifies the F_3 map, and the GF(2^5) map ends Unknown.  ngg-check
     # never decides.  None of them runs witness.
     case(["decide", "--phi", "delta.json"], DELTA, "decide-delta"),
-    case(["decide", "--phi", "span.json"], DELTA, "decide-span",
+    case(["decide", "--phi", "span.json"], with_gf(DELTA), "decide-span",
          "unknown-verdict"),
     case(["classify", "--phi", "delta.json"], DELTA, "classify-delta"),
-    case(["classify", "--phi", "span.json"], DELTA, "classify-span",
+    case(["classify", "--phi", "span.json"], with_gf(DELTA), "classify-span",
          "unknown-verdict"),
     case(["ngg-check", "--phi", "delta.json"], DECIDER, "ngg-check-delta"),
-    case(["ngg-check", "--phi", "span.json"], DECIDER, "ngg-check-span"),
+    case(["ngg-check", "--phi", "span.json"], with_gf(DECIDER),
+         "ngg-check-span"),
+    # a verdict with no route ends the witness request before it loads the
+    # builder or the inverse
+    case(["witness", "--phi", "span.json", "--target", "x2*x3"],
+         with_gf(DELTA), "witness-span", "unknown-verdict"),
+    case(["witness", "--phi", "phi6.json", "--target", "x2^2"], DECIDER,
+         "witness-Zn", "unknown-verdict"),
     case(["parse", "--ring", "Q", "--n", "2", "--poly", "1/2*x1"], BASE,
          "parse-Q"),
+    case(["parse", "--ring", "Z", "--n", "2", "--poly", "2*x1"], BASE,
+         "parse-Z"),
+    case(["parse", "--ring", "GF:3^2", "--n", "2", "--poly", "[0,1]*x1"],
+         with_gf(BASE), "parse-GF"),
     case(["decide", "--phi", "phiq.json"], DECIDER, "decide-Q"),
 ]
 
@@ -127,6 +144,7 @@ def test_command_executes_only_its_modules(files, argv, expected, status):
     else:
         ring = json.loads((files / argv[2]).read_text())["ring"]
     assert ("fractions" in added) == (ring == "Q")
+    assert ("cotame.gf" in executed) == ring.startswith("GF:")
 
 
 def test_package_import_executes_no_submodule():

@@ -1,10 +1,12 @@
 import pytest
 
 from cotame.classify import decide, default_pattern, no_good_monomials, pattern_membership
-from cotame.endo import compose, identity, invert_structured
+from cotame.endo import invert_structured
 from cotame.errors import ResourceLimit
+from cotame.gf import GaloisField
+from cotame.maps import compose, identity
 from cotame.poly import parse_poly
-from cotame.rings import GaloisField, PrimeField, RationalField
+from cotame.rings import PrimeField, RationalField
 from cotame.witness import (
     _theta_generators,
     build_witness_with_info,

@@ -5,20 +5,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cotame.classify import decide, degree_condition, span_good_scan
-from cotame.endo import (
-    AffineMap,
+from cotame.endo import AffineMap, invert_structured
+from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
+from cotame.gf import GaloisField
+from cotame.maps import (
     Endomorphism,
     compose,
     elementary,
     elementary_last,
     extend,
     identity,
-    invert_structured,
 )
-from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
-    GaloisField,
     PrimeField,
     RationalField,
     enumerate_units,
