@@ -67,8 +67,13 @@ def _load_endo(path, ring_spec=None, n=None):
 
 def _resolve_inverse(phi, inverse_path):
     if inverse_path:
+        inverse = _load_endo(inverse_path)
+        if (inverse.ring, inverse.nvars) != (phi.ring, phi.nvars):
+            raise ValueError(f"--phi-inverse has {inverse.nvars} variables over "
+                             f"{inverse.ring!r}, but --phi has {phi.nvars} over "
+                             f"{phi.ring!r}")
         message = "supplied inverse fails the composition check"
-        return endo.check_inverse(phi, _load_endo(inverse_path), message)
+        return endo.check_inverse(phi, inverse, message)
     return endo.try_invert(phi)
 
 

@@ -8,6 +8,7 @@ too, so checking a word needs none of the code that builds one.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import NotAUnit, ResourceLimit, Unsupported
@@ -288,12 +289,13 @@ class AffineMap:
         }
 
     @classmethod
-    def from_json(cls, ring, data, n):
-        """The letter's A (n lists of n entries) and b (n entries)."""
+    def from_json(cls, ring, data, n, literal):
+        """The letter's A (n lists of n entries) and b (n entries); `literal`
+        gives the value of an entry string."""
 
         def val(x):
             if isinstance(x, str):
-                return ring.parse_literal(x).value
+                return literal(x)
             if type(x) is int:
                 return ring.coerce_value(x)
             raise ValueError(f"matrix entry {x!r} must be a string or an integer")
@@ -442,8 +444,10 @@ class GeneratorWord:
         substitution into the (possibly high-degree) images of phi small
         without trusting anything about where the word came from.  Each
         distinct bracket phi o A o phi^-1 is composed once per call, keyed
-        on the exact value of A.  A partial product that outgrows the
-        term limit raises ResourceLimit.
+        on the exact value of A.  Each non-affine image g of phi^-1 is
+        substituted into C = phi o A once per call and per value of C at the
+        variables g reads, all that g(C) depends on.  A partial product that
+        outgrows the term limit raises ResourceLimit.
         """
         ring = phi.ring
         if phi.nvars == self.ambient - 1:
@@ -475,8 +479,7 @@ class GeneratorWord:
             _EVAL_TERM_FLOOR, math.comb(degree + self.ambient, self.ambient)
         )
 
-        def bounded_compose(a, b):
-            out = compose(a, b)
+        def bounded(out):
             size = _term_count(out)
             if size > limit:
                 raise ResourceLimit(
@@ -486,12 +489,23 @@ class GeneratorWord:
 
         # phi o A o phi^-1 for each distinct inner value A, computed once
         brackets = {}
+        # g(C) by the index of g in phi^-1 and C at the variables g reads
+        substituted = {}
+
+        def substitute_once(i, g, images):
+            if g.is_affine():
+                return g.substitute(images)
+            key = (i, *(h for h, e in zip(images, zip(*g.terms)) if any(e)))
+            if key not in substituted:
+                substituted[key] = g.substitute(images)
+            return substituted[key]
+
         # stack items: ("open", None) for a pending phi, ("val", endo) otherwise
         stack = []
 
         def fold_value(value):
             if stack and stack[-1][0] == "val":
-                stack[-1] = ("val", bounded_compose(stack[-1][1], value))
+                stack[-1] = ("val", bounded(compose(stack[-1][1], value)))
             else:
                 stack.append(("val", value))
 
@@ -511,14 +525,14 @@ class GeneratorWord:
                 stack.pop()  # the matching open marker
                 bracket = brackets.get(inner)
                 if bracket is None:
-                    bracket = bounded_compose(
-                        bounded_compose(phi_ext, inner), inv_ext
-                    )
-                    brackets[inner] = bracket
+                    outer = bounded(compose(phi_ext, inner)).images
+                    bracket = brackets[inner] = bounded(Endomorphism(ring, [
+                        substitute_once(i, g, outer)
+                        for i, g in enumerate(inv_ext.images)]))
                 fold_value(bracket)
         acc = ident
         for kind, value in stack:
-            acc = bounded_compose(acc, phi_ext if kind == "open" else value)
+            acc = bounded(compose(acc, phi_ext if kind == "open" else value))
         return acc
 
     def to_json(self):
@@ -535,11 +549,13 @@ class GeneratorWord:
         ambient = _field(data, "ambient", _is_positive_int, "a positive integer")
         entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
         letters = []
+        # a word file repeats a few entry strings many times: parse each once
+        literal = functools.cache(lambda text: ring.parse_literal(text).value)
         for entry in entries:
             kind = _field(entry, "kind", lambda v: v in ("affine", "phi"),
                           "'affine' or 'phi'")
             if kind == "affine":
-                letters.append(AffineMap.from_json(ring, entry, ambient))
+                letters.append(AffineMap.from_json(ring, entry, ambient, literal))
             else:
                 letters.append(_field(entry, "exp",
                                       lambda v: type(v) is int and v in (1, -1),

@@ -468,16 +468,18 @@ def _power_products(base, k):
     return products
 
 
-def _check_power(base, k):
+def _check_power(base, k, ring):
+    """Refuse base**k, for a Polynomial or a monomial (exps, value) base."""
+    values = base.terms.values() if type(base) is Polynomial else [base[1]]
     if k > _MAX_EXPONENT:
         raise ResourceLimit(f"exponent {k} exceeds the limit {_MAX_EXPONENT}")
-    if len(base.terms) > 1:
+    if len(values) > 1:
         _check_products(_power_products(base, k), "a power")
-    if base.terms and not base.ring.is_finite:
+    if values and not ring.is_finite:
         # c^k has about k * log2|c| bits, over the numerator and denominator
         bits = k * max(
             v.numerator.bit_length() + v.denominator.bit_length() - 2
-            for v in base.terms.values()
+            for v in values
         )
         if bits > _MAX_POWER_BITS:
             raise ResourceLimit(
@@ -520,6 +522,7 @@ def parse_poly(text, ring, nvars):
 
     Coefficients use the ring's literal forms (integers, a/b over Q,
     [c0,c1,...] over extension fields).  Parentheses group subexpressions.
+    Products of literals and variables are monomials (exps, value).
     """
     tk = _Tokens(text)
     poly = _parse_expr(tk, ring, nvars)
@@ -530,26 +533,22 @@ def parse_poly(text, ring, nvars):
 
 
 def _parse_expr(tk, ring, nvars):
-    ch = tk.peek()
-    negate = False
-    if ch == "-":
+    add, neg, zero = ring.add, ring.neg, ring.zero_value()
+    terms, sign = {}, tk.peek()
+    if sign in ("+", "-"):
         tk.pos += 1
-        negate = True
-    elif ch == "+":
-        tk.pos += 1
-    acc = _parse_term(tk, ring, nvars)
-    if negate:
-        acc = -acc
     while True:
-        ch = tk.peek()
-        if ch == "+":
-            tk.pos += 1
-            acc = acc + _parse_term(tk, ring, nvars)
-        elif ch == "-":
-            tk.pos += 1
-            acc = acc - _parse_term(tk, ring, nvars)
-        else:
-            return acc
+        term = _parse_term(tk, ring, nvars)
+        for exps, v in [term] if type(term) is tuple else term.terms.items():
+            s = add(terms.get(exps, zero), neg(v) if sign == "-" else v)
+            if s == zero:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = s
+        sign = tk.peek()
+        if sign not in ("+", "-"):
+            return Polynomial(ring, nvars, terms)
+        tk.pos += 1
 
 
 def _parse_term(tk, ring, nvars):
@@ -557,6 +556,12 @@ def _parse_term(tk, ring, nvars):
     while tk.peek() == "*":
         tk.pos += 1
         factor = _parse_factor(tk, ring, nvars)
+        if type(acc) is tuple and type(factor) is tuple:
+            acc = (tuple(map(operator.add, acc[0], factor[0])),
+                   ring.mul(acc[1], factor[1]))
+            continue
+        acc, factor = (Polynomial(ring, nvars, dict([f])) if type(f) is tuple else f
+                       for f in (acc, factor))
         _check_products(len(acc.terms) * len(factor.terms), "a product")
         acc = acc * factor
     return acc
@@ -569,8 +574,10 @@ def _parse_factor(tk, ring, nvars):
         e = tk.take_int()
         if e < 0:
             tk.error("negative exponent")
-        _check_power(base, e)
-        base = base**e
+        _check_power(base, e, ring)
+        base = base**e if type(base) is Polynomial else (
+            tuple(x * e for x in base[0]),
+            base[1] if base[1] == ring.one_value() else ring.pow(base[1], e))
     return base
 
 
@@ -592,7 +599,7 @@ def _parse_primary(tk, ring, nvars):
         i = tk.take_int()
         if not 1 <= i <= nvars:
             tk.error(f"variable x{i} outside x1..x{nvars}")
-        return Polynomial.variable(ring, nvars, i)
+        return (0,) * (i - 1) + (1,) + (0,) * (nvars - i), ring.one_value()
     if ch == "[":
         start = tk.pos
         depth = 0
@@ -609,10 +616,9 @@ def _parse_primary(tk, ring, nvars):
             tk.error("unterminated '['")
         literal = tk.text[start:tk.pos]
         try:
-            value = ring.parse_literal(literal)
+            return (0,) * nvars, ring.parse_literal(literal).value
         except ValueError as exc:
             raise PolynomialSyntaxError(str(exc), start) from None
-        return Polynomial.constant(ring, nvars, value)
     if ch.isdigit() or ch == "-":
         start = tk.pos
         n = tk.take_int()
@@ -620,9 +626,8 @@ def _parse_primary(tk, ring, nvars):
             tk.pos += 1
             d = tk.take_int()
             try:
-                value = ring.parse_literal(f"{n}/{d}")
+                return (0,) * nvars, ring.parse_literal(f"{n}/{d}").value
             except ValueError as exc:
                 raise PolynomialSyntaxError(str(exc), start) from None
-            return Polynomial.constant(ring, nvars, value)
-        return Polynomial.constant(ring, nvars, ring.coerce_value(n))
+        return (0,) * nvars, ring.coerce_value(n)
     tk.error(f"unexpected character {ch!r}" if ch else "unexpected end of input")

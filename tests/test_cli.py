@@ -659,6 +659,31 @@ def test_one_subparser_prints_what_the_full_parser_prints(capsys, command, tail)
     assert single[2] in (0, 2)
 
 
+@pytest.mark.parametrize("command", ["verify", "witness"])
+@pytest.mark.parametrize("ring, images, error", [
+    ("Fp:5", ["x1 + 4*x2", "x2"],
+     "--phi-inverse has 2 variables over Fp:5, but --phi has 3 over Fp:5"),
+    ("Fp:7", ["x1 + 6*x2*x3", "x2", "x3"],
+     "--phi-inverse has 3 variables over Fp:7, but --phi has 3 over Fp:5"),
+], ids=["arity", "ring"])
+def test_phi_inverse_of_another_arity_or_ring_is_refused(tmp_path, capsys, command,
+                                                         ring, images, error):
+    phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
+    inverse = write_phi(tmp_path, "inv.json", ring, len(images), images)
+    argv = [command, "--phi", phi, "--target", "x2^2", "--phi-inverse", inverse]
+    if command == "verify":
+        word = str(tmp_path / "word.json")
+        witness = ["witness", "--phi", phi, "--target", "x2^2", "-o", word]
+        assert run_cli(capsys, witness)[0] == OK
+        argv += ["--word", word]
+    assert run_cli(capsys, argv) == (ERROR, json.dumps({
+        "status": "error",
+        "command": command,
+        "payload": {"error": error},
+        "diagnostics": [],
+    }, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--format", "text"]])
 def test_usage_without_a_command_lists_every_command(capsys, argv):
     out, err, code = exit_outcome(capsys, run, argv)

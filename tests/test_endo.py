@@ -28,7 +28,7 @@ from cotame.maps import (
     reduce_mod,
 )
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import IntegerModRing, PrimeField, RationalField
+from cotame.rings import IntegerModRing, IntegerRing, PrimeField, RationalField
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -357,6 +357,125 @@ def test_word_memo_keeps_distinct_brackets_apart():
     assert differ.evaluate(phi, phi_inv) == naive_evaluate(differ, phi, phi_inv)
     assert same.evaluate(phi, phi_inv) == naive_evaluate(same, phi, phi_inv)
     assert differ.evaluate(phi, phi_inv) != same.evaluate(phi, phi_inv)
+
+
+MEMO_RINGS = [F5, GaloisField(2, 2), Z6, IntegerRing(), Q]
+
+
+def shift(rng, ring, j, ambient=4):
+    """An affine map that moves only x_j: to a unit times x_j plus a linear
+    form in the other variables and a constant."""
+    from cotame.rings import enumerate_units
+
+    units = [u.value for u in enumerate_units(ring)] if ring.is_finite else [1, -1]
+    one, zero = ring.one_value(), ring.zero_value()
+    A = [[one if i == k else zero for k in range(ambient)] for i in range(ambient)]
+    for i in range(ambient):
+        A[i][j - 1] = ring.coerce_value(rng.randint(-2, 2))
+    A[j - 1][j - 1] = rng.choice(units)
+    b = [zero] * ambient
+    b[j - 1] = ring.coerce_value(rng.randint(-2, 2))
+    return AffineMap(ring, A, b)
+
+
+def memo_phi(ring):
+    """phi = (x1 + g, x2 - g, x3) and its inverse (x1 - g, x2 + g, x3) for
+    g = (x1 + x2)*x3 + x3^2: x1 + x2 is fixed, so the two non-affine images
+    of phi^-1 read the same variables and only their index tells them apart."""
+    g = "((x1 + x2)*x3 + x3^2)"
+    phi, phi_inv = (
+        Endomorphism(ring, [P(t, ring) for t in (f"x1 {a} {g}", f"x2 {b} {g}", "x3")])
+        for a, b in (("+", "-"), ("-", "+"))
+    )
+    return phi, check_inverse(phi, phi_inv, "not an inverse")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MEMO_RINGS), st.integers(0, 2**32), st.booleans())
+def test_word_memo_matches_naive_evaluation(ring, seed, shifts_only):
+    """Brackets that share the images phi^-1 reads, repeated brackets, nested
+    brackets and brackets of arbitrary affine maps: the memo changes nothing.
+    Every partial product stays far below the term limit: inside sigma, the
+    brackets of shifts of x4 multiply to a shift of x4 of degree at most 4,
+    and two arbitrary brackets of degree 4 in three variables have at most
+    3 * 969 terms."""
+    rng = random.Random(seed)
+    if shifts_only:
+        ambient = 4
+        phi, phi_inv = memo_phi(ring)
+    else:
+        ambient = 3
+        phi = elementary(P("x2^2", ring, 2), nvars=2)
+        phi_inv = invert_structured(phi)
+    sigma = random_affine(rng, ring, ambient)
+    letters = [sigma]
+    if shifts_only:
+        shifts = [shift(rng, ring, 4) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 4)):
+            # a fresh copy of a drawn shift repeats its bracket by value only
+            a = AffineMap(ring, *rng.choice([(s.A, s.b) for s in shifts]))
+            if rng.random() < 0.3:
+                letters += [1, a, *bracket(rng.choice(shifts)), a.inverse(), -1]
+            else:
+                letters += bracket(a)
+    else:
+        a = random_affine(rng, ring, 3)
+        moved = shift(rng, ring, rng.randint(1, 3), ambient=3).to_endo()
+        # b is a itself, its inverse, another map, or a with one image moved
+        b = rng.choice([a, a.inverse(), random_affine(rng, ring, 3),
+                        AffineMap.from_affine_endo(compose(a.to_endo(), moved))])
+        letters += bracket(a) + [random_affine(rng, ring, 3)] + bracket(b)
+    letters.append(sigma.inverse())
+    word = GeneratorWord(ambient, letters)
+    assert word.evaluate(phi, phi_inv) == naive_evaluate(word, phi, phi_inv)
+
+
+def test_theta_word_substitutes_into_the_large_image_once(monkeypatch):
+    from cotame.endo import first_mismatch
+    from cotame.witness import build_witness_with_info, theta_map
+
+    F7 = PrimeField(7)
+    theta, _ = theta_map(1, F7)
+    word, _ = build_witness_with_info(theta, P("x2*x3", F7))
+    large = extend(theta, 1).images[1]
+    assert len(large.terms) == 47
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, images):
+        if self == large:
+            calls.append(1)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    # theta is an involution; its six distinct brackets differ only in
+    # their image of x4, which theta^-1 = theta reads only in x4's image
+    assert first_mismatch(word, theta, P("x2*x3", F7), theta) is None
+    assert len(calls) == 1
+
+
+def test_word_file_parses_each_distinct_entry_once(monkeypatch):
+    sigma = AffineMap.permutation(F5, [2, 1, 3, 4])
+    shear = AffineMap(F5, [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 4]],
+                      [0, 1, 0, 2])
+    data = json.loads(json.dumps(GeneratorWord(4, [sigma, 1, shear, -1, sigma]).to_json()))
+    entries = {v for l in data["letters"] if l["kind"] == "affine"
+               for v in [*sum(l["A"], []), *l["b"]]}
+    parsed = []
+    parse_literal = PrimeField.parse_literal
+
+    def counting(self, text):
+        parsed.append(text)
+        return parse_literal(self, text)
+
+    monkeypatch.setattr(PrimeField, "parse_literal", counting)
+    word = GeneratorWord.from_json(F5, data)
+    assert word.letters == [sigma, 1, shear, -1, sigma]
+    assert sorted(parsed) == sorted(entries)
+    # a bad entry still ends the load with its own error
+    data["letters"][-1]["b"][2] = "x"
+    with pytest.raises(ValueError, match="bad integer literal 'x'"):
+        GeneratorWord.from_json(F5, data)
 
 
 def test_word_json_round_trip():

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotame.errors import PolynomialSyntaxError, ZeroPolynomial
 from cotame.gf import GaloisField
 from cotame.poly import NEG_INF, Polynomial, parse_poly
-from cotame.rings import PrimeField, RationalField
+from cotame.rings import PrimeField, RationalField, ring_from_spec
 
 
 Q = RationalField()
@@ -152,6 +154,135 @@ def test_parse_errors():
         parse_poly("x1 + + 2", Q, 3)
     with pytest.raises(PolynomialSyntaxError):
         parse_poly("x1 2", Q, 3)
+
+
+SUM_800 = "(" + " + ".join(f"x1^{i}" for i in range(800)) + ")"
+DEEP = "(" * 101 + "x1" + ")" * 101
+
+# (text, ring, n, exception type, message, position): what the parser
+# raised before it built monomials directly, for each of its guards
+FROZEN_ERRORS = [
+    ("", "Q", 3, "PolynomialSyntaxError", "unexpected end of input (at position 0)", 0),
+    ("   ", "Q", 3, "PolynomialSyntaxError", "unexpected end of input (at position 3)", 3),
+    ("x4", "Q", 3, "PolynomialSyntaxError", "variable x4 outside x1..x3 (at position 2)", 2),
+    ("x0 + 1", "Q", 3, "PolynomialSyntaxError", "variable x0 outside x1..x3 (at position 2)", 2),
+    ("x-1", "Q", 3, "PolynomialSyntaxError", "variable x-1 outside x1..x3 (at position 3)", 3),
+    ("x007 * 2", "Fp:7", 3, "PolynomialSyntaxError",
+     "variable x7 outside x1..x3 (at position 4)", 4),
+    ("x1 + + 2", "Q", 3, "PolynomialSyntaxError", "unexpected character '+' (at position 5)", 5),
+    ("x1 2", "Q", 3, "PolynomialSyntaxError", "unexpected trailing input '2' (at position 3)", 3),
+    ("x1 ** 2", "Z", 3, "PolynomialSyntaxError", "unexpected character '*' (at position 4)", 4),
+    ("(x1 + x2", "Q", 3, "PolynomialSyntaxError", "expected ')' (at position 8)", 8),
+    ("x1^", "Q", 3, "PolynomialSyntaxError", "expected an integer (at position 3)", 3),
+    ("x1^x2", "Q", 3, "PolynomialSyntaxError", "expected an integer (at position 3)", 3),
+    ("x1^-2", "Q", 3, "PolynomialSyntaxError", "negative exponent (at position 5)", 5),
+    ("(x1 + 1)^ - 2", "Z", 2, "PolynomialSyntaxError", "expected an integer (at position 11)", 11),
+    ("x1*-", "Fp:5", 2, "PolynomialSyntaxError", "expected an integer (at position 4)", 4),
+    ("x1*- 2", "Fp:5", 2, "PolynomialSyntaxError", "expected an integer (at position 4)", 4),
+    ("2 a", "Q", 2, "PolynomialSyntaxError", "unexpected trailing input 'a' (at position 2)", 2),
+    ("x", "Q", 2, "PolynomialSyntaxError", "expected an integer (at position 1)", 1),
+    ("[1,2", "GF:3^2", 2, "PolynomialSyntaxError", "unterminated '[' (at position 4)", 4),
+    ("[1,2,3]*x1", "GF:3^2", 2, "PolynomialSyntaxError",
+     "coefficient vector too long (at position 0)", 0),
+    ("[1,x]", "GF:3^2", 2, "PolynomialSyntaxError", "bad integer literal 'x' (at position 0)", 0),
+    ("x1 + [1]", "Fp:7", 2, "PolynomialSyntaxError",
+     "bad integer literal '[1]' (at position 5)", 5),
+    ("1/0*x1", "Q", 2, "PolynomialSyntaxError", "zero denominator (at position 0)", 0),
+    ("x1 - 3/4/5", "Q", 2, "PolynomialSyntaxError",
+     "unexpected trailing input '/5' (at position 8)", 8),
+    ("1/2*x1", "Z", 2, "PolynomialSyntaxError", "bad integer literal '1/2' (at position 0)", 0),
+    ("x1 + 2/", "Q", 2, "PolynomialSyntaxError", "expected an integer (at position 7)", 7),
+    # str.isdigit accepts a superscript two, and int() then refuses it
+    ("x\u00b2", "Q", 2, "ValueError", "invalid literal for int() with base 10: '\u00b2'", None),
+    ("x1^2\u00b2", "Z", 2, "ValueError",
+     "invalid literal for int() with base 10: '2\u00b2'", None),
+    ("x1 + \u00b2", "Fp:7", 2, "ValueError",
+     "invalid literal for int() with base 10: '\u00b2'", None),
+    ("x1^1048577", "Q", 2, "ResourceLimit", "exponent 1048577 exceeds the limit 1048576", None),
+    ("2^1048577", "Fp:7", 2, "ResourceLimit", "exponent 1048577 exceeds the limit 1048576", None),
+    ("x1^2^1048577", "Z", 2, "ResourceLimit",
+     "exponent 1048577 exceeds the limit 1048576", None),
+    ("9^400000", "Z", 2, "ResourceLimit",
+     "a power may have 1200000-bit coefficients (limit 1048576)", None),
+    ("x1*(1/9)^400000", "Q", 2, "ResourceLimit",
+     "a power may have 1200000-bit coefficients (limit 1048576)", None),
+    ("(4*x1)^600000", "Z", 2, "ResourceLimit",
+     "a power may have 1200000-bit coefficients (limit 1048576)", None),
+    ("x2 + (x1*16)^300000", "Q", 2, "ResourceLimit",
+     "a power may have 1200000-bit coefficients (limit 1048576)", None),
+    ("(x1 + x2 + x3)^200", "Fp:7", 3, "ResourceLimit",
+     "a power takes 27685860 term products (limit 500000)", None),
+    ("(x1 + 1)^1048576", "Zn:6", 2, "ResourceLimit",
+     "a power takes 366505973095 term products (limit 500000)", None),
+    ("(x1 + x2)^2000", "Q", 2, "ResourceLimit",
+     "a power takes 1656818 term products (limit 500000)", None),
+    (SUM_800 + "*" + SUM_800, "Fp:7", 1, "ResourceLimit",
+     "a product takes 640000 term products (limit 500000)", None),
+    (DEEP, "Q", 1, "PolynomialSyntaxError",
+     "parentheses nest deeper than 100 (at position 100)", 100),
+    ("x1 + " + DEEP, "Q", 1, "PolynomialSyntaxError",
+     "parentheses nest deeper than 100 (at position 105)", 105),
+]
+
+
+@pytest.mark.parametrize("text, spec, nvars, kind, message, position", FROZEN_ERRORS)
+def test_parse_errors_are_unchanged(text, spec, nvars, kind, message, position):
+    with pytest.raises(Exception) as info:
+        parse_poly(text, ring_from_spec(spec), nvars)
+    assert type(info.value).__name__ == kind
+    assert str(info.value) == message
+    assert getattr(info.value, "position", None) == position
+
+
+@pytest.mark.parametrize("text, spec, nvars, canonical", [
+    ("- -2*x1", "Q", 2, "2*x1"),
+    ("2*3*x1 + x2", "Zn:6", 2, "x2"),
+    ("x1^2^3", "Fp:7", 2, "x1^6"),
+    ("0^0 + x2", "Z", 2, "x2 + 1"),
+    ("(x1)^0*x2", "Q", 2, "x2"),
+    (" x 1 ^ 2 *\tx2 ", "Q", 2, "x1^2*x2"),
+    ("2^10*x1 - 1024*x1", "Z", 2, "0"),
+    ("(x1 + x2)*(x1 - x2)", "Zn:6", 2, "x1^2 + 5*x2^2"),
+    ("[1,2]*x1^2*[2,1] + [0,1]", "GF:3^2", 2, "[0,2]*x1^2 + [0,1]"),
+    ("1/2*x1 - 3/4 + 1/4", "Q", 2, "1/2*x1 - 1/2"),
+    ("-(x1 - 2)^2", "Z", 2, "-1*x1^2 + 4*x1 - 4"),
+    ("x1*2^3*(x2 + 1)*x1", "Fp:5", 2, "3*x1^2*x2 + 3*x1^2"),
+    ("3^100", "Z", 1, "515377520732011331036461129765621272702107522001"),
+    ("3^1000000", "Fp:7", 1, "4"),
+    ("x1^1048576^1048576", "Q", 1, "x1^1099511627776"),
+])
+def test_parse_accepts_as_before(text, spec, nvars, canonical):
+    assert str(parse_poly(text, ring_from_spec(spec), nvars)) == canonical
+
+
+def ring_values(ring):
+    if ring.kind == "Q":
+        return st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    if ring.kind == "Z":
+        return st.integers(min_value=-100, max_value=100)
+    if ring.kind == "GF":
+        return st.tuples(*[st.integers(0, ring.p - 1)] * ring.e)
+    return st.integers(0, ring.n - 1)
+
+
+def ring_polynomials(ring):
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 1 << 20))
+    return st.integers(0, 3).flatmap(lambda n: st.dictionaries(
+        st.tuples(*[exponent] * n), ring_values(ring), max_size=6,
+    ).map(lambda terms: Polynomial(
+        ring, n, {e: ring.coerce_value(v) for e, v in terms.items()})))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Z", "Zn:6", "Fp:7", "GF:3^2", "GF:2^5"])
+def test_parse_inverts_str(spec):
+    ring = ring_from_spec(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_polynomials(ring))
+    def check(f):
+        assert parse_poly(str(f), ring, f.nvars) == f
+
+    check()
 
 
 def test_gf_coefficient_literals():
