@@ -8,10 +8,10 @@ too, so checking a word needs none of the code that builds one.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import NotAUnit, ResourceLimit, Unsupported
+from .linalg import adjugate, det, mat_mul, vec_mat
 from .maps import Endomorphism, compose, elementary, extend, identity
 from .maps import _field, _is_list, _is_positive_int
 from .poly import Polynomial
@@ -39,50 +39,6 @@ def conjugate(phi, sigma, sigma_inverse=None):
 # ---------------------------------------------------------------------------
 # affine maps
 # ---------------------------------------------------------------------------
-
-def _mat_minor(rows, i, j):
-    return [
-        [v for c, v in enumerate(row) if c != j]
-        for r, row in enumerate(rows)
-        if r != i
-    ]
-
-
-def _mat_det(ring, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    zero = ring.zero_value()
-    acc = zero
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if a == zero:
-            sign = -sign
-            continue
-        sub = _mat_det(ring, _mat_minor(rows, 0, j))
-        term = ring.mul(a, sub)
-        acc = ring.add(acc, term if sign > 0 else ring.neg(term))
-        sign = -sign
-    return acc
-
-
-def _mat_mul(ring, a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    zero = ring.zero_value()
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = zero
-            for t in range(k):
-                s = ring.add(s, ring.mul(a[i][t], b[t][j]))
-            out[i][j] = s
-    return out
-
-
-def _vec_mat(ring, v, a):
-    return _mat_mul(ring, [v], a)[0]
-
 
 def _affine_rows(ring, images):
     """(A, b) of affine images: A[i][j] is the coefficient of x_{i+1} in
@@ -123,28 +79,18 @@ class AffineMap:
         self._img = None
         self._inv = _inv
         if _inv is None:
-            det = _mat_det(ring, self.A)
-            if not ring.is_unit(det):
+            d = det(ring, self.A)
+            if not ring.is_unit(d):
                 raise NotAUnit(
-                    f"matrix determinant {ring.format_value(det)} is not a unit"
+                    f"matrix determinant {ring.format_value(d)} is not a unit"
                 )
 
     def _compute_inverse(self):
         """(A^-1, -b A^-1), with A^-1 the adjugate over the determinant."""
-        ring, n = self.ring, self.n
-        det_inv = ring.inv(_mat_det(ring, self.A))
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if n == 1:
-                    cof = ring.one_value()
-                else:
-                    cof = _mat_det(ring, _mat_minor(self.A, j, i))
-                    if (i + j) % 2:
-                        cof = ring.neg(cof)
-                adj[i][j] = ring.mul(det_inv, cof)
-        neg_b = [ring.neg(v) for v in self.b]
-        return (adj, _vec_mat(ring, neg_b, adj))
+        ring = self.ring
+        det_inv = ring.inv(det(ring, self.A))
+        inv = [[ring.mul(det_inv, v) for v in row] for row in adjugate(ring, self.A)]
+        return (inv, vec_mat(ring, [ring.neg(v) for v in self.b], inv))
 
     def inverse(self):
         if self._inv is None:
@@ -153,22 +99,13 @@ class AffineMap:
         return AffineMap(self.ring, A_inv, b_inv, _inv=(self.A, self.b))
 
     def image_polys(self):
-        if self._img is not None:
-            return self._img
-        ring, n = self.ring, self.n
-        zero = ring.zero_value()
-        out = []
-        for j in range(n):
-            terms = {}
-            for i in range(n):
-                if self.A[i][j] != zero:
-                    exps = tuple(1 if t == i else 0 for t in range(n))
-                    terms[exps] = self.A[i][j]
-            if self.b[j] != zero:
-                terms[(0,) * n] = self.b[j]
-            out.append(Polynomial(ring, n, terms))
-        self._img = out
-        return out
+        if self._img is None:
+            n = self.n
+            xs = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+            self._img = [
+                Polynomial(self.ring, n, {**dict(zip(xs, column)), (0,) * n: c})
+                for column, c in zip(zip(*self.A), self.b)]
+        return self._img
 
     def embed(self, ambient):
         """Block-extend to more variables, fixing the new ones."""
@@ -176,50 +113,54 @@ class AffineMap:
             raise ValueError("cannot shrink an affine map")
         if ambient == self.n:
             return self
-        ring = self.ring
-        one, zero = ring.one_value(), ring.zero_value()
-        A = [[zero] * ambient for _ in range(ambient)]
-        b = [zero] * ambient
-        for i in range(self.n):
-            for j in range(self.n):
-                A[i][j] = self.A[i][j]
-            b[i] = self.b[i]
-        for i in range(self.n, ambient):
-            A[i][i] = one
-        return AffineMap(ring, A, b)
+        ring, n = self.ring, self.n
+        zero, one = ring.zero_value(), ring.one_value()
+        pad = [zero] * (ambient - n)
+        lower = [[one if j == i else zero for j in range(ambient)]
+                 for i in range(n, ambient)]
+        return AffineMap(ring, [row + pad for row in self.A] + lower, self.b + pad)
 
     def to_endo(self):
         return Endomorphism(self.ring, self.image_polys())
 
     def apply(self, f):
-        return f.substitute(self.image_polys())
+        """f(xA + b).  When b = 0 and column j of A holds one nonzero c, in
+        row i, the map sends x_j to c x_i: each term is moved and rescaled,
+        x_j^e to c^e x_i^e, and nothing is substituted."""
+        ring, n = self.ring, self.n
+        zero, one = ring.zero_value(), ring.one_value()
+        moves = [[(i, c) for i, c in enumerate(col) if c != zero]
+                 for col in zip(*self.A)]
+        if (f.nvars != n or any(v != zero for v in self.b)
+                or any(len(m) != 1 for m in moves)):
+            return f.substitute(self.image_polys())
+        terms = {}
+        for exps, v in f.terms.items():
+            out = [0] * n
+            for ((i, c),), e in zip(moves, exps):
+                if e:
+                    out[i] = e
+                    if c != one:
+                        v = ring.mul(v, ring.pow(c, e))
+            terms[tuple(out)] = v
+        return Polynomial(ring, n, terms)
 
     def compose(self, other):
         """self o other (apply other's substitution first)."""
         ring = self.ring
-        A = _mat_mul(ring, self.A, other.A)
+        A = mat_mul(ring, self.A, other.A)
         b = [
             ring.add(v, w)
-            for v, w in zip(_vec_mat(ring, self.b, other.A), other.b)
+            for v, w in zip(vec_mat(ring, self.b, other.A), other.b)
         ]
         return AffineMap(ring, A, b)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AffineMap)
-            and self.ring == other.ring
-            and self.A == other.A
-            and self.b == other.b
-        )
+        return (isinstance(other, AffineMap) and self.ring == other.ring
+                and self.A == other.A and self.b == other.b)
 
     def __hash__(self):
-        return hash(
-            (
-                self.ring,
-                tuple(tuple(row) for row in self.A),
-                tuple(self.b),
-            )
-        )
+        return hash((self.ring, tuple(map(tuple, self.A)), tuple(self.b)))
 
     def __repr__(self):
         return f"AffineMap({self.to_endo()!r})"
@@ -227,9 +168,7 @@ class AffineMap:
     # -- constructors -----------------------------------------------------
     @classmethod
     def identity(cls, ring, n):
-        one, zero = ring.one_value(), ring.zero_value()
-        A = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls(ring, A, [zero] * n)
+        return cls.diagonal(ring, [ring.one_value()] * n)
 
     @classmethod
     def permutation(cls, ring, perm):
@@ -237,29 +176,18 @@ class AffineMap:
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
         one, zero = ring.one_value(), ring.zero_value()
-        A = [[zero] * n for _ in range(n)]
-        for j in range(n):
-            A[perm[j] - 1][j] = one
+        A = [[one if perm[j] == i else zero for j in range(n)] for i in range(1, n + 1)]
         return cls(ring, A, [zero] * n)
-
-    @classmethod
-    def transposition(cls, ring, n, a, b):
-        return cls.permutation(ring, swap_perm(n, (a, b)))
 
     @classmethod
     def diagonal(cls, ring, scalars):
-        n = len(scalars)
-        zero = ring.zero_value()
-        A = [[zero] * n for _ in range(n)]
-        for i, s in enumerate(scalars):
-            A[i][i] = ring.coerce_value(s)
-        return cls(ring, A, [zero] * n)
+        zeros = [ring.zero_value()] * len(scalars)
+        return cls(ring, [zeros[:i] + [s] + zeros[i + 1:]
+                          for i, s in enumerate(scalars)], zeros)
 
     @classmethod
     def translation(cls, ring, vector):
-        n = len(vector)
-        m = cls.identity(ring, n)
-        return cls(ring, m.A, [ring.coerce_value(v) for v in vector])
+        return cls(ring, cls.identity(ring, len(vector)).A, vector)
 
     @classmethod
     def from_affine_endo(cls, phi):
@@ -289,13 +217,12 @@ class AffineMap:
         }
 
     @classmethod
-    def from_json(cls, ring, data, n, literal):
-        """The letter's A (n lists of n entries) and b (n entries); `literal`
-        gives the value of an entry string."""
+    def from_json(cls, ring, data, n):
+        """The letter's A (n lists of n entries) and b (n entries)."""
 
         def val(x):
             if isinstance(x, str):
-                return literal(x)
+                return ring.parse_literal(x).value
             if type(x) is int:
                 return ring.coerce_value(x)
             raise ValueError(f"matrix entry {x!r} must be a string or an integer")
@@ -316,9 +243,7 @@ class AffineMap:
 
 def _triangular_inverse(phi):
     ring, n = phi.ring, phi.nvars
-    one_exps = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
+    one_exps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     later = set()
     order = []
     remaining = set(range(1, n + 1))
@@ -329,16 +254,9 @@ def _triangular_inverse(phi):
             c = img.terms.get(one_exps[i - 1])
             if c is None or not ring.is_unit(c):
                 continue
-            ok = True
-            for exps in img.terms:
-                if exps[i - 1] > 0 and exps != one_exps[i - 1]:
-                    ok = False
-                    break
-                support = {j + 1 for j, e in enumerate(exps) if e > 0}
-                if not support <= later | {i}:
-                    ok = False
-                    break
-            if not ok:
+            if any((exps[i - 1] > 0 and exps != one_exps[i - 1])
+                   or not {j + 1 for j, e in enumerate(exps) if e > 0} <= later | {i}
+                   for exps in img.terms):
                 continue
             g = img - Polynomial.monomial(ring, one_exps[i - 1], RingElement(ring, c))
             order.append((i, c, g))
@@ -549,13 +467,17 @@ class GeneratorWord:
         ambient = _field(data, "ambient", _is_positive_int, "a positive integer")
         entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
         letters = []
-        # a word file repeats a few entry strings many times: parse each once
-        literal = functools.cache(lambda text: ring.parse_literal(text).value)
+        # a word file repeats a few letters many times: build each once, keyed
+        # on the repr of its A and b, which tells apart JSON values of any type
+        built = {}
         for entry in entries:
             kind = _field(entry, "kind", lambda v: v in ("affine", "phi"),
                           "'affine' or 'phi'")
             if kind == "affine":
-                letters.append(AffineMap.from_json(ring, entry, ambient, literal))
+                key = repr((entry.get("A"), entry.get("b")))
+                if key not in built:
+                    built[key] = AffineMap.from_json(ring, entry, ambient)
+                letters.append(built[key])
             else:
                 letters.append(_field(entry, "exp",
                                       lambda v: type(v) is int and v in (1, -1),

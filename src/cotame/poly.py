@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
 from .rings import IntegerModRing, IntegerRing, RationalField, RingElement, is_prime
@@ -434,11 +435,15 @@ class Polynomial:
 # power, predicted from the sizes of its steps) exceed _MAX_PRODUCTS; and a
 # power is refused when its exponent or (over Q and Z) its predicted
 # coefficient size exceeds a limit.  A one-variable power near the product
-# limit takes a few seconds over Q, with its large binomials.
+# limit takes a few seconds over Q, with its large binomials.  Integers are
+# ASCII digits; a literal and (over Q and Z) a coefficient of the result have
+# at most _MAX_DIGITS digits, the most that Python converts to or from text.
 _MAX_DEPTH = 100
 _MAX_PRODUCTS = 500_000
 _MAX_EXPONENT = 1 << 20
 _MAX_POWER_BITS = 1 << 20
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or math.inf
+_TOO_LONG = 10**_MAX_DIGITS
 
 
 def _check_products(products, what):
@@ -510,10 +515,14 @@ class _Tokens:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer")
+        digits = self.pos - start - (self.text[start] == "-")
+        if digits > _MAX_DIGITS:
+            raise ResourceLimit(f"a literal of {digits} digits exceeds the "
+                                f"{_MAX_DIGITS}-digit limit")
         return int(self.text[start:self.pos])
 
 
@@ -529,6 +538,9 @@ def parse_poly(text, ring, nvars):
     tk.skip_ws()
     if tk.pos != len(text):
         tk.error(f"unexpected trailing input {text[tk.pos:]!r}")
+    if not ring.is_finite and any(max(abs(v.numerator), v.denominator) >= _TOO_LONG
+                                  for v in poly.terms.values()):
+        raise ResourceLimit(f"a coefficient exceeds the {_MAX_DIGITS}-digit limit")
     return poly
 
 
@@ -619,7 +631,7 @@ def _parse_primary(tk, ring, nvars):
             return (0,) * nvars, ring.parse_literal(literal).value
         except ValueError as exc:
             raise PolynomialSyntaxError(str(exc), start) from None
-    if ch.isdigit() or ch == "-":
+    if "0" <= ch <= "9" or ch == "-":
         start = tk.pos
         n = tk.take_int()
         if tk.peek() == "/":

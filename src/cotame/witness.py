@@ -277,21 +277,6 @@ def vandermonde_combination(g, monomial):
     ]
 
 
-def apply_scaling(g, scalevec):
-    ring, n = g.ring, g.nvars
-    out = {}
-    zero = ring.zero_value()
-    for exps, v in g.terms.items():
-        factor = ring.one_value()
-        for t, s in zip(exps, scalevec):
-            if t:
-                factor = ring.mul(factor, ring.pow(s.value, t))
-        prod = ring.mul(factor, v)
-        if prod != zero:
-            out[exps] = prod
-    return Polynomial(ring, n, out)
-
-
 def vandermonde_extract(dec, monomial, validate="auto"):
     """Decomposition of a*monomial from a decomposition of g containing it."""
     ring = dec.phi.ring
@@ -381,9 +366,9 @@ def convert_square(dec, validate="auto"):
     swapped = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
     diff = dec_linear_combine([(1, dec), (-1, swapped)], validate=validate)
     one, zero = ring.one_value(), ring.zero_value()
-    A = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    A[0][0], A[1][0] = one, one            # x1 -> x1 + x2
-    A[0][1], A[1][1] = one, ring.neg(one)  # x2 -> x1 - x2
+    A = AffineMap.identity(ring, n).A
+    # x1 -> x1 + x2, x2 -> x1 - x2
+    A[1][0], A[0][1], A[1][1] = one, one, ring.neg(one)
     eta = AffineMap(ring, A, [zero] * n)
     mixed = dec_apply_affine(diff, eta, validate=validate)
     four_inv = ring.inv(ring.coerce_value(4))
@@ -518,7 +503,7 @@ def compile_tame_word(seed_word, seed_kind, f, n):
     ambient = n + 1
     if f.deg_xi(1) > 0:
         raise ValueError("target polynomial must avoid x1")
-    tau = AffineMap.transposition(ring, ambient, 1, ambient)
+    tau = AffineMap.permutation(ring, swap_perm(ambient, (1, ambient)))
     # reduce(exps): the exponents one commutator step lower, and the word
     # whose commutator with the lower word's tau-conjugate climbs back
     if seed_kind == "product":
@@ -535,7 +520,8 @@ def compile_tame_word(seed_word, seed_kind, f, n):
     elif seed_kind == "cube":
         if n != 2:
             raise ValueError("the cube seed applies to n = 2 only")
-        climb = conjugate_word(seed_word, AffineMap.transposition(ring, 3, 1, 3))
+        climb = conjugate_word(
+            seed_word, AffineMap.permutation(ring, swap_perm(3, (1, 3))))
 
         def reduce(exps):
             return (0, exps[1] - 2), climb

@@ -27,7 +27,6 @@ from cotame.rings import (
 )
 from cotame.delta import DeltaSpec, delta_match
 from cotame.witness import (
-    apply_scaling,
     build_witness_with_info,
     delta_decomposition,
     theta_map,
@@ -42,6 +41,22 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 F9 = GaloisField(3, 2)
 Z6 = IntegerModRing(6)
+
+
+def apply_scaling(g, scalevec):
+    """Oracle: g(s_1 x_1, ..., s_n x_n), by scaling each term."""
+    ring, n = g.ring, g.nvars
+    out = {}
+    zero = ring.zero_value()
+    for exps, v in g.terms.items():
+        factor = ring.one_value()
+        for t, s in zip(exps, scalevec):
+            if t:
+                factor = ring.mul(factor, ring.pow(s.value, t))
+        prod = ring.mul(factor, v)
+        if prod != zero:
+            out[exps] = prod
+    return Polynomial(ring, n, out)
 
 
 def report(criterion, detail, elapsed, bound):

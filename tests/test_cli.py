@@ -431,6 +431,19 @@ MALFORMED_WORDS = {
     "b-string": lambda d: first_affine(d).update(b="0000"),
     "entry-list": lambda d: first_affine(d)["b"].__setitem__(0, [1]),
     "entry-float": lambda d: first_affine(d)["b"].__setitem__(0, 1.5),
+    "entry-bool": lambda d: first_affine(d)["b"].__setitem__(0, True),
+    "entry-object": lambda d: first_affine(d)["A"][0].__setitem__(0, {"v": 1}),
+}
+
+# the error of each malformed letter, also where an equal letter came first
+LETTER_ERRORS = {
+    **dict.fromkeys(["A-missing", "A-int", "A-short", "A-row-short", "A-rows-strings"],
+                    "'A' must be a list of 4 lists of 4 entries"),
+    **dict.fromkeys(["b-long", "b-string"], "'b' must be a list of 4 entries"),
+    "entry-list": "matrix entry [1] must be a string or an integer",
+    "entry-float": "matrix entry 1.5 must be a string or an integer",
+    "entry-bool": "matrix entry True must be a string or an integer",
+    "entry-object": "matrix entry {'v': 1} must be a string or an integer",
 }
 
 
@@ -449,6 +462,20 @@ def test_malformed_word_file_is_a_json_error(tmp_path, capsys, witness_word, tam
     assert code == ERROR
     report = json.loads(out)
     assert report["status"] == "error" and report["payload"]["error"]
+
+
+@pytest.mark.parametrize("name", LETTER_ERRORS)
+def test_malformed_letter_errors_are_unchanged(tmp_path, capsys, witness_word, name):
+    phi, text = witness_word
+    for repeated in (False, True):
+        data = json.loads(text)
+        letter = json.loads(json.dumps(first_affine(data)))
+        MALFORMED_WORDS[name](data)
+        if repeated:
+            data["letters"].insert(0, letter)
+        code, out = verify_word(tmp_path, capsys, phi, data)
+        assert code == ERROR
+        assert json.loads(out)["payload"]["error"] == LETTER_ERRORS[name]
 
 
 def test_verify_refuses_a_singular_affine_letter(tmp_path, capsys, witness_word):

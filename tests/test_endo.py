@@ -1,11 +1,14 @@
 import itertools
 import json
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotame import linalg
 from cotame.endo import (
     AffineMap,
     GeneratorWord,
@@ -28,7 +31,13 @@ from cotame.maps import (
     reduce_mod,
 )
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import IntegerModRing, IntegerRing, PrimeField, RationalField
+from cotame.rings import (
+    IntegerModRing,
+    IntegerRing,
+    PrimeField,
+    RationalField,
+    enumerate_units,
+)
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -144,6 +153,104 @@ def test_affine_inverse_is_lazy_and_matches_the_adjugate():
             assert inv.inverse() == m
             assert m.compose(inv) == AffineMap.identity(ring, n)
             checked += 1
+
+
+KERNEL_RINGS = [Q, IntegerRing(), Z6, PrimeField(7), GaloisField(2, 2),
+                GaloisField(3, 2)]
+
+
+def kernel_values(ring):
+    """Entries of a kernel test matrix, zero about half the time."""
+    if ring.is_finite:
+        values = st.sampled_from([e.value for e in ring.elements()])
+    else:
+        values = st.integers(-4, 4).map(ring.coerce_value)
+    return st.one_of(st.just(ring.zero_value()), values)
+
+
+@st.composite
+def square_matrices(draw):
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    n = draw(st.integers(1, 5))
+    row = st.lists(kernel_values(ring), min_size=n, max_size=n)
+    return ring, draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_determinant_and_adjugate_match_the_leibniz_oracle(case):
+    ring, rows = case
+    n, zero = len(rows), ring.zero_value()
+    det = linalg.det(ring, rows)
+    assert det == leibniz_det(ring, rows)
+    scalar = [[det if i == j else zero for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(ring, rows, linalg.adjugate(ring, rows)) == scalar
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), GaloisField(3, 2), Z6],
+                         ids=["F7", "GF9", "Z6"])
+def test_dense_12x12_letter_builds_and_inverts_in_under_a_second(ring):
+    rng = random.Random(12)
+    n, pool = 12, [e.value for e in ring.elements()]
+    units = [u.value for u in enumerate_units(ring)]
+    # lower unitriangular times upper triangular with a unit diagonal
+    lower = [[rng.choice(pool) if j < i else ring.coerce_value(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[rng.choice(units) if j == i else rng.choice(pool) if j > i
+              else ring.zero_value() for j in range(n)] for i in range(n)]
+    A = linalg.mat_mul(ring, lower, upper)
+    b = [rng.choice(pool) for _ in range(n)]
+    assert sum(v != ring.zero_value() for row in A for v in row) > 0.7 * n * n
+    start = time.perf_counter()
+    m = AffineMap(ring, A, b)
+    inv = m.inverse()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert m.compose(inv) == AffineMap.identity(ring, n) == inv.compose(m)
+
+
+def random_monomial_map(rng, ring, n):
+    """A permutation times an invertible diagonal map."""
+    units = [u.value for u in enumerate_units(ring)] if ring.is_finite else [1, -1]
+    if ring is Q:
+        units = [1, -1, 2, -3]
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    scaling = AffineMap.diagonal(ring, [rng.choice(units) for _ in range(n)])
+    return AffineMap.permutation(ring, perm).compose(scaling)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS), st.integers(0, 2**32))
+def test_monomial_map_apply_matches_substitution(ring, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = random_monomial_map(rng, ring, n)
+    terms = {
+        tuple(rng.randint(0, 4) for _ in range(n)):
+            ring.coerce_value(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 6))
+    }
+    f = Polynomial(ring, n, terms)
+    assert m.apply(f) == f.substitute(m.image_polys())
+
+
+def test_only_maps_with_a_translation_or_a_mixed_column_substitute(monkeypatch):
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    f = P("x1^2*x3 + 2*x2 + 1", F5)
+    sigma = random_monomial_map(random.Random(5), F5, 3)
+    assert sigma.apply(f) == substitute(f, sigma.image_polys()) and not calls
+    for m in (AffineMap.translation(F5, [0, 1, 0]),
+              AffineMap(F5, [[1, 0, 0], [1, 1, 0], [0, 0, 1]], [0, 0, 0])):
+        m.apply(f)
+    assert len(calls) == 2
 
 
 def test_from_affine_endo_and_is_affine():
@@ -454,26 +561,27 @@ def test_theta_word_substitutes_into_the_large_image_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_word_file_parses_each_distinct_entry_once(monkeypatch):
+def test_word_file_builds_each_distinct_letter_once():
     sigma = AffineMap.permutation(F5, [2, 1, 3, 4])
     shear = AffineMap(F5, [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 4]],
                       [0, 1, 0, 2])
-    data = json.loads(json.dumps(GeneratorWord(4, [sigma, 1, shear, -1, sigma]).to_json()))
-    entries = {v for l in data["letters"] if l["kind"] == "affine"
-               for v in [*sum(l["A"], []), *l["b"]]}
-    parsed = []
-    parse_literal = PrimeField.parse_literal
-
-    def counting(self, text):
-        parsed.append(text)
-        return parse_literal(self, text)
-
-    monkeypatch.setattr(PrimeField, "parse_literal", counting)
+    letters = [sigma, 1, shear, -1, sigma, shear]
+    data = json.loads(json.dumps(GeneratorWord(4, letters).to_json()))
     word = GeneratorWord.from_json(F5, data)
-    assert word.letters == [sigma, 1, shear, -1, sigma]
-    assert sorted(parsed) == sorted(entries)
+    assert word.letters == letters
+    first, _, second, _, third, fourth = word.letters
+    assert first is third and second is fourth and first is not second
+    # an equal value of another JSON type is another entry, with its own error
+    data["letters"][0]["b"][2] = 0
+    word = GeneratorWord.from_json(F5, data)
+    assert word.letters == letters and word.letters[0] is not word.letters[4]
+    for other in (0.0, False, None, [0], {"v": 0}):
+        data["letters"][4]["b"][2] = other
+        message = re.escape(f"matrix entry {other!r} must be")
+        with pytest.raises(ValueError, match=message):
+            GeneratorWord.from_json(F5, data)
     # a bad entry still ends the load with its own error
-    data["letters"][-1]["b"][2] = "x"
+    data["letters"][4]["b"][2] = "x"
     with pytest.raises(ValueError, match="bad integer literal 'x'"):
         GeneratorWord.from_json(F5, data)
 

@@ -192,12 +192,22 @@ FROZEN_ERRORS = [
      "unexpected trailing input '/5' (at position 8)", 8),
     ("1/2*x1", "Z", 2, "PolynomialSyntaxError", "bad integer literal '1/2' (at position 0)", 0),
     ("x1 + 2/", "Q", 2, "PolynomialSyntaxError", "expected an integer (at position 7)", 7),
-    # str.isdigit accepts a superscript two, and int() then refuses it
-    ("x\u00b2", "Q", 2, "ValueError", "invalid literal for int() with base 10: '\u00b2'", None),
-    ("x1^2\u00b2", "Z", 2, "ValueError",
-     "invalid literal for int() with base 10: '2\u00b2'", None),
-    ("x1 + \u00b2", "Fp:7", 2, "ValueError",
-     "invalid literal for int() with base 10: '\u00b2'", None),
+    # integers are ASCII digits: a superscript two is no digit
+    ("x\u00b2", "Q", 2, "PolynomialSyntaxError", "expected an integer (at position 1)", 1),
+    ("x1^2\u00b2", "Z", 2, "PolynomialSyntaxError",
+     "unexpected trailing input '\u00b2' (at position 4)", 4),
+    ("x1 + \u00b2", "Fp:7", 2, "PolynomialSyntaxError",
+     "unexpected character '\u00b2' (at position 5)", 5),
+    # no integer of more digits than Python prints is read or made
+    ("3^10000", "Z", 1, "ResourceLimit", "a coefficient exceeds the 4300-digit limit", None),
+    ("7" * 4301, "Z", 1, "ResourceLimit",
+     "a literal of 4301 digits exceeds the 4300-digit limit", None),
+    ("x1*10^4300 + 1", "Q", 1, "ResourceLimit",
+     "a coefficient exceeds the 4300-digit limit", None),
+    ("(1/3)^9100*x1", "Q", 1, "ResourceLimit",
+     "a coefficient exceeds the 4300-digit limit", None),
+    ("x1^" + "1" * 4301, "Fp:7", 1, "ResourceLimit",
+     "a literal of 4301 digits exceeds the 4300-digit limit", None),
     ("x1^1048577", "Q", 2, "ResourceLimit", "exponent 1048577 exceeds the limit 1048576", None),
     ("2^1048577", "Fp:7", 2, "ResourceLimit", "exponent 1048577 exceeds the limit 1048576", None),
     ("x1^2^1048577", "Z", 2, "ResourceLimit",
@@ -250,6 +260,7 @@ def test_parse_errors_are_unchanged(text, spec, nvars, kind, message, position):
     ("3^100", "Z", 1, "515377520732011331036461129765621272702107522001"),
     ("3^1000000", "Fp:7", 1, "4"),
     ("x1^1048576^1048576", "Q", 1, "x1^1099511627776"),
+    ("10^4300 - 1", "Z", 1, "9" * 4300),
 ])
 def test_parse_accepts_as_before(text, spec, nvars, canonical):
     assert str(parse_poly(text, ring_from_spec(spec), nvars)) == canonical

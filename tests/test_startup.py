@@ -45,7 +45,7 @@ RUN_CLI = "import cotame.cli\ncotame.cli.run(sys.argv[1:])"
 
 BASE = ["cotame", "cotame.cli", "cotame.errors", "cotame.poly", "cotame.rings"]
 MAPS = sorted(BASE + ["cotame.maps"])
-VERIFIER = sorted(MAPS + ["cotame.endo"])
+VERIFIER = sorted(MAPS + ["cotame.endo", "cotame.linalg"])
 DECIDER = sorted(MAPS + ["cotame.classify"])
 DELTA = sorted(DECIDER + ["cotame.delta", "cotame.linalg"])
 EVERYTHING = sorted(DELTA + ["cotame.endo", "cotame.witness"])
