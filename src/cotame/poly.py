@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
-from .rings import IntegerModRing, IntegerRing, RationalField, RingElement, is_prime
+from .rings import (_MAX_DIGITS, IntegerModRing, IntegerRing, RationalField,
+                    RingElement, _parse_int, is_prime)
 
 
 class _NegInfinity:
@@ -442,7 +442,6 @@ _MAX_DEPTH = 100
 _MAX_PRODUCTS = 500_000
 _MAX_EXPONENT = 1 << 20
 _MAX_POWER_BITS = 1 << 20
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or math.inf
 _TOO_LONG = 10**_MAX_DIGITS
 
 
@@ -519,11 +518,7 @@ class _Tokens:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer")
-        digits = self.pos - start - (self.text[start] == "-")
-        if digits > _MAX_DIGITS:
-            raise ResourceLimit(f"a literal of {digits} digits exceeds the "
-                                f"{_MAX_DIGITS}-digit limit")
-        return int(self.text[start:self.pos])
+        return _parse_int(self.text[start:self.pos])
 
 
 def parse_poly(text, ring, nvars):

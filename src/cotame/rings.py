@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from .errors import (
     DegreeConditionError,
@@ -23,6 +24,9 @@ from .errors import (
 # primality and irreducibility checks are trial divisions; at this bound the
 # slowest, a degree-24 modulus over F_2, takes ~0.2 s.
 MAX_RING_ORDER = 1 << 24
+
+# An integer literal has at most this many ASCII digits (Python's text limit)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or math.inf
 
 
 def is_prime(n):
@@ -223,8 +227,11 @@ def _parse_int(text):
     sign = 1
     if text.startswith("-"):
         sign, text = -1, text[1:]
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad integer literal {text!r}")
+    if len(text) > _MAX_DIGITS:
+        raise ResourceLimit(f"a literal of {len(text)} digits exceeds the "
+                            f"{_MAX_DIGITS}-digit limit")
     return sign * int(text)
 
 

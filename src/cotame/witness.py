@@ -11,7 +11,9 @@ such identities: scaling interpolation isolates one monomial, the
 all-ones shift exposes a quadratic or cubic monomial, two conversions
 normalize it, and the word compilers turn the final decomposition into a
 product of affine letters and phi^{+-1} that composes to a prescribed
-tame generator.  The compiled word is re-checked by a dumb evaluator.
+tame generator.  The identity is checked once, where it becomes a word:
+compile_last_word recomputes it exactly, at any size.  The compiled word
+is re-checked by a dumb evaluator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .classify import (
     resolve_k_size,
     target_kind,
 )
-# delta_search is re-exported: decide runs it, and bench/traced.py wraps it here
+# delta_search is re-exported for bench/traced.py, which wraps it here; decide
+# calls it from cotame.delta, so that wrap never fires
 from .delta import delta_search, pattern_exps, unit_plus_affine
 from .endo import (
     AffineMap,
@@ -48,24 +51,12 @@ from .maps import Endomorphism, compose
 from .poly import Polynomial, p_power_split
 from .rings import Record, RingElement, distinct_scalars, find_special_unit
 
-# Decompositions at most this many terms are re-validated after every
-# transformation; larger ones are checked once at the end of a pipeline
-# (and every compiled word is verified exactly anyway).
-AUTO_VALIDATE_LIMIT = 2000
-
-
-def _should_validate(flag, nterms):
-    if flag == "auto":
-        return nterms <= AUTO_VALIDATE_LIMIT
-    return bool(flag)
-
-
 class SpanDecomposition:
     """target = affine_part + sum a * eta(phi(x_i)), recomputable exactly."""
 
     __slots__ = ("phi", "target", "affine_part", "terms")
 
-    def __init__(self, phi, target, affine_part, terms, validate=True):
+    def __init__(self, phi, target, affine_part, terms):
         self.phi = phi
         self.target = target
         self.affine_part = affine_part
@@ -73,24 +64,19 @@ class SpanDecomposition:
             (a if isinstance(a, RingElement) else RingElement(phi.ring, a), eta, i)
             for a, eta, i in terms
         ]
-        if _should_validate(validate, len(self.terms)):
-            self.validate()
-
-    def recompute(self):
-        acc = self.affine_part
-        for a, eta, i in self.terms:
-            acc = acc + eta.apply(self.phi.images[i - 1]).scale(a)
-        return acc
 
     def validate(self):
+        """Recompute the right-hand side exactly; ValueError unless it is target."""
         if not self.affine_part.is_affine():
             raise ValueError("affine part has degree > 1")
+        acc = self.affine_part
         for a, eta, i in self.terms:
             if not 1 <= i <= self.phi.nvars:
                 raise ValueError(f"image index {i} out of range")
             if eta.n != self.phi.nvars:
                 raise ValueError("affine map arity mismatch")
-        if self.recompute() != self.target:
+            acc = acc + eta.apply(self.phi.images[i - 1]).scale(a)
+        if acc != self.target:
             raise ValueError("decomposition identity failed to revalidate")
         return True
 
@@ -120,12 +106,12 @@ class SpanDecomposition:
         )
 
 
-def trivial_decomposition(phi, affine_poly, validate=True):
+def trivial_decomposition(phi, affine_poly):
     """An affine polynomial needs no image terms at all."""
-    return SpanDecomposition(phi, affine_poly, affine_poly, [], validate=validate)
+    return SpanDecomposition(phi, affine_poly, affine_poly, [])
 
 
-def span_decomposition(phi, combo, linear=None, validate=True):
+def span_decomposition(phi, combo, linear=None):
     """Decomposition of sum combo_i * phi(x_i) + linear, built from scratch."""
     ring, n = phi.ring, phi.nvars
     zero = ring.zero_value()
@@ -139,20 +125,18 @@ def span_decomposition(phi, combo, linear=None, validate=True):
             continue
         terms.append((RingElement(ring, cv), ident, i))
         target = target + phi.images[i - 1].scale(RingElement(ring, cv))
-    return SpanDecomposition(phi, target, h, terms, validate=validate)
+    return SpanDecomposition(phi, target, h, terms)
 
 
-def dec_apply_affine(dec, eta, validate="auto"):
+def dec_apply_affine(dec, eta):
     """Decomposition of eta(target): transport every piece through eta."""
     new_target = eta.apply(dec.target)
     new_affine = eta.apply(dec.affine_part)
     new_terms = [(a, eta.compose(eta_j), i) for a, eta_j, i in dec.terms]
-    return SpanDecomposition(
-        dec.phi, new_target, new_affine, new_terms, validate=validate
-    )
+    return SpanDecomposition(dec.phi, new_target, new_affine, new_terms)
 
 
-def dec_linear_combine(pairs, validate="auto"):
+def dec_linear_combine(pairs):
     """Decomposition of sum c * target; terms with equal (eta, i) merge."""
     if not pairs:
         raise ValueError("empty combination")
@@ -187,11 +171,11 @@ def dec_linear_combine(pairs, validate="auto"):
         v = merged[key]
         if v != zero:
             terms.append((RingElement(ring, v), key[0], key[1]))
-    return SpanDecomposition(phi, target, affine, terms, validate=validate)
+    return SpanDecomposition(phi, target, affine, terms)
 
 
-def dec_scale(dec, c, validate="auto"):
-    return dec_linear_combine([(c, dec)], validate=validate)
+def dec_scale(dec, c):
+    return dec_linear_combine([(c, dec)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +261,15 @@ def vandermonde_combination(g, monomial):
     ]
 
 
-def vandermonde_extract(dec, monomial, validate="auto"):
+def vandermonde_extract(dec, monomial):
     """Decomposition of a*monomial from a decomposition of g containing it."""
     ring = dec.phi.ring
     combos = vandermonde_combination(dec.target, monomial)
     pairs = []
     for c, vec in combos:
-        scaled = dec_apply_affine(
-            dec, AffineMap.diagonal(ring, [s.value for s in vec]), validate=False
-        )
-        pairs.append((c, scaled))
-    out = dec_linear_combine(pairs, validate=validate)
+        diagonal = AffineMap.diagonal(ring, [s.value for s in vec])
+        pairs.append((c, dec_apply_affine(dec, diagonal)))
+    out = dec_linear_combine(pairs)
     exps, _ = out.single_monomial()
     if exps != tuple(monomial):
         raise ValueError("interpolation did not isolate the requested monomial")
@@ -298,7 +280,7 @@ def vandermonde_extract(dec, monomial, validate="auto"):
 # all-ones shift: expose a quadratic or cubic monomial of a good monomial
 # ---------------------------------------------------------------------------
 
-def shift_extract(dec, k_size=None, validate="auto"):
+def shift_extract(dec, k_size=None):
     """From a*m (m good) to a*u*(x_i x_j | x_i^2 | x_i x_j^2 | x_i^3).
 
     Applies the all-ones translation and interpolates the case target out
@@ -313,12 +295,12 @@ def shift_extract(dec, k_size=None, validate="auto"):
         raise ValueError("not a good monomial")
     target = gm_type.target(n)
     lam = AffineMap.translation(ring, [ring.one_value()] * n)
-    shifted = dec_apply_affine(dec, lam, validate=validate)
+    shifted = dec_apply_affine(dec, lam)
     if not degree_condition(shifted.target, k_size):
         raise DegreeConditionError(
             "shifted monomial violates the separable degree bound"
         )
-    out = vandermonde_extract(shifted, target, validate=validate)
+    out = vandermonde_extract(shifted, target)
     return out, target_kind(target), target
 
 
@@ -331,22 +313,20 @@ def _single_variable_of(exps):
     return support[0] + 1
 
 
-def unit_normalize(dec, validate="auto"):
+def unit_normalize(dec):
     """Scale so that the single-monomial target has coefficient one."""
     exps, value = dec.single_monomial()
     ring = dec.phi.ring
-    return dec_scale(dec, RingElement(ring, ring.inv(value)), validate=validate), exps
+    return dec_scale(dec, RingElement(ring, ring.inv(value))), exps
 
 
-def move_monomial(dec, perm, validate="auto"):
+def move_monomial(dec, perm):
     """Apply a permutation to relocate the target monomial's variables."""
     ring = dec.phi.ring
-    return dec_apply_affine(
-        dec, AffineMap.permutation(ring, perm), validate=validate
-    )
+    return dec_apply_affine(dec, AffineMap.permutation(ring, perm))
 
 
-def convert_square(dec, validate="auto"):
+def convert_square(dec):
     """From c*x_i^2 to c*x1*x2; needs 2 invertible.
 
     Uses the difference of squares under (x1, x2) -> (x1+x2, x1-x2): the
@@ -362,20 +342,20 @@ def convert_square(dec, validate="auto"):
     if exps[i - 1] != 2 or sum(exps) != 2:
         raise ValueError("target must be a single x_i^2 monomial")
     if i != 1:
-        dec = move_monomial(dec, swap_perm(n, (1, i)), validate=validate)
-    swapped = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
-    diff = dec_linear_combine([(1, dec), (-1, swapped)], validate=validate)
+        dec = move_monomial(dec, swap_perm(n, (1, i)))
+    swapped = move_monomial(dec, swap_perm(n, (1, 2)))
+    diff = dec_linear_combine([(1, dec), (-1, swapped)])
     one, zero = ring.one_value(), ring.zero_value()
     A = AffineMap.identity(ring, n).A
     # x1 -> x1 + x2, x2 -> x1 - x2
     A[1][0], A[0][1], A[1][1] = one, one, ring.neg(one)
     eta = AffineMap(ring, A, [zero] * n)
-    mixed = dec_apply_affine(diff, eta, validate=validate)
+    mixed = dec_apply_affine(diff, eta)
     four_inv = ring.inv(ring.coerce_value(4))
-    return dec_scale(mixed, RingElement(ring, four_inv), validate=validate)
+    return dec_scale(mixed, RingElement(ring, four_inv))
 
 
-def convert_cube(dec, xi=None, validate="auto"):
+def convert_cube(dec, xi=None):
     """From c*x_i^3 to c*x1*x2^2 in two variables over characteristic 2.
 
     x1^3 + x2^3 + (x1+x2)^3 collapses to x1^2*x2 + x1*x2^2; combining with
@@ -397,23 +377,20 @@ def convert_cube(dec, xi=None, validate="auto"):
     if exps[i - 1] != 3 or sum(exps) != 3:
         raise ValueError("target must be a single x_i^3 monomial")
     if i != 1:
-        dec = move_monomial(dec, swap_perm(n, (1, i)), validate=validate)
-    swapped = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
+        dec = move_monomial(dec, swap_perm(n, (1, i)))
+    swapped = move_monomial(dec, swap_perm(n, (1, 2)))
     one, zero = ring.one_value(), ring.zero_value()
     # x1 -> x1 + x2, x2 -> x2
     shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero])
-    summed = dec_apply_affine(dec, shear, validate=validate)
-    both = dec_linear_combine(
-        [(1, dec), (1, swapped), (1, summed)], validate=validate
-    )
+    summed = dec_apply_affine(dec, shear)
+    both = dec_linear_combine([(1, dec), (1, swapped), (1, summed)])
     scaling = AffineMap.diagonal(ring, [xi_v, one])
-    rescaled = dec_apply_affine(both, scaling, validate=validate)
+    rescaled = dec_apply_affine(both, scaling)
     combined = dec_linear_combine(
-        [(1, rescaled), (RingElement(ring, ring.mul(xi_v, xi_v)), both)],
-        validate=validate,
+        [(1, rescaled), (RingElement(ring, ring.mul(xi_v, xi_v)), both)]
     )
     factor = ring.inv(ring.mul(xi_v, succ))
-    return dec_scale(combined, RingElement(ring, factor), validate=validate)
+    return dec_scale(combined, RingElement(ring, factor))
 
 
 def _relabel_perm(n, sources, targets):
@@ -426,30 +403,30 @@ def _relabel_perm(n, sources, targets):
     return [v if v is not None else next(rest) for v in perm]
 
 
-def normalize_to_seed(dec, kind, validate="auto"):
+def normalize_to_seed(dec, kind):
     """Route any extracted target to x1*x2 (product seed) or x1*x2^2 (cube seed).
 
     Returns (dec, seed_kind) with the target coefficient scaled to one.
     """
     n = dec.phi.nvars
-    dec, exps = unit_normalize(dec, validate=validate)
+    dec, exps = unit_normalize(dec)
     if kind == "product":
         support = [i + 1 for i, t in enumerate(exps) if t > 0]
         i, j = support[0], support[1]
-        dec = move_monomial(dec, _relabel_perm(n, [i, j], [1, 2]), validate=validate)
+        dec = move_monomial(dec, _relabel_perm(n, [i, j], [1, 2]))
         got, _ = dec.single_monomial()
         if got != tuple(1 if t < 2 else 0 for t in range(n)):
             raise ValueError("product normalization failed")
         return dec, "product"
     if kind == "square":
-        return convert_square(dec, validate=validate), "product"
+        return convert_square(dec), "product"
     if kind == "mixed-cube":
         # want exponent pattern (1, 2)
         if exps[0] == 2:
-            dec = move_monomial(dec, swap_perm(n, (1, 2)), validate=validate)
+            dec = move_monomial(dec, swap_perm(n, (1, 2)))
         return dec, "cube"
     if kind == "pure-cube":
-        converted = convert_cube(dec, validate=validate)
+        converted = convert_cube(dec)
         return converted, "cube"
     raise ValueError(f"unknown target kind {kind!r}")
 
@@ -458,7 +435,7 @@ def normalize_to_seed(dec, kind, validate="auto"):
 # word compilers
 # ---------------------------------------------------------------------------
 
-def compile_last_word(dec, validate=True):
+def compile_last_word(dec):
     """A word evaluating to the map that adds dec.target to x_{n+1}.
 
     The affine part is one affine letter; each term a*eta(phi(x_i)) becomes
@@ -469,8 +446,7 @@ def compile_last_word(dec, validate=True):
     phi = dec.phi
     ring, n = phi.ring, phi.nvars
     ambient = n + 1
-    if validate:
-        dec.validate()
+    dec.validate()
     letters = []
     if not dec.affine_part.is_zero():
         letters.append(AffineMap.variable_shift(dec.affine_part, ambient, ambient))
@@ -563,7 +539,7 @@ class WitnessInfo(Record):
         self.route, self.seed_kind, self.seed_dec = route, seed_kind, seed_dec
 
 
-def _seed_from_span(phi, scan, k_size, validate="auto"):
+def _seed_from_span(phi, scan, k_size):
     """(seed decomposition, seed kind) from a span scan that certified J-full;
     None when no witness coefficient is a unit, which needs a non-field."""
     ring, n = phi.ring, phi.nvars
@@ -582,15 +558,15 @@ def _seed_from_span(phi, scan, k_size, validate="auto"):
         dec = span_decomposition(phi, witness.combo, linear=linear)
         if dec.target != witness.candidate:
             raise ValueError("span witness failed to rebuild")
-        extracted = vandermonde_extract(dec, witness.monomial, validate=validate)
+        extracted = vandermonde_extract(dec, witness.monomial)
         target = witness.gm_type.target(n)
         if target != witness.monomial:
-            extracted, _, _ = shift_extract(extracted, k_size, validate=validate)
-        return normalize_to_seed(extracted, target_kind(target), validate=validate)
+            extracted, _, _ = shift_extract(extracted, k_size)
+        return normalize_to_seed(extracted, target_kind(target))
     return None
 
 
-def _seed_from_direct(phi, found, validate="auto"):
+def _seed_from_direct(phi, found):
     """(seed decomposition, seed kind) from an image unit*m + affine."""
     ring, n = phi.ring, phi.nvars
     j = found["image"]
@@ -600,10 +576,9 @@ def _seed_from_direct(phi, found, validate="auto"):
     affine_rest = phi.images[j - 1] - monomial
     base = span_decomposition(phi, _unit_vector(ring, n, j))
     dec = dec_linear_combine(
-        [(1, base), (-1, trivial_decomposition(phi, affine_rest))],
-        validate=validate,
+        [(1, base), (-1, trivial_decomposition(phi, affine_rest))]
     )
-    return normalize_to_seed(dec, target_kind(found["monomial"]), validate=validate)
+    return normalize_to_seed(dec, target_kind(found["monomial"]))
 
 
 def _unit_vector(ring, n, j):
@@ -650,7 +625,7 @@ def build_witness_with_info(
     seed_dec, seed_kind = found
     if seed_kind == "cube" and n != 2:
         raise NoRouteFound("cube seed arose outside n = 2")
-    seed_word = compile_last_word(seed_dec, validate=False)
+    seed_word = compile_last_word(seed_dec)
     word = compile_tame_word(seed_word, seed_kind, target, n)
     return word, WitnessInfo(verdict.route, seed_kind, seed_dec)
 
@@ -664,7 +639,7 @@ def build_witness(phi, target, k_size="auto", **kwargs):
 # difference operators: the decomposition behind a delta_match
 # ---------------------------------------------------------------------------
 
-def delta_transport(phi, spec, j, validate="auto"):
+def delta_transport(phi, spec, j):
     """Decomposition of delta_power(phi(x_j), spec): each difference is the
     decomposition transported by the translation minus itself."""
     ring, n = phi.ring, phi.nvars
@@ -672,25 +647,23 @@ def delta_transport(phi, spec, j, validate="auto"):
     for i, (li, ai) in enumerate(zip(spec.l, spec.a), start=1):
         eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
         for _ in range(li):
-            moved = dec_apply_affine(dec, eta, validate=False)
-            dec = dec_linear_combine([(1, moved), (-1, dec)], validate=validate)
+            moved = dec_apply_affine(dec, eta)
+            dec = dec_linear_combine([(1, moved), (-1, dec)])
     return dec
 
 
-def delta_decomposition(phi, spec, j, pair, validate="auto"):
+def delta_decomposition(phi, spec, j, pair):
     """Decomposition of x_u*x_v (x_u^2 when u == v), coefficient one, from the
     differences of phi(x_j) less their affine rest; None if they are not so."""
     ring, n = phi.ring, phi.nvars
-    dec = delta_transport(phi, spec, j, validate=validate)
+    dec = delta_transport(phi, spec, j)
     target = pattern_exps((0,) * n, pair)
     c = unit_plus_affine(dec.target, target)
     if c is None:
         return None
     rest = dec.target - Polynomial.monomial(ring, target, c)
-    dec = dec_linear_combine(
-        [(1, dec), (-1, trivial_decomposition(phi, rest))], validate=validate
-    )
-    return dec_scale(dec, RingElement(ring, ring.inv(c)), validate=validate)
+    dec = dec_linear_combine([(1, dec), (-1, trivial_decomposition(phi, rest))])
+    return dec_scale(dec, RingElement(ring, ring.inv(c)))
 
 
 # ---------------------------------------------------------------------------

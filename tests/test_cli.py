@@ -433,6 +433,8 @@ MALFORMED_WORDS = {
     "entry-float": lambda d: first_affine(d)["b"].__setitem__(0, 1.5),
     "entry-bool": lambda d: first_affine(d)["b"].__setitem__(0, True),
     "entry-object": lambda d: first_affine(d)["A"][0].__setitem__(0, {"v": 1}),
+    "entry-superscript": lambda d: first_affine(d)["b"].__setitem__(0, "\u00b2"),
+    "entry-5000-digits": lambda d: first_affine(d)["b"].__setitem__(0, "7" * 5000),
 }
 
 # the error of each malformed letter, also where an equal letter came first
@@ -444,6 +446,9 @@ LETTER_ERRORS = {
     "entry-float": "matrix entry 1.5 must be a string or an integer",
     "entry-bool": "matrix entry True must be a string or an integer",
     "entry-object": "matrix entry {'v': 1} must be a string or an integer",
+    # integer literals are ASCII digits, at most Python's 4,300 of them
+    "entry-superscript": "bad integer literal '\u00b2'",
+    "entry-5000-digits": "a literal of 5000 digits exceeds the 4300-digit limit",
 }
 
 
@@ -577,6 +582,18 @@ def test_parse_on_a_large_ring_spec_is_refused(capsys, ring):
     assert json.loads(out)["payload"] == {
         "error": f"ring {ring!r} has more than 16777216 elements"
     }
+
+
+@pytest.mark.parametrize("ring, message", [
+    ("Zn:\u00b2", "bad integer literal '\u00b2'"),
+    ("Zn:" + "7" * 5000, "a literal of 5000 digits exceeds the 4300-digit limit"),
+    ("GF:2^3:[1,1,0," + "1" * 5000 + "]",
+     "a literal of 5000 digits exceeds the 4300-digit limit"),
+], ids=["modulus-superscript", "modulus-5000-digits", "gf-modulus-5000-digits"])
+def test_ring_spec_literal_errors_are_unchanged(capsys, ring, message):
+    code, out = run_cli(capsys, ["parse", "--ring", ring, "--n", "2", "--poly", "x1"])
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {"error": message}
 
 
 @pytest.mark.parametrize("ring, images", [

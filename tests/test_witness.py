@@ -23,6 +23,7 @@ from cotame.rings import (
     enumerate_units,
     ring_from_spec,
 )
+from cotame import witness
 from cotame.witness import (
     SpanDecomposition,
     build_witness,
@@ -36,6 +37,7 @@ from cotame.witness import (
     normalize_to_seed,
     shift_extract,
     span_decomposition,
+    theta_map,
     trivial_decomposition,
     unit_normalize,
     vandermonde_combination,
@@ -80,9 +82,7 @@ def test_span_decomposition_validates():
     dec = span_decomposition(phi, [F5.of(1), F5.of(0), F5.of(0)])
     assert dec.target == parse_poly("x1 + x2*x3", F5, 3)
     assert dec.validate()
-    bogus = SpanDecomposition(
-        phi, parse_poly("x1", F5, 3), Polynomial.zero(F5, 3), [], validate=False
-    )
+    bogus = SpanDecomposition(phi, parse_poly("x1", F5, 3), Polynomial.zero(F5, 3), [])
     with pytest.raises(ValueError):
         bogus.validate()
 
@@ -226,11 +226,7 @@ def test_convert_square_needs_two_invertible():
     phi2 = elementary(parse_poly("x2^2 + x2^3", F2, 3))
     dec = trivial_decomposition(phi2, Polynomial.zero(F2, 3))
     fake = SpanDecomposition(
-        phi2,
-        parse_poly("x2^2", F2, 3),
-        Polynomial.zero(F2, 3),
-        [],
-        validate=False,
+        phi2, parse_poly("x2^2", F2, 3), Polynomial.zero(F2, 3), []
     )
     with pytest.raises(NotAUnit):
         convert_square(fake)
@@ -493,3 +489,82 @@ def test_witness_compiles_every_stably_cotame_verdict(case):
     word, info = build_witness_with_info(phi, target)
     assert info.route == verdict.route
     assert verify_witness(word, phi, target, phi_inverse=phi_inverse)
+
+
+# one map per route; each build recomputes its decomposition identity once,
+# where the seed becomes a word
+ROUTE_MAPS = {
+    "J-full-theta-F7": (lambda: theta_map(1, F7)[0], "J-full"),
+    "J-full-GF9": (lambda: elementary(parse_poly("x2^5", F9, 3)), "J-full"),
+    "M-phi-case-a-F5": (phi_product, "M-phi-case-a"),
+    "M-phi-case-b-Q": (lambda: elementary(P("x2^2")), "M-phi-case-b"),
+    "delta-route-F3": (lambda: elementary(parse_poly("x2^2*x3^2", F3, 3)), "delta-route"),
+}
+
+
+def counted_validations(monkeypatch):
+    calls = []
+    check = SpanDecomposition.validate
+
+    def counted(dec):
+        calls.append(len(dec.terms))
+        return check(dec)
+
+    monkeypatch.setattr(SpanDecomposition, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, route", ROUTE_MAPS.values(), ids=ROUTE_MAPS)
+def test_a_build_checks_its_decomposition_once(monkeypatch, make, route):
+    phi = make()
+    target = parse_poly("x2*x3", phi.ring, 3)
+    calls = counted_validations(monkeypatch)
+    _, info = build_witness_with_info(phi, target)
+    assert info.route == route
+    assert len(calls) == 1
+
+
+def test_a_large_broken_seed_is_refused(monkeypatch):
+    # 2,001 copies of phi(x1) = x1 + x2*x3 sum to phi(x1) over F_5, not to
+    # the x1*x2 that a product seed claims
+    phi = phi_product()
+    ident = AffineMap.identity(F5, 3)
+    broken = SpanDecomposition(phi, parse_poly("x1*x2", F5, 3), Polynomial.zero(F5, 3),
+                               [(1, ident, 1)] * 2001)
+    monkeypatch.setattr(witness, "_seed_from_direct", lambda *_: (broken, "product"))
+    calls = counted_validations(monkeypatch)
+    with pytest.raises(ValueError, match="decomposition identity failed"):
+        build_witness_with_info(phi, parse_poly("x2*x3", F5, 3))
+    assert calls == [2001]
+
+
+ELEMENTARY_RINGS = ["Fp:2", "Fp:3", "Fp:5", "GF:2^2", "Q"]
+
+
+@st.composite
+def elementary_maps(draw):
+    """x1 + f(x2, x3), f a sum of at most three terms of degree 2 to 4."""
+    ring = ring_from_spec(draw(st.sampled_from(ELEMENTARY_RINGS)))
+    if ring.is_finite:
+        coeff = st.sampled_from([u.value for u in enumerate_units(ring)])
+    else:
+        coeff = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
+    exps = st.tuples(st.just(0), st.integers(0, 3), st.integers(0, 3))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        terms[draw(exps.filter(lambda e: 2 <= sum(e) <= 4))] = draw(coeff)
+    return elementary(Polynomial(ring, 3, terms))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(elementary_maps(), st.sampled_from(["x2*x3", "x2^2", "x3^3 + x2"]))
+def test_every_route_of_an_elementary_map_gives_a_balanced_word(phi, text):
+    verdict = decide(phi)
+    if verdict.route is None:
+        return
+    target = parse_poly(text, phi.ring, 3)
+    word, info = build_witness_with_info(phi, target, verdict=verdict)
+    assert info.route == verdict.route
+    assert verify_witness(word, phi, target)
+    assert sum(letter for letter in word.letters if type(letter) is int) == 0
