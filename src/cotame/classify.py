@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-import random
 
 from .errors import (CompositeCharacteristic, NoRouteFound, NoSuchUnit,
                      ResourceLimit, Unsupported)
@@ -197,31 +196,9 @@ def _strip_linear(f):
     )
 
 
-def _span_outcome(ring, n, parts, key, k_size):
-    """(candidate, good monomials) of sum key_j * parts_j; no goods on a skip."""
-    candidate = Polynomial.zero(ring, n)
-    for c, part in zip(key, parts):
-        candidate = candidate + part.scale(c)
-    if candidate.is_zero() or not degree_condition(candidate, k_size):
-        return candidate, []
-    return candidate, good_monomials(candidate)
-
-
 def _singles(ring, n):
     zero, one = ring.zero_value(), ring.one_value()
     return [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
-
-
-def _sampled_combos(ring, n, budget, seed):
-    """Over an infinite ring: the singles, then seeded random vectors with
-    entries in -2..2, skipping zero and the singles."""
-    zero, singles = ring.zero_value(), _singles(ring, n)
-    yield from singles
-    rng = random.Random(seed)
-    for _ in range(budget):
-        combo = tuple(ring.coerce_value(rng.choice(range(-2, 3))) for _ in range(n))
-        if combo not in singles and not all(v == zero for v in combo):
-            yield combo
 
 
 def _stream_length(q, n, t):
@@ -259,22 +236,28 @@ def _swept_combos(ring, n, live, bound):
             yield _stream_length(q, n, t0 + 1), tuple(combo)
 
 
-def span_good_scan(phi, k_size, budget=200000, seed=0):
+def span_good_scan(phi, k_size, budget=200000):
     """Collect good coefficients of span elements that pass the degree condition.
 
     Over a finite ring the c-sweep with linear parts stripped is complete:
     dropping degree-one monomials never hurts the degree condition and the
-    good coefficients do not depend on them.  Over Q the degree condition
-    is vacuous, so the single-image candidates already decide fullness.
+    good coefficients do not depend on them.  Over an infinite ring the
+    characteristic is 0, so every monomial of degree at least 2 is good,
+    and there is no finite base field, so the degree condition is vacuous:
+    the good coefficients of a combination lie in the ideal of those of the
+    singles, and the singles alone are an exhaustive scan.
 
     Stripping commutes with the combination, so each image is stripped once
     and the candidate depends only on the key of coefficients of the live
-    images (those with something left).  Over a finite ring only the first
-    vector of each key is visited, and the vectors are counted arithmetically.
-    The scan stops at the first vector whose good coefficients fill the ideal.
+    images (those with something left).  Only the first vector of each key
+    is visited, and the vectors are counted arithmetically; the zero key,
+    the single of a dead image, is never built.  The scan stops at the
+    first vector whose good coefficients fill the ideal.
     """
     ring, n = phi.ring, phi.nvars
     _guard_characteristic(ring.characteristic)
+    if not ring.is_finite and k_size is not None:
+        raise ValueError(_no_finite_base_field(ring, k_size))
     stripped = [_strip_linear(img) for img in phi.images]
     live = [j for j, part in enumerate(stripped) if not part.is_zero()]
     parts = [stripped[j] for j in live]
@@ -283,8 +266,8 @@ def span_good_scan(phi, k_size, budget=200000, seed=0):
         bound = max(0, min(budget, total))
         stream = _swept_combos(ring, n, live, bound)
     else:
-        stream = enumerate(_sampled_combos(ring, n, budget, seed), start=1)
-    memo = {}  # keys repeat only with a dead image, among singles and samples
+        stream = enumerate(_singles(ring, n), start=1)
+    zero_key = (ring.zero_value(),) * len(live)
     gens = []
     witnesses = []
     examined = 0
@@ -292,10 +275,14 @@ def span_good_scan(phi, k_size, budget=200000, seed=0):
     exhausted_all = True
     for examined, combo in stream:
         key = tuple([combo[j] for j in live])
-        outcome = memo.get(key) or _span_outcome(ring, n, parts, key, k_size)
-        if len(live) < n and (examined <= n or not ring.is_finite):
-            memo[key] = outcome
-        candidate, goods = outcome
+        if key == zero_key:
+            continue
+        candidate = Polynomial.zero(ring, n)
+        for c, part in zip(key, parts):
+            candidate = candidate + part.scale(c)
+        if candidate.is_zero() or not degree_condition(candidate, k_size):
+            continue
+        goods = good_monomials(candidate)
         if not goods:
             continue
         for exps, coeff, gm_type in goods:
@@ -305,19 +292,13 @@ def span_good_scan(phi, k_size, budget=200000, seed=0):
             exhausted_all = False
             break
     handle = IdealHandle(ring, gens)
-    if ring.is_finite:
-        if exhausted_all:
-            examined = _stream_length(ring.order, n, bound)
-        exhaustive = exhausted_all and total <= budget
-        if not exhaustive and exhausted_all:
+    exhaustive = exhausted_all
+    if ring.is_finite and exhausted_all:
+        examined = _stream_length(ring.order, n, bound)
+        exhaustive = total <= budget
+        if not exhaustive:
             diagnostics.append(
                 f"span scan budget {budget} below the {total} coefficient vectors"
-            )
-    else:
-        exhaustive = False
-        if exhausted_all:
-            diagnostics.append(
-                f"span scan sampled {examined} candidates over an infinite ring"
             )
     return SpanScan(handle, witnesses, exhaustive, examined, diagnostics)
 
@@ -383,7 +364,7 @@ def no_good_monomials(phi):
 # reduction obstruction: pass to a quotient with no good monomials
 # ---------------------------------------------------------------------------
 
-def _reduction_moduli(ring, prime_budget=31):
+def _reduction_moduli(ring):
     if isinstance(ring, PrimeField):
         return []
     if isinstance(ring, IntegerModRing):
@@ -397,7 +378,7 @@ def _reduction_moduli(ring, prime_budget=31):
             q += 1
         return out + [m] if 1 < m < ring.n else out
     if isinstance(ring, IntegerRing):
-        return [q for q in range(2, prime_budget + 1) if is_prime(q)]
+        return [q for q in range(2, 32) if is_prime(q)]
     return []
 
 
@@ -500,17 +481,25 @@ class Verdict(Record):
         }
 
 
+def _no_finite_base_field(ring, k_size):
+    return f"--ksize {k_size}: {ring.spec_string()} has no finite base field"
+
+
 def resolve_k_size(ring, k_size="auto"):
     """The base-field size of the degree condition: None when the field is
-    infinite, "unavailable" over a ring with no base field."""
+    infinite, "unavailable" over a ring with no base field.  A base field
+    has at least 2 elements, at most those of a finite ring, and none is
+    finite inside an infinite field."""
     if k_size not in ("auto", None):
         if k_size < 2:
             raise ValueError("a field has at least 2 elements")
-        if ring.is_field and ring.is_finite and k_size > ring.order:
+        if ring.is_finite and k_size > ring.order:
             raise ValueError(
                 f"--ksize {k_size} exceeds the {ring.order} elements of"
                 f" {ring.spec_string()}"
             )
+        if ring.is_field and not ring.is_finite:
+            raise ValueError(_no_finite_base_field(ring, k_size))
     if not ring.is_field:
         return "unavailable"
     return ring.order if k_size == "auto" else k_size
@@ -537,17 +526,23 @@ def check_witness_target(phi, target, max_degree=4):
         )
 
 
-def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
+# the largest p^n of order profiles that the difference-operator search tries
+DELTA_LIMIT = 128
+
+
+def decide(phi, k_size="auto", budget=200000):
     """Decide stable co-tameness where the implemented criteria apply.
 
     Negative routes: no good monomials at all, a proper obstruction ideal,
     or a quotient with no good monomials.  Positive routes: a direct
     unit-monomial image, a full degree-condition span ideal over a base
     field, or the difference-operator route.  Anything else is Unknown.
+    The base-field size is checked first, whatever route answers.
     """
     ring, n = phi.ring, phi.nvars
     if n < 2:
         raise ValueError("stably co-tame analysis needs n >= 2")
+    ksz = resolve_k_size(ring, k_size)
     p = ring.characteristic
     composite = p != 0 and not is_prime(p)
     diagnostics = []
@@ -602,11 +597,8 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
             evidence={"direct": direct},
         )
     evidence = {}
-    ksz = resolve_k_size(ring, k_size)
     if ksz != "unavailable":
-        scan = evidence["scan"] = span_good_scan(
-            phi, ksz, budget=budget, seed=seed
-        )
+        scan = evidence["scan"] = span_good_scan(phi, ksz, budget=budget)
         diagnostics.extend(scan.diagnostics)
         if scan.certified_full():
             witness = scan.witnesses[-1]
@@ -633,10 +625,10 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
             "no base field available; degree-condition route skipped"
         )
     if not composite and p != 0 and ring.is_field:
-        if p**n <= delta_limit:
+        if p**n <= DELTA_LIMIT:
             from .delta import delta_search, pattern_exps
 
-            found = delta_search(phi, limit=delta_limit)
+            found = delta_search(phi)
             if found is not None:
                 evidence["delta"] = found
                 spec, j, _, pair = found
@@ -657,6 +649,6 @@ def decide(phi, k_size="auto", budget=200000, seed=0, delta_limit=128):
             diagnostics.append("difference-operator search exhausted")
         else:
             diagnostics.append(
-                f"difference-operator search skipped: {p}^{n} exceeds {delta_limit}"
+                f"difference-operator search skipped: {p}^{n} exceeds {DELTA_LIMIT}"
             )
     return Verdict("Unknown", diagnostics=diagnostics, evidence=evidence)

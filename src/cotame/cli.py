@@ -158,7 +158,7 @@ def _good_entry(phi, j, exps, coeff, gm_type):
 def cmd_classify(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     ksize = _k_size(args)
-    verdict = classify.decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
+    verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
     p = phi.ring.characteristic
     if p != 0 and not is_prime(p):
         # good monomials exist in characteristic 0 or prime only
@@ -172,8 +172,7 @@ def cmd_classify(args):
         # the verdict's scan when decide got that far, else a scan of its own
         scan = verdict.evidence.get("scan")
         if scan is None and resolved != "unavailable":
-            scan = classify.span_good_scan(phi, resolved, budget=args.budget,
-                                           seed=args.seed)
+            scan = classify.span_good_scan(phi, resolved, budget=args.budget)
         if scan is not None:
             diagnostics = scan.diagnostics
         else:
@@ -199,7 +198,7 @@ def cmd_classify(args):
 def cmd_decide(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
     ksize = _k_size(args)
-    verdict = classify.decide(phi, k_size=ksize, budget=args.budget, seed=args.seed)
+    verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
     code = UNKNOWN if verdict.answer == "Unknown" else OK
     status = "unknown-verdict" if code == UNKNOWN else "ok"
     return _finish(
@@ -220,8 +219,7 @@ def cmd_witness(args):
     inverse = _resolve_inverse(phi, args.phi_inverse) if args.phi_inverse else None
     try:
         classify.check_witness_target(phi, target, args.max_degree)
-        verdict = classify.decide(phi, k_size=ksize, budget=args.budget,
-                                  seed=args.seed)
+        verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
         if verdict.route is None:
             raise NoRouteFound(classify.NO_ROUTE)
         if inverse is None:
@@ -230,6 +228,7 @@ def cmd_witness(args):
             phi, target, k_size=ksize, max_degree=args.max_degree, verdict=verdict
         )
     except NoRouteFound as exc:
+        args.output = None  # no word: the -o path is left untouched
         return _finish(
             args,
             "witness",
@@ -295,7 +294,7 @@ def cmd_theta(args):
             analysis["x1^2*x3^4_coefficient"] = (
                 ring.format_value(coeff) if coeff is not None else "0"
             )
-        verdict = classify.decide(theta, budget=args.budget, seed=args.seed)
+        verdict = classify.decide(theta, budget=args.budget)
         analysis["verdict"] = verdict.to_json()
         payload["analysis"] = analysis
     return _finish(args, "theta", payload, artifact=payload["theta"])
@@ -348,7 +347,8 @@ def build_parser(command=None):
         p = sub.add_parser(name, help=help)
         p.add_argument("--ring", required=ring_required,
                        help="ring spec: Q, Z, Zn:<n>, Fp:<p>, GF:<p>^<e>[:mod]")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; no result depends on it")
         p.add_argument("--budget", type=int, default=200000)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("-o", "--output", help="write the report to this file")

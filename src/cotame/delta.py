@@ -64,13 +64,13 @@ def kernel_generator(ring, n, i, a):
     return lead + lin
 
 
-def delta_module_membership(f, spec, degree_margin=None):
+def delta_module_membership(f, spec):
     """Membership in sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j.
 
     A_i is generated by the kernel polynomial q_i and the other variables,
     so the module is spanned by x_i*x^l and q_i^s * mu * x_i^j with mu a
-    monomial in the remaining variables.  Generators up to deg(f) plus a
-    small margin feed one exact linear solve over the base field.
+    monomial in the remaining variables.  Generators up to deg(f) + p feed
+    one exact linear solve over the base field.
     """
     ring, n = f.ring, f.nvars
     p = ring.characteristic
@@ -78,9 +78,7 @@ def delta_module_membership(f, spec, degree_margin=None):
         raise Unsupported("membership solving is implemented over fields")
     if f.is_zero():
         return True
-    if degree_margin is None:
-        degree_margin = p
-    D = f.total_deg() + degree_margin
+    D = f.total_deg() + p
     gens = []
     l = spec.l
     base_exps = tuple(l)
@@ -201,12 +199,13 @@ def delta_match(phi, spec, j, pair=None):
     return None
 
 
-def delta_search(phi, limit=128):
-    """(spec, j, kind, pair) of the first match over small order profiles,
-    with unit steps of one in every variable; None when nothing matches."""
+def delta_search(phi):
+    """(spec, j, kind, pair) of the first match over the order profiles,
+    with unit steps of one in every variable; None when nothing matches.
+    decide bounds the p^n profiles it lets this search try."""
     ring, n = phi.ring, phi.nvars
     p = ring.characteristic
-    if not (is_prime(p) and ring.is_field) or p**n > limit:
+    if not (is_prime(p) and ring.is_field):
         return None
     for l in itertools.product(range(p), repeat=n):
         if all(li == 0 for li in l):

@@ -63,7 +63,8 @@ class AffineMap:
 
     Entries are raw ring values.  A[i][j] is the coefficient of x_{i+1} in
     the image of x_{j+1}.  Construction checks only that det A is a unit;
-    the inverse is computed on the first call of inverse() and kept.
+    the inverse map is built on the first call of inverse() and kept, with
+    this map as its own inverse.
     """
 
     __slots__ = ("ring", "n", "A", "b", "_inv", "_img")
@@ -85,18 +86,16 @@ class AffineMap:
                     f"matrix determinant {ring.format_value(d)} is not a unit"
                 )
 
-    def _compute_inverse(self):
-        """(A^-1, -b A^-1), with A^-1 the adjugate over the determinant."""
-        ring = self.ring
-        det_inv = ring.inv(det(ring, self.A))
-        inv = [[ring.mul(det_inv, v) for v in row] for row in adjugate(ring, self.A)]
-        return (inv, vec_mat(ring, [ring.neg(v) for v in self.b], inv))
-
     def inverse(self):
+        """x -> (x - b) A^-1, with A^-1 the adjugate over the determinant."""
         if self._inv is None:
-            self._inv = self._compute_inverse()
-        A_inv, b_inv = self._inv
-        return AffineMap(self.ring, A_inv, b_inv, _inv=(self.A, self.b))
+            ring = self.ring
+            det_inv = ring.inv(det(ring, self.A))
+            inv = [[ring.mul(det_inv, v) for v in row]
+                   for row in adjugate(ring, self.A)]
+            b_inv = vec_mat(ring, [ring.neg(v) for v in self.b], inv)
+            self._inv = AffineMap(ring, inv, b_inv, _inv=self)
+        return self._inv
 
     def image_polys(self):
         if self._img is None:

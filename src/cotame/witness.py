@@ -587,29 +587,20 @@ def _unit_vector(ring, n, j):
     return vec
 
 
-def build_witness_with_info(
-    phi,
-    target,
-    k_size="auto",
-    budget=200000,
-    seed=0,
-    max_degree=4,
-    delta_limit=128,
-    verdict=None,
-):
+def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
+                            verdict=None):
     """Compile a generator word evaluating to the tame generator epsilon(target).
 
     The word lives in n+1 variables; its evaluation against extend(phi, 1)
     equals extend(elementary(target), 1) exactly.  The seed comes from the
     evidence of decide's route, so the word certifies decide's verdict.  A
-    caller that has already decided with these settings passes the verdict.
+    caller that has already decided with this k_size, or wants other
+    options of decide, passes the verdict.
     """
     ring, n = phi.ring, phi.nvars
     check_witness_target(phi, target, max_degree)
     if verdict is None:
-        verdict = decide(
-            phi, k_size=k_size, budget=budget, seed=seed, delta_limit=delta_limit
-        )
+        verdict = decide(phi, k_size=k_size)
     evidence = verdict.evidence
     found = None
     if verdict.route == "J-full":

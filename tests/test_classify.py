@@ -116,8 +116,9 @@ def test_span_scan_affine_is_empty():
     assert scan.handle.is_zero()
 
 
-def oracle_span_combos(phi, budget, seed):
-    """Deterministic candidate stream of coefficient vectors; singles first."""
+def oracle_span_combos(phi, budget):
+    """Deterministic candidate stream of coefficient vectors; singles first,
+    and over an infinite ring nothing else."""
     ring, n = phi.ring, phi.nvars
     zero, one = ring.zero_value(), ring.one_value()
     singles = []
@@ -136,29 +137,22 @@ def oracle_span_combos(phi, budget, seed):
             if combo in singles or all(v == zero for v in combo):
                 continue
             yield combo
-    else:
-        rng = random.Random(seed)
-        small = list(range(-2, 3))
-        for _ in range(budget):
-            combo = tuple(ring.coerce_value(rng.choice(small)) for _ in range(n))
-            if all(v == zero for v in combo) or combo in singles:
-                continue
-            yield combo
 
 
-def oracle_span_scan(phi, k_size, budget=200000, seed=0):
+def oracle_span_scan(phi, k_size, budget=200000):
     """The span scan as a plain sweep: each combination of the stream is
     summed in full, then stripped of its degree-one part, and its candidate
     checked anew; the sweep stops once the good coefficients fill the ideal.
 
-    The scan is exhaustive when every nonzero vector of k^n was examined.
+    Over a finite ring the scan is exhaustive when every nonzero vector of
+    k^n was examined; over an infinite one when the singles do not certify.
     """
     ring, n = phi.ring, phi.nvars
     zero = ring.zero_value()
     gens, witnesses, seen = [], [], set()
     examined = 0
     exhausted_all = True
-    for combo in oracle_span_combos(phi, budget, seed):
+    for combo in oracle_span_combos(phi, budget):
         examined += 1
         seen.add(combo)
         acc = Polynomial.zero(ring, n)
@@ -178,7 +172,7 @@ def oracle_span_scan(phi, k_size, budget=200000, seed=0):
             exhausted_all = False
             break
     diagnostics = []
-    exhaustive = False
+    exhaustive = exhausted_all
     if ring.is_finite:
         total = ring.order**n
         exhaustive = exhausted_all and len(seen - {(zero,) * n}) == total - 1
@@ -186,10 +180,6 @@ def oracle_span_scan(phi, k_size, budget=200000, seed=0):
             diagnostics.append(
                 f"span scan budget {budget} below the {total} coefficient vectors"
             )
-    elif exhausted_all:
-        diagnostics.append(
-            f"span scan sampled {examined} candidates over an infinite ring"
-        )
     return IdealHandle(ring, gens), witnesses, exhaustive, examined, diagnostics
 
 
@@ -266,11 +256,7 @@ def span_scan_cases(draw):
         )
     else:
         budget = draw(st.integers(min_value=-2, max_value=40))
-    options = {
-        "budget": budget,
-        "seed": draw(st.integers(min_value=0, max_value=3)),
-    }
-    return Endomorphism(ring, images), options
+    return Endomorphism(ring, images), {"budget": budget}
 
 
 @settings(
@@ -373,6 +359,56 @@ def test_span_scan_early_exit_is_lazy(scale_calls):
     one, zero = ring.one_value(), ring.zero_value()
     assert [w.combo for w in scan.witnesses] == [(one, zero, zero)]
     assert len(scale_calls) <= 3 * 3
+
+
+@st.composite
+def maps_over_q(draw):
+    n = draw(st.integers(min_value=2, max_value=3))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    images = []
+    for i in range(n):
+        top = draw(st.sampled_from([1, 1, 3]))  # affine images are common
+        exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * n)
+        terms = draw(st.dictionaries(exps, values, max_size=3))
+        if top == 1:
+            terms = {e: v for e, v in terms.items() if sum(e) <= 1}
+        own = tuple(int(j == i) for j in range(n))
+        terms[own] = terms.get(own, 0) + 1
+        images.append(Polynomial(Q, n, {e: Q.coerce_value(v)
+                                        for e, v in terms.items()}))
+    return Endomorphism(Q, images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps_over_q())
+def test_span_scan_over_q_is_decided_by_the_singles(phi):
+    n = phi.nvars
+    scan = span_good_scan(phi, None)
+    singles = [tuple(Q.coerce_value(int(j == i)) for j in range(n))
+               for i in range(n)]
+    assert scan.diagnostics == [] and scan.examined <= n
+    if scan.certified_full():
+        assert not scan.exhaustive and scan.witnesses[-1].combo in singles
+        return
+    assert scan.exhaustive and scan.examined == n and not scan.witnesses
+    for combo in itertools.product(range(-2, 3), repeat=n):
+        acc = Polynomial.zero(Q, n)
+        for c, img in zip(combo, phi.images):
+            acc = acc + img.scale(RingElement(Q, Q.coerce_value(c)))
+        assert not good_monomials(acc), combo
+
+
+def test_span_scan_over_q_examines_the_singles_of_an_affine_map():
+    phi = Endomorphism(Q, [parse_poly(t, Q, 3) for t in ("x1 + x2", "x2", "x3 + 1/2")])
+    scan = span_good_scan(phi, None)
+    assert scan.examined == 3 and scan.exhaustive
+    assert scan.diagnostics == [] and scan.handle.is_zero()
+
+
+def test_span_scan_over_q_refuses_a_finite_base_field():
+    phi = elementary(parse_poly("x2^2", Q, 3))
+    with pytest.raises(ValueError, match="--ksize 4: Q has no finite base field"):
+        span_good_scan(phi, 4)
 
 
 def test_pattern_membership_examples():

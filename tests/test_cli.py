@@ -62,15 +62,31 @@ def test_ring_mismatch_is_an_error(tmp_path, capsys):
     assert code == ERROR
 
 
-@pytest.mark.parametrize("command", ["decide", "classify", "witness"])
+# (command, ring, images, witness target) on a span map, a direct-route map
+# and a map that a reduction settles, so --ksize is checked before any route
+KSIZE_CASES = [
+    pytest.param(command, ring, images, target, id=command + suffix)
+    for ring, images, target, suffix in [
+        ("GF:2^5", ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"], "x2*x3", ""),
+        ("Fp:5", ["x1 + x2*x3", "x2", "x3"], "x2*x3", "-F_5"),
+        ("Zn:6", ["x1 + 3*x2^2", "x2"], "x2^2", "-Z/6"),
+    ]
+    for command in ("decide", "classify", "witness")
+]
+
+
+def ksize_argv(tmp_path, command, ring, images, target, ksize):
+    phi = write_phi(tmp_path, "phi.json", ring, len(images), images)
+    argv = [command, "--ring", ring, "--phi", phi, "--ksize", ksize]
+    return argv + ["--target", target] if command == "witness" else argv
+
+
+@pytest.mark.parametrize("command, ring, images, target", KSIZE_CASES)
 @pytest.mark.parametrize("ksize", ["0", "1", "-3"])
-def test_ksize_below_two_is_an_error(tmp_path, capsys, command, ksize):
+def test_ksize_below_two_is_an_error(tmp_path, capsys, command, ksize, ring,
+                                     images, target):
     # --ksize 0 is a field size like any other, not a request for "auto"
-    phi = write_phi(tmp_path, "phi.json", "GF:2^5", 3,
-                    ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"])
-    argv = [command, "--ring", "GF:2^5", "--phi", phi, "--ksize", ksize]
-    if command == "witness":
-        argv += ["--target", "x2*x3"]
+    argv = ksize_argv(tmp_path, command, ring, images, target, ksize)
     code, out = run_cli(capsys, argv)
     assert code == ERROR
     assert json.loads(out)["payload"] == {"error": "a field has at least 2 elements"}
@@ -539,18 +555,41 @@ def test_ksize_over_a_ring_without_base_field_changes_nothing(tmp_path, capsys):
     assert code == UNKNOWN and json.loads(out)["status"] == "unknown-verdict"
 
 
-@pytest.mark.parametrize("command", ["decide", "classify", "witness"])
-def test_ksize_above_the_field_order_is_an_error(tmp_path, capsys, command):
-    phi = write_phi(tmp_path, "phi.json", "GF:2^5", 3,
-                    ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"])
-    argv = [command, "--phi", phi, "--ksize", "33"]
-    if command == "witness":
-        argv += ["--target", "x2*x3"]
+@pytest.mark.parametrize("command, ring, images, target", KSIZE_CASES)
+def test_ksize_above_the_field_order_is_an_error(tmp_path, capsys, command, ring,
+                                                 images, target):
+    order = {"GF:2^5": 32, "Fp:5": 5, "Zn:6": 6}[ring]
+    argv = ksize_argv(tmp_path, command, ring, images, target, str(order + 1))
     code, out = run_cli(capsys, argv)
     assert code == ERROR
     assert json.loads(out)["payload"] == {
-        "error": "--ksize 33 exceeds the 32 elements of GF:2^5"
+        "error": f"--ksize {order + 1} exceeds the {order} elements of {ring}"
     }
+
+
+@pytest.mark.parametrize("images", [["x1 + x2^2", "x2", "x3"],
+                                    ["x1 + x2", "x2", "x3 + 1/2"]],
+                         ids=["direct", "affine"])
+@pytest.mark.parametrize("command", ["decide", "classify", "witness"])
+def test_a_finite_ksize_over_q_is_an_error(tmp_path, capsys, command, images):
+    argv = ksize_argv(tmp_path, command, "Q", images, "x2*x3", "4")
+    code, out = run_cli(capsys, argv)
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {
+        "error": "--ksize 4: Q has no finite base field"
+    }
+
+
+def test_classify_over_q_scans_only_the_singles(tmp_path, capsys):
+    # the affine map settles as ngg before the scan, so classify scans itself
+    phi = write_phi(tmp_path, "phi.json", "Q", 3, ["x1 + x2", "x2", "x3 + 1/2"])
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["classify", "--phi", phi])
+    assert time.perf_counter() - start < 2
+    report = json.loads(out)
+    assert code == OK and report["diagnostics"] == []
+    assert report["payload"]["J_phi_certified"] is False
+    assert report["payload"]["verdict"]["reason"] == "ngg-membership"
 
 
 def test_classify_over_a_composite_characteristic(tmp_path, capsys):
@@ -786,6 +825,29 @@ def test_witness_errors_keep_their_precedence(tmp_path, capsys, ring, images,
         "payload": {"error": error},
         "diagnostics": [],
     }, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("ring, images, target", [
+    ("GF:2^5", ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"], "x2*x3"),
+    ("Zn:6", ["x1 + 3*x2^2", "x2"], "x2^2"),
+], ids=["GF(2^5)", "Z/6"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_witness_without_a_word_writes_no_file(tmp_path, capsys, ring, images,
+                                               target, existing):
+    phi = write_phi(tmp_path, "phi.json", ring, len(images), images)
+    word = tmp_path / "word.json"
+    if existing:
+        word.write_text("kept")
+    code, out = run_cli(capsys, ["witness", "--phi", phi, "--target", target,
+                                 "-o", str(word)])
+    assert code == UNKNOWN
+    assert json.loads(out) == {
+        "status": "unknown-verdict",
+        "command": "witness",
+        "payload": {"error": NO_ROUTE},
+        "diagnostics": [],
+    }
+    assert word.read_text() == "kept" if existing else not word.exists()
 
 
 def test_witness_decides_once(tmp_path, capsys, monkeypatch):

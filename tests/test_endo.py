@@ -150,9 +150,19 @@ def test_affine_inverse_is_lazy_and_matches_the_adjugate():
             inv = m.inverse()
             assert (inv.A, inv.b) == cofactor_inverse(ring, A, b)
             assert m._inv is not None and m.inverse() == inv
-            assert inv.inverse() == m
+            assert m.inverse() is inv and inv.inverse() is m
             assert m.compose(inv) == AffineMap.identity(ring, n)
             checked += 1
+
+
+def test_an_affine_inverse_is_built_once():
+    m = AffineMap(GaloisField(3, 2), [[1, 2], [0, 1]], [1, 0])
+    assert m.inverse() is m.inverse() and m.inverse().inverse() is m
+    word = GeneratorWord(2, [m, 1, m.inverse(), -1])
+    back = word.inverse()
+    assert [back.letters[0], back.letters[2]] == [1, -1]
+    assert back.letters[1] is m and back.letters[3] is m.inverse()
+    assert back.inverse().letters[0] is m
 
 
 KERNEL_RINGS = [Q, IntegerRing(), Z6, PrimeField(7), GaloisField(2, 2),

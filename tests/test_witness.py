@@ -538,6 +538,23 @@ def test_a_large_broken_seed_is_refused(monkeypatch):
     assert calls == [2001]
 
 
+def test_a_gf9_build_builds_each_inverse_letter_once(monkeypatch):
+    # the commutator halves of the 892-letter quintic word reuse the inverse
+    # of each letter; the parent built 470 maps for it, one per inverse letter
+    calls = []
+    init = AffineMap.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineMap, "__init__", counted)
+    phi = elementary(parse_poly("x2^5", F9, 3))
+    word = build_witness(phi, parse_poly("x2^2*x3^2 + x3^3", F9, 3))
+    assert len(word) == 892
+    assert len(calls) <= 100
+
+
 ELEMENTARY_RINGS = ["Fp:2", "Fp:3", "Fp:5", "GF:2^2", "Q"]
 
 
