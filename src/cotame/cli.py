@@ -213,9 +213,10 @@ def cmd_decide(args):
 
 def cmd_witness(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
-    target = parse_poly(args.target, phi.ring, phi.nvars)
     ksize = _k_size(args)
-    # a supplied inverse is checked first; the builder loads only for a route
+    classify.resolve_k_size(phi.ring, ksize)  # an invalid --ksize fails first
+    target = parse_poly(args.target, phi.ring, phi.nvars)
+    # then a supplied inverse; the builder loads only for a route
     inverse = _resolve_inverse(phi, args.phi_inverse) if args.phi_inverse else None
     try:
         classify.check_witness_target(phi, target, args.max_degree)

@@ -90,9 +90,10 @@ class AffineMap:
         """x -> (x - b) A^-1, with A^-1 the adjugate over the determinant."""
         if self._inv is None:
             ring = self.ring
-            det_inv = ring.inv(det(ring, self.A))
-            inv = [[ring.mul(det_inv, v) for v in row]
-                   for row in adjugate(ring, self.A)]
+            adj = adjugate(ring, self.A)
+            # A adj(A) = det(A) I: the determinant without a second charpoly
+            det_inv = ring.inv(vec_mat(ring, self.A[0], adj)[0])
+            inv = [[ring.mul(det_inv, v) for v in row] for row in adj]
             b_inv = vec_mat(ring, [ring.neg(v) for v in self.b], inv)
             self._inv = AffineMap(ring, inv, b_inv, _inv=self)
         return self._inv
@@ -186,7 +187,9 @@ class AffineMap:
 
     @classmethod
     def translation(cls, ring, vector):
-        return cls(ring, cls.identity(ring, len(vector)).A, vector)
+        n, zero, one = len(vector), ring.zero_value(), ring.one_value()
+        return cls(ring, [[one if j == i else zero for j in range(n)]
+                          for i in range(n)], vector)
 
     @classmethod
     def from_affine_endo(cls, phi):

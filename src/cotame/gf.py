@@ -10,7 +10,7 @@ and polynomial division.
 from __future__ import annotations
 
 from .errors import NotAUnit
-from .rings import Ring, RingElement, _parse_int, is_prime
+from .rings import Ring, _parse_int, is_prime
 
 
 # Built-in irreducible moduli over F_p, ascending coefficients (constant first),
@@ -131,6 +131,10 @@ class GaloisField(Ring):
         self.characteristic = p
         self.order = p**e
         self._zero = (0,) * e
+        self._label = f"GF({p}^{e})"
+        self._spec = f"GF:{p}^{e}"
+        if DEFAULT_MODULI.get((p, e)) != modulus:
+            self._spec += ":[" + ",".join(map(str, modulus)) + "]"
         if self.order > _TABLE_MAX_ORDER:
             self._log = self._exp = self._zech = self._neg_log = None
 
@@ -246,17 +250,13 @@ class GaloisField(Ring):
         return self._pad([1])
 
     def coerce_value(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("cannot coerce element from a different ring")
-            return x.value
         if isinstance(x, int):
             return self._pad([x % self.p])
         if isinstance(x, (tuple, list)):
             if len(x) > self.e:
                 raise ValueError("coefficient vector too long")
             return self._pad([int(c) % self.p for c in x])
-        raise ValueError(f"cannot coerce {x!r} into GF({self.p}^{self.e})")
+        return super().coerce_value(x)
 
     def index_value(self, i):
         coeffs = []
@@ -285,13 +285,3 @@ class GaloisField(Ring):
         if all(c == 0 for c in value[1:]):
             return str(value[0])
         return "[" + ",".join(str(c) for c in value) + "]"
-
-    def spec_string(self):
-        if (self.p, self.e) in DEFAULT_MODULI and self.modulus == DEFAULT_MODULI[
-            (self.p, self.e)
-        ]:
-            return f"GF:{self.p}^{self.e}"
-        return f"GF:{self.p}^{self.e}:[" + ",".join(str(c) for c in self.modulus) + "]"
-
-    def _key(self):
-        return ("GF", self.p, self.e, self.modulus)

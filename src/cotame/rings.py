@@ -4,6 +4,13 @@ Every ring works on canonical raw values (Fraction, int residue, or a
 coefficient tuple for extension fields) so that equality of elements,
 polynomials and maps is plain structural equality.  RingElement is the
 public wrapper; internal hot loops call the ring's raw methods directly.
+
+Each rule the rings share is stated once.  ``Ring`` holds ring identity
+(``==`` and ``hash`` on the spec string each ring sets once), the
+RingElement branch of ``coerce_value`` after a ring's own raw types, and
+``pow`` and ``sub``; ``_NativeRing`` holds the native ``+ - * neg`` of Q
+and Z; ``_IntegerValues`` holds the int zero, one, order, parsing and
+printing of Z and Z/n.
 """
 
 from __future__ import annotations
@@ -122,13 +129,20 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; concrete rings fill in the raw-value arithmetic."""
+    """Common interface; concrete rings fill in the raw-value arithmetic.
+
+    A ring is known by its spec string, set once per ring (a class constant
+    or at construction): ``==`` answers by identity first and otherwise
+    compares specs, and ``hash`` reads the same string.
+    """
 
     kind = "?"
     characteristic = 0
     is_field = False
     is_finite = False
     order = None  # number of elements when finite
+    _spec = "?"  # the spec string, which names exactly one ring
+    _label = "?"  # the ring's name in a coercion error
 
     # -- raw value arithmetic -------------------------------------------
     def add(self, a, b):
@@ -171,8 +185,15 @@ class Ring:
         raise NotImplementedError
 
     def coerce_value(self, x):
-        """Canonical raw value from an int, RingElement or raw value."""
-        raise NotImplementedError
+        """Canonical raw value from an int, RingElement or raw value.
+
+        A concrete ring converts its own raw types and passes the rest here.
+        """
+        if isinstance(x, RingElement):
+            if x.ring != self:
+                raise ValueError("cannot coerce element from a different ring")
+            return x.value
+        raise ValueError(f"cannot coerce {x!r} into {self._label}")
 
     # -- wrapped helpers -------------------------------------------------
     @property
@@ -207,19 +228,17 @@ class Ring:
         raise NotImplementedError
 
     def spec_string(self):
-        raise NotImplementedError
-
-    def _key(self):
-        raise NotImplementedError
+        return self._spec
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (isinstance(other, Ring)
+                                 and self._spec == other._spec)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._spec)
 
     def __repr__(self):
-        return self.spec_string()
+        return self._spec
 
 
 def _parse_int(text):
@@ -235,14 +254,8 @@ def _parse_int(text):
     return sign * int(text)
 
 
-class RationalField(Ring):
-    kind = "Q"
-    characteristic = 0
-    is_field = True
-
-    def __init__(self):
-        global Fraction  # imported only by a request that works over Q
-        from fractions import Fraction
+class _NativeRing(Ring):
+    """Q and Z: Python's own arithmetic on Fraction and int values."""
 
     def add(self, a, b):
         return a + b
@@ -256,6 +269,37 @@ class RationalField(Ring):
     def neg(self, a):
         return -a
 
+    def is_nilpotent(self, a):
+        return a == 0
+
+
+class _IntegerValues:
+    """Z and Z/n: int values, printed and ordered as ints."""
+
+    def zero_value(self):
+        return 0
+
+    def one_value(self):
+        return 1
+
+    def sort_key(self, value):
+        return value
+
+    def parse_literal(self, text):
+        return self.of(_parse_int(text))
+
+    def format_value(self, value):
+        return str(value)
+
+
+class RationalField(_NativeRing):
+    kind = _spec = _label = "Q"
+    is_field = True
+
+    def __init__(self):
+        global Fraction  # imported only by a request that works over Q
+        from fractions import Fraction
+
     def inv(self, a):
         if a == 0:
             raise NotAUnit("0 is not invertible in Q")
@@ -264,9 +308,6 @@ class RationalField(Ring):
     def is_unit(self, a):
         return a != 0
 
-    def is_nilpotent(self, a):
-        return a == 0
-
     def zero_value(self):
         return Fraction(0)
 
@@ -274,13 +315,9 @@ class RationalField(Ring):
         return Fraction(1)
 
     def coerce_value(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("cannot coerce element from a different ring")
-            return x.value
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
-        raise ValueError(f"cannot coerce {x!r} into Q")
+        return super().coerce_value(x)
 
     def sort_key(self, value):
         return (float(value), value.numerator, value.denominator)
@@ -300,28 +337,9 @@ class RationalField(Ring):
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
 
-    def spec_string(self):
-        return "Q"
 
-    def _key(self):
-        return ("Q",)
-
-
-class IntegerRing(Ring):
-    kind = "Z"
-    characteristic = 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+class IntegerRing(_IntegerValues, _NativeRing):
+    kind = _spec = _label = "Z"
 
     def inv(self, a):
         if a in (1, -1):
@@ -331,41 +349,13 @@ class IntegerRing(Ring):
     def is_unit(self, a):
         return a in (1, -1)
 
-    def is_nilpotent(self, a):
-        return a == 0
-
-    def zero_value(self):
-        return 0
-
-    def one_value(self):
-        return 1
-
     def coerce_value(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("cannot coerce element from a different ring")
-            return x.value
         if isinstance(x, int):
             return x
-        raise ValueError(f"cannot coerce {x!r} into Z")
-
-    def sort_key(self, value):
-        return value
-
-    def parse_literal(self, text):
-        return self.of(_parse_int(text))
-
-    def format_value(self, value):
-        return str(value)
-
-    def spec_string(self):
-        return "Z"
-
-    def _key(self):
-        return ("Z",)
+        return super().coerce_value(x)
 
 
-class IntegerModRing(Ring):
+class IntegerModRing(_IntegerValues, Ring):
     """Z/nZ with residues in [0, n)."""
 
     kind = "Zn"
@@ -378,6 +368,8 @@ class IntegerModRing(Ring):
         self.characteristic = n
         self.is_field = is_prime(n)
         self.order = n
+        self._spec = f"{self.kind}:{n}"
+        self._label = f"Z/{n}"
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -404,20 +396,10 @@ class IntegerModRing(Ring):
         # max prime exponent in n is at most bit_length(n)
         return pow(a, self.n.bit_length(), self.n) == 0
 
-    def zero_value(self):
-        return 0
-
-    def one_value(self):
-        return 1
-
     def coerce_value(self, x):
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("cannot coerce element from a different ring")
-            return x.value
         if isinstance(x, int):
             return x % self.n
-        raise ValueError(f"cannot coerce {x!r} into Z/{self.n}")
+        return super().coerce_value(x)
 
     def index_value(self, i):
         """The i-th element, 0 <= i < order: zero first, one second."""
@@ -425,21 +407,6 @@ class IntegerModRing(Ring):
 
     def iter_units(self):
         return (a for a in range(1, self.n) if math.gcd(a, self.n) == 1)
-
-    def sort_key(self, value):
-        return value
-
-    def parse_literal(self, text):
-        return self.of(_parse_int(text))
-
-    def format_value(self, value):
-        return str(value)
-
-    def spec_string(self):
-        return f"Zn:{self.n}"
-
-    def _key(self):
-        return ("Zn", self.n)
 
 
 class PrimeField(IntegerModRing):
@@ -450,12 +417,6 @@ class PrimeField(IntegerModRing):
             raise ValueError(f"{p} is not prime")
         super().__init__(p)
         self.p = p
-
-    def spec_string(self):
-        return f"Fp:{self.n}"
-
-    def _key(self):
-        return ("Fp", self.n)
 
 
 def ring_from_spec(text):

@@ -781,8 +781,8 @@ BAD_INVERSE = "supplied inverse fails the composition check"
 
 
 # (map name, target, --phi-inverse or None, extra options, exit code, error):
-# a supplied inverse is checked first, then n, x1 in the target and the
-# degree cap, and only then the verdict
+# --ksize is checked first, then a supplied inverse, then n, x1 in the
+# target and the degree cap, and only then the verdict
 WITNESS_PRECEDENCE = [
     ("phi", "T", "bad", [], ERROR, BAD_INVERSE),
     ("phi", "x1*x2", "bad", [], ERROR, BAD_INVERSE),
@@ -796,6 +796,8 @@ WITNESS_PRECEDENCE = [
     ("one", "x1", None, [], ERROR, "need n >= 2"),
     ("phi", "T", None, [], UNKNOWN, NO_ROUTE),
     ("phi", "T", "phi", [], UNKNOWN, NO_ROUTE),
+    ("phi", "x1*x2", None, ["--ksize", "0"], ERROR,
+     "a field has at least 2 elements"),
 ]
 
 

@@ -155,9 +155,14 @@ def test_affine_inverse_is_lazy_and_matches_the_adjugate():
             checked += 1
 
 
-def test_an_affine_inverse_is_built_once():
+def test_an_affine_inverse_is_built_once(monkeypatch):
     m = AffineMap(GaloisField(3, 2), [[1, 2], [0, 1]], [1, 0])
+    calls = []
+    charpoly = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly",
+                        lambda ring, a: calls.append(a) or charpoly(ring, a))
     assert m.inverse() is m.inverse() and m.inverse().inverse() is m
+    assert len(calls) == 1  # the determinant comes from the adjugate
     word = GeneratorWord(2, [m, 1, m.inverse(), -1])
     back = word.inverse()
     assert [back.letters[0], back.letters[2]] == [1, -1]

@@ -178,6 +178,38 @@ def test_spec_string_round_trip():
         assert ring_from_spec(ring.spec_string()) == ring
 
 
+IDENTITY_SPECS = ["Q", "Z", "Zn:4", "Zn:8", "Zn:5", "Fp:5", "GF:5^1", "GF:3^2",
+                  "GF:3^2:[2,2,1]"]
+
+
+def test_rings_are_equal_exactly_when_they_name_one_ring():
+    for a, b in [("Fp:5", "Zn:5"), ("GF:5^1", "Fp:5"), ("Zn:4", "Zn:8"),
+                 ("Q", "Z"), ("GF:3^2:[2,2,1]", "GF:3^2"),
+                 ("GF:3^2:[2,2,1]", "GF:3^2:[1,0,1]")]:
+        assert ring_from_spec(a) != ring_from_spec(b), (a, b)
+        assert not ring_from_spec(a) == ring_from_spec(b), (a, b)
+    default, explicit = ring_from_spec("GF:3^2"), ring_from_spec("GF:3^2:[1,0,1]")
+    assert default == explicit and hash(default) == hash(explicit)
+    for spec in IDENTITY_SPECS:
+        ring, again = ring_from_spec(spec), ring_from_spec(spec)
+        assert ring == ring and ring == again and hash(ring) == hash(again)
+        assert ring != spec and ring.spec_string() == again.spec_string()
+    assert len({ring_from_spec(spec) for spec in IDENTITY_SPECS}) == len(IDENTITY_SPECS)
+
+
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_coercing_an_element_of_another_ring_is_refused(spec):
+    ring = ring_from_spec(spec)
+    for other in IDENTITY_SPECS:
+        foreign = ring_from_spec(other)
+        if foreign == ring:
+            assert ring.coerce_value(foreign.one) == ring.one_value()
+            continue
+        with pytest.raises(ValueError,
+                           match="cannot coerce element from a different ring"):
+            ring.coerce_value(foreign.one)
+
+
 @pytest.mark.parametrize(
     "spec",
     [f"GF:{p}^{e}" for p, e in sorted(DEFAULT_MODULI)] + ["GF:3^2:[2,2,1]"],
