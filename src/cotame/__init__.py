@@ -9,7 +9,7 @@ Importing the package runs none of its submodules: each public name is
 looked up in its submodule on first access (PEP 562), so a command that
 never touches, say, ``witness`` never compiles it.  The map core
 (``maps``) is apart from affine maps, inversion and words (``endo``), so
-``decide`` never compiles ``endo``; it loads ``delta`` and ``linalg`` only
+``decide`` never compiles ``endo`` or ``linalg``; it loads ``delta`` only
 when the difference-operator search runs, and only a ``GF:`` ring loads
 ``gf``.
 """

@@ -1,15 +1,17 @@
 """The difference-operator route, as decide matches it: iterated translation
-differences of one image.  The decomposition behind a match is builder work
-and stays in ``witness``; decide loads this module only when it searches."""
+differences of one image.  Membership in the module that a match needs is
+read off the differences in closed form (``delta_module_membership``), so the
+search solves no linear system.  The decomposition behind a match is builder
+work and stays in ``witness``; decide loads this module only when it
+searches."""
 
 from __future__ import annotations
 
 import itertools
 
 from .errors import Unsupported
-from .linalg import solve_field_system
 from .poly import Polynomial
-from .rings import Record, RingElement, is_prime
+from .rings import Record, is_prime
 
 
 class DeltaSpec(Record):
@@ -52,84 +54,24 @@ def delta_power(f, spec):
     return out
 
 
-def kernel_generator(ring, n, i, a):
-    """x_i^p - a^{p-1} x_i, the invariant of the step-a translation in x_i."""
-    p = ring.characteristic
-    av = ring.coerce_value(a.value if isinstance(a, RingElement) else a)
-    lead = Polynomial.monomial(
-        ring, tuple(p if t == i - 1 else 0 for t in range(n)), ring.one_value()
-    )
-    coeff = ring.pow(av, p - 1)
-    lin = Polynomial.variable(ring, n, i).scale(RingElement(ring, ring.neg(coeff)))
-    return lead + lin
-
-
 def delta_module_membership(f, spec):
-    """Membership in sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j.
+    """Membership in M = sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j, with
+    x_0 = 1 and A_i the polynomials fixed by the step-a_i translation in x_i:
+    f is a member exactly when delta^l f is affine.
 
-    A_i is generated by the kernel polynomial q_i and the other variables,
-    so the module is spanned by x_i*x^l and q_i^s * mu * x_i^j with mu a
-    monomial in the remaining variables.  Generators up to deg(f) + p feed
-    one exact linear solve over the base field.
+    The sum over j < l_i is ker delta_i^{l_i}.  k[x_1..x_n] is the tensor
+    product of the k[x_i] and delta_i acts on the i-th factor alone, so these
+    kernels sum to ker delta^l, and M = span{x^l, x_i x^l} + ker delta^l.
+    delta^l takes x^l to the unit prod l_i! a_i^{l_i}, and x_i x^l to a
+    constant plus that unit times (l_i + 1) x_i.  So the span goes onto the
+    affine polynomials with no x_i term where l_i = p - 1, and no affine
+    value of delta^l has such a term: delta_i^{p-1} maps into the polynomials
+    in q_i = x_i^p - a_i^{p-1} x_i, whose x_i-degree is p times their
+    q_i-degree, so an affine one is free of x_i.
     """
-    ring, n = f.ring, f.nvars
-    p = ring.characteristic
-    if not ring.is_field:
+    if not f.ring.is_field:
         raise Unsupported("membership solving is implemented over fields")
-    if f.is_zero():
-        return True
-    D = f.total_deg() + p
-    gens = []
-    l = spec.l
-    base_exps = tuple(l)
-    # x_0 = 1 alongside the variables
-    gens.append(Polynomial.monomial(ring, base_exps, ring.one_value()))
-    for i in range(1, n + 1):
-        exps = list(base_exps)
-        exps[i - 1] += 1
-        gens.append(Polynomial.monomial(ring, tuple(exps), ring.one_value()))
-    for i in range(1, n + 1):
-        q = kernel_generator(ring, n, i, spec.a[i - 1])
-        q_pows = [Polynomial.constant(ring, n, 1)]
-        while len(q_pows) * p <= D:
-            q_pows.append(q_pows[-1] * q)
-        for j in range(l[i - 1]):
-            for s, qp in enumerate(q_pows):
-                room = D - s * p - j
-                if room < 0:
-                    break
-                xij = Polynomial.monomial(
-                    ring,
-                    tuple(j if t == i - 1 else 0 for t in range(n)),
-                    ring.one_value(),
-                )
-                base = qp * xij
-                for mu in _monomials_avoiding(n, i, room):
-                    gens.append(base * Polynomial.monomial(ring, mu, ring.one_value()))
-    monomials = sorted(
-        set(f.terms) | {e for g in gens for e in g.terms}
-    )
-    index = {e: r for r, e in enumerate(monomials)}
-    zero = ring.zero_value()
-    rows = [[zero] * len(gens) for _ in monomials]
-    for c, g in enumerate(gens):
-        for e, v in g.terms.items():
-            rows[index[e]][c] = v
-    rhs = [zero] * len(monomials)
-    for e, v in f.terms.items():
-        rhs[index[e]] = v
-    return solve_field_system(ring, rows, rhs) is not None
-
-
-def _monomials_avoiding(n, skip_i, max_total):
-    """Exponent tuples in the variables other than x_skip_i, total degree bounded."""
-    other = [t for t in range(n) if t != skip_i - 1]
-    for degs in itertools.product(range(max_total + 1), repeat=len(other)):
-        if sum(degs) <= max_total:
-            exps = [0] * n
-            for t, d in zip(other, degs):
-                exps[t] = d
-            yield tuple(exps)
+    return delta_power(f, spec).is_affine()
 
 
 def _admissible_patterns(n, p, l):

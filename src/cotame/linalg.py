@@ -3,7 +3,7 @@
 Products, the characteristic polynomial, the determinant and the adjugate
 take only ring sums and products, so they hold over any commutative ring,
 Z/n included (the affine letters of ``endo``).  Solving needs a field
-(scaling interpolation in ``witness``, delta membership in ``delta``).
+(scaling interpolation in ``witness``).
 """
 
 

@@ -1,14 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cotame.classify import decide
 from cotame.endo import AffineMap, try_invert
+from cotame.linalg import solve_field_system
 from cotame.maps import Endomorphism, elementary
 from cotame.errors import Unsupported
 from cotame.poly import Polynomial, parse_poly
-from cotame.rings import PrimeField
+from cotame.rings import PrimeField, RingElement, ring_from_spec
 from cotame.delta import (
     DeltaSpec,
     _admissible_patterns,
@@ -17,7 +21,6 @@ from cotame.delta import (
     delta_module_membership,
     delta_power,
     delta_search,
-    kernel_generator,
     pattern_exps,
 )
 from cotame.witness import (
@@ -30,6 +33,88 @@ from cotame.witness import (
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: membership by one exact linear solve over the module's generators
+# ---------------------------------------------------------------------------
+
+def kernel_generator(ring, n, i, a):
+    """x_i^p - a^{p-1} x_i, the invariant of the step-a translation in x_i."""
+    p = ring.characteristic
+    av = ring.coerce_value(a.value if isinstance(a, RingElement) else a)
+    lead = Polynomial.monomial(
+        ring, tuple(p if t == i - 1 else 0 for t in range(n)), ring.one_value()
+    )
+    coeff = ring.pow(av, p - 1)
+    lin = Polynomial.variable(ring, n, i).scale(RingElement(ring, ring.neg(coeff)))
+    return lead + lin
+
+
+def solved_membership(f, spec):
+    """Membership in sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j.
+
+    A_i is generated by the kernel polynomial q_i and the other variables,
+    so the module is spanned by x_i*x^l and q_i^s * mu * x_i^j with mu a
+    monomial in the remaining variables.  Generators up to deg(f) + p feed
+    one exact linear solve over the base field.
+    """
+    ring, n = f.ring, f.nvars
+    p = ring.characteristic
+    if f.is_zero():
+        return True
+    D = f.total_deg() + p
+    gens = []
+    l = spec.l
+    base_exps = tuple(l)
+    # x_0 = 1 alongside the variables
+    gens.append(Polynomial.monomial(ring, base_exps, ring.one_value()))
+    for i in range(1, n + 1):
+        exps = list(base_exps)
+        exps[i - 1] += 1
+        gens.append(Polynomial.monomial(ring, tuple(exps), ring.one_value()))
+    for i in range(1, n + 1):
+        q = kernel_generator(ring, n, i, spec.a[i - 1])
+        q_pows = [Polynomial.constant(ring, n, 1)]
+        while len(q_pows) * p <= D:
+            q_pows.append(q_pows[-1] * q)
+        for j in range(l[i - 1]):
+            for s, qp in enumerate(q_pows):
+                room = D - s * p - j
+                if room < 0:
+                    break
+                xij = Polynomial.monomial(
+                    ring,
+                    tuple(j if t == i - 1 else 0 for t in range(n)),
+                    ring.one_value(),
+                )
+                base = qp * xij
+                for mu in _monomials_avoiding(n, i, room):
+                    gens.append(base * Polynomial.monomial(ring, mu, ring.one_value()))
+    monomials = sorted(
+        set(f.terms) | {e for g in gens for e in g.terms}
+    )
+    index = {e: r for r, e in enumerate(monomials)}
+    zero = ring.zero_value()
+    rows = [[zero] * len(gens) for _ in monomials]
+    for c, g in enumerate(gens):
+        for e, v in g.terms.items():
+            rows[index[e]][c] = v
+    rhs = [zero] * len(monomials)
+    for e, v in f.terms.items():
+        rhs[index[e]] = v
+    return solve_field_system(ring, rows, rhs) is not None
+
+
+def _monomials_avoiding(n, skip_i, max_total):
+    """Exponent tuples in the variables other than x_skip_i, total degree bounded."""
+    other = [t for t in range(n) if t != skip_i - 1]
+    for degs in itertools.product(range(max_total + 1), repeat=len(other)):
+        if sum(degs) <= max_total:
+            exps = [0] * n
+            for t, d in zip(other, degs):
+                exps[t] = d
+            yield tuple(exps)
 
 
 def random_poly(rng, ring, nvars, max_deg=4, max_terms=4):
@@ -118,6 +203,88 @@ def test_module_membership_rejects_target():
     spec = DeltaSpec.ones(F3, (1, 1, 0))
     target = parse_poly("x1^2*x2^2", F3, 3)
     assert not delta_module_membership(target, spec)
+
+
+ORACLE_RINGS = [
+    ring_from_spec(s) for s in ("Fp:2", "Fp:3", "Fp:5", "Fp:7", "GF:2^2", "GF:3^2")
+]
+
+
+@st.composite
+def membership_cases(draw):
+    """(f, spec): f a sum of x^l, x_i*x^l and q_i^s*x_i^j*mu with j < l_i,
+    plus optional noise, so that it is a member or not; some steps differ
+    from one."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    p, units = ring.characteristic, list(ring.iter_units())
+    n = draw(st.sampled_from((2, 3)))
+    # in three variables the orders sum to at most 6, which keeps the
+    # oracle's solve to a fraction of a second
+    budget = 6 if n == 3 else 2 * (p - 1)
+    l = []
+    for _ in range(n):
+        l.append(draw(st.integers(0, min(p - 1, budget))))
+        budget -= l[-1]
+    l = tuple(draw(st.permutations(l)))
+    spec = DeltaSpec(ring, l, tuple(draw(st.sampled_from(units)) for _ in l))
+
+    def term(exps):
+        return Polynomial.monomial(ring, exps, draw(st.sampled_from(units)))
+
+    f = Polynomial.zero(ring, n)
+    if draw(st.booleans()):
+        f = f + term(l)
+    for i in draw(st.lists(st.integers(1, n), max_size=2)):
+        f = f + term(pattern_exps(l, (i,)))
+    for i in draw(st.lists(st.integers(1, n), max_size=2)):
+        if l[i - 1]:
+            j = draw(st.integers(0, l[i - 1] - 1))
+            mu = term(tuple(j if t == i - 1 else draw(st.integers(0, 1))
+                            for t in range(n)))
+            q = kernel_generator(ring, n, i, spec.a[i - 1])
+            f = f + (mu * q if draw(st.booleans()) else mu)
+    # noise: x^l times a quadratic monomial, which leaves the module unless
+    # the differences lose it, and a monomial near x^l
+    if draw(st.booleans()):
+        pair = draw(st.lists(st.integers(1, n), min_size=2, max_size=2))
+        f = f + term(pattern_exps(l, pair))
+    if draw(st.booleans()):
+        f = f + term(tuple(draw(st.integers(0, li + 1)) for li in l))
+    return f, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_cases())
+def test_closed_form_membership_agrees_with_the_solve(case):
+    f, spec = case
+    member = delta_module_membership(f, spec)
+    event("member" if member else "not a member")
+    assert member == solved_membership(f, spec)
+
+
+# membership must not grow with the image's degree or the number of
+# variables: a dense solve over the module's generators took 5-9 s on the two
+# F_5 maps and allocated without bound on the F_2 one
+@pytest.mark.parametrize("added", ["x2^4*x3^3 + x2^9*x3^8", "x2^2*x3^3 + x2^12*x3^7"])
+def test_an_exhausted_delta_search_is_fast(added):
+    phi = elementary(parse_poly(added, F5, 3))
+    start = time.perf_counter()
+    verdict = decide(phi)
+    assert time.perf_counter() - start < 1
+    assert verdict.answer == "Unknown"
+    assert "difference-operator search exhausted" in verdict.diagnostics
+
+
+def test_a_six_variable_delta_route_is_fast_and_verifies():
+    phi = elementary(parse_poly("x2*x3*x4*x5*x6 + x2^5*x3^4", F2, 6))
+    start = time.perf_counter()
+    verdict = decide(phi)
+    assert time.perf_counter() - start < 2
+    assert verdict.route == "delta-route"
+    f = parse_poly("x2*x3", F2, 6)
+    word, info = build_witness_with_info(phi, f)
+    assert info.route == "delta-route"
+    assert verify_witness(word, phi, f)
 
 
 def test_delta_route_product_case():

@@ -47,8 +47,8 @@ BASE = ["cotame", "cotame.cli", "cotame.errors", "cotame.poly", "cotame.rings"]
 MAPS = sorted(BASE + ["cotame.maps"])
 VERIFIER = sorted(MAPS + ["cotame.endo", "cotame.linalg"])
 DECIDER = sorted(MAPS + ["cotame.classify"])
-DELTA = sorted(DECIDER + ["cotame.delta", "cotame.linalg"])
-EVERYTHING = sorted(DELTA + ["cotame.endo", "cotame.witness"])
+DELTA = sorted(DECIDER + ["cotame.delta"])
+EVERYTHING = sorted(DELTA + ["cotame.endo", "cotame.linalg", "cotame.witness"])
 
 
 def with_gf(modules):
@@ -107,8 +107,9 @@ CASES = [
     case(["witness", "--phi", "phi.json", "--target", "x2*x3"], EVERYTHING),
     case(["theta", "--ring", "Fp:7", "--N", "1"], EVERYTHING),
     # decide and classify reach the difference-operator search on both maps:
-    # it certifies the F_3 map, and the GF(2^5) map ends Unknown.  ngg-check
-    # never decides.  None of them runs witness.
+    # it certifies the F_3 map, and the GF(2^5) map ends Unknown.  The search
+    # solves no linear system, so none of them runs linalg.  ngg-check never
+    # decides.  None of them runs witness.
     case(["decide", "--phi", "delta.json"], DELTA, "decide-delta"),
     case(["decide", "--phi", "span.json"], with_gf(DELTA), "decide-span",
          "unknown-verdict"),
