@@ -526,10 +526,6 @@ def check_witness_target(phi, target, max_degree=4):
         )
 
 
-# the largest p^n of order profiles that the difference-operator search tries
-DELTA_LIMIT = 128
-
-
 def decide(phi, k_size="auto", budget=200000):
     """Decide stable co-tameness where the implemented criteria apply.
 
@@ -625,30 +621,29 @@ def decide(phi, k_size="auto", budget=200000):
             "no base field available; degree-condition route skipped"
         )
     if not composite and p != 0 and ring.is_field:
-        if p**n <= DELTA_LIMIT:
-            from .delta import delta_search, pattern_exps
+        from .delta import delta_search, pattern_exps
 
+        try:
             found = delta_search(phi)
-            if found is not None:
-                evidence["delta"] = found
-                spec, j, _, pair = found
-                target = pattern_exps((0,) * n, pair)
-                return Verdict(
-                    "StablyCotame",
-                    route="delta-route",
-                    certificate={
-                        "kind": "delta",
-                        "image": j,
-                        "l": list(spec.l),
-                        "monomial": list(pattern_exps(spec.l, pair)),
-                        "target": str(Polynomial.monomial(ring, target)),
-                    },
-                    diagnostics=diagnostics,
-                    evidence=evidence,
-                )
-            diagnostics.append("difference-operator search exhausted")
-        else:
-            diagnostics.append(
-                f"difference-operator search skipped: {p}^{n} exceeds {DELTA_LIMIT}"
+            note = "difference-operator search exhausted"
+        except ResourceLimit as exc:  # past its work bound: still Unknown
+            found, note = None, str(exc)
+        if found is not None:
+            evidence["delta"] = found
+            spec, j, _, pair = found
+            target = pattern_exps((0,) * n, pair)
+            return Verdict(
+                "StablyCotame",
+                route="delta-route",
+                certificate={
+                    "kind": "delta",
+                    "image": j,
+                    "l": list(spec.l),
+                    "monomial": list(pattern_exps(spec.l, pair)),
+                    "target": str(Polynomial.monomial(ring, target)),
+                },
+                diagnostics=diagnostics,
+                evidence=evidence,
             )
+        diagnostics.append(note)
     return Verdict("Unknown", diagnostics=diagnostics, evidence=evidence)

@@ -1,17 +1,20 @@
 """The difference-operator route, as decide matches it: iterated translation
-differences of one image.  Membership in the module that a match needs is
-read off the differences in closed form (``delta_module_membership``), so the
-search solves no linear system.  The decomposition behind a match is builder
-work and stays in ``witness``; decide loads this module only when it
-searches."""
+differences of one image.  Module membership is read off the differences in
+closed form (``delta_module_membership``), the order profiles off the terms
+of the images, and a bound on the translated terms stops a search too large.
+The decomposition behind a match is builder work in ``witness``; decide
+loads this module only to search."""
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import Unsupported
+from .errors import ResourceLimit, Unsupported
 from .poly import Polynomial
 from .rings import Record, is_prime
+
+# the terms that the translations of one search may expand images to
+DELTA_WORK = 200_000
 
 
 class DeltaSpec(Record):
@@ -21,16 +24,14 @@ class DeltaSpec(Record):
 
     def __init__(self, ring, l, a):
         self.ring, self.l, self.a = ring, l, a
-        p = ring.characteristic
-        if not is_prime(p):
+        if not is_prime(p := ring.characteristic):
             raise Unsupported("difference operators need prime characteristic")
         if len(l) != len(a):
             raise ValueError("order and step vectors must have equal length")
         if any(not 0 <= li <= p - 1 for li in l):
             raise ValueError("orders must satisfy 0 <= l_i <= p-1")
-        for av in a:
-            if not ring.is_unit(ring.coerce_value(av)):
-                raise ValueError("step values must be units")
+        if not all(ring.is_unit(ring.coerce_value(av)) for av in a):
+            raise ValueError("step values must be units")
 
     @classmethod
     def ones(cls, ring, l):
@@ -45,11 +46,13 @@ def delta_apply(f, i, a):
     return f.substitute(images) - f
 
 
-def delta_power(f, spec):
-    """Apply delta_i exactly l_i times for every i."""
+def delta_power(f, spec, charge=lambda terms: None):
+    """Apply delta_i exactly l_i times for every i; `charge` first gets the
+    terms each translation of x_i expands to, e_i + 1 summed over x^e."""
     out = f
     for i, (li, ai) in enumerate(zip(spec.l, spec.a), start=1):
         for _ in range(li):
+            charge(sum(e[i - 1] for e in out.terms) + len(out.terms))
             out = delta_apply(out, i, ai)
     return out
 
@@ -59,15 +62,10 @@ def delta_module_membership(f, spec):
     x_0 = 1 and A_i the polynomials fixed by the step-a_i translation in x_i:
     f is a member exactly when delta^l f is affine.
 
-    The sum over j < l_i is ker delta_i^{l_i}.  k[x_1..x_n] is the tensor
-    product of the k[x_i] and delta_i acts on the i-th factor alone, so these
-    kernels sum to ker delta^l, and M = span{x^l, x_i x^l} + ker delta^l.
-    delta^l takes x^l to the unit prod l_i! a_i^{l_i}, and x_i x^l to a
-    constant plus that unit times (l_i + 1) x_i.  So the span goes onto the
-    affine polynomials with no x_i term where l_i = p - 1, and no affine
-    value of delta^l has such a term: delta_i^{p-1} maps into the polynomials
-    in q_i = x_i^p - a_i^{p-1} x_i, whose x_i-degree is p times their
-    q_i-degree, so an affine one is free of x_i.
+    The sums over j < l_i add up to ker delta^l (delta_i acts on the factor
+    k[x_i] alone), and delta^l takes x^l and the x_i x^l onto the affine
+    polynomials free of each x_i with l_i = p - 1, as every affine value of
+    delta^l is: delta_i^{p-1} maps into k[x_i^p - a_i^{p-1} x_i, x_{k != i}].
     """
     if not f.ring.is_field:
         raise Unsupported("membership solving is implemented over fields")
@@ -75,17 +73,12 @@ def delta_module_membership(f, spec):
 
 
 def _admissible_patterns(n, p, l):
-    """(kind, indices) patterns allowed by the order profile l."""
-    out = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if l[u - 1] <= p - 2 and l[v - 1] <= p - 2:
-                out.append(("product", (u, v)))
-    if p >= 3:
-        for u in range(1, n + 1):
-            if l[u - 1] <= p - 3:
-                out.append(("square", (u, u)))
-    return out
+    """(kind, (u, v)) patterns allowed by the order profile l: those whose
+    x^l*x_u*x_v has no exponent above p - 1, products before squares."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pairs += [(u, u) for u in range(1, n + 1)]
+    return [("square" if u == v else "product", (u, v)) for u, v in pairs
+            if max(pattern_exps(l, (u, v))) < p]
 
 
 def pattern_exps(base, pair):
@@ -96,33 +89,22 @@ def pattern_exps(base, pair):
     return tuple(exps)
 
 
-def unit_plus_affine(f, exps):
-    """The coefficient of x^exps in f when it is a unit and the rest of f is
-    affine, else None."""
-    c = f.terms.get(exps)
-    if c is None or not f.ring.is_unit(c):
-        return None
-    return c if (f - Polynomial.monomial(f.ring, exps, c)).is_affine() else None
-
-
-def delta_match(phi, spec, j, pair=None):
+def delta_match(phi, spec, j, pair=None, charge=lambda terms: None):
     """The first (kind, (u, v)) whose difference-operator pattern phi(x_j)
     matches, or None; a given pair restricts the search to its pattern.
 
-    phi(x_j) must be unit*m plus a member of the delta-kernel module, with
-    m = x_u*x_v*x^l (x_u^2*x^l for a square), and the iterated differences
-    must take phi(x_j) to unit*x_u*x_v (or unit*x_u^2) + affine, exactly.
+    phi(x_j) must be c*m, c a unit and m = x^l*x_u*x_v (x^l*x_u^2 for a
+    square), plus a member of the delta-kernel module: by linearity, D -
+    c*delta^l(m) is affine, with D = delta^l(phi(x_j)) taken once (`charge` as
+    in delta_power).  D is then a unit times x_u*x_v (x_u^2) plus affine terms,
+    as the builder needs, since every exponent of m is at most p - 1.
     """
     ring, n = phi.ring, phi.nvars
     patterns = _admissible_patterns(n, ring.characteristic, spec.l)
     if pair is not None:
-        uv = tuple(sorted(pair))
-        kind = "square" if uv[0] == uv[1] else "product"
-        if (kind, uv) not in patterns:
-            raise ValueError(
-                f"order profile {spec.l} does not admit the {kind} pattern at {pair}"
-            )
-        patterns = [(kind, uv)]
+        patterns = [pat for pat in patterns if pat[1] == tuple(sorted(pair))]
+        if not patterns:
+            raise ValueError(f"order profile {spec.l} admits no pattern at {pair}")
     img = phi.images[j - 1]
     differences = None
     for kind, uv in patterns:
@@ -130,33 +112,49 @@ def delta_match(phi, spec, j, pair=None):
         c = img.terms.get(wanted)
         if c is None or not ring.is_unit(c):
             continue
-        if not delta_module_membership(
-            img - Polynomial.monomial(ring, wanted, c), spec
-        ):
-            continue
         if differences is None:
-            differences = delta_power(img, spec)
-        if unit_plus_affine(differences, pattern_exps((0,) * n, uv)) is not None:
+            differences = delta_power(img, spec, charge)
+        m = Polynomial.monomial(ring, wanted, c)
+        if (differences - delta_power(m, spec)).is_affine():
             return kind, uv
     return None
 
 
 def delta_search(phi):
-    """(spec, j, kind, pair) of the first match over the order profiles,
-    with unit steps of one in every variable; None when nothing matches.
-    decide bounds the p^n profiles it lets this search try."""
+    """(spec, j, kind, pair) of the first match over the order profiles l in
+    itertools.product order, then the images, with unit steps; None if none.
+    A match at (l, j) needs a term x^e = x^l*x_u*x_v of phi(x_j) with no e_i
+    above p - 1: only the profiles read off such terms are tried, each on the
+    images holding one.  ResourceLimit past DELTA_WORK translated terms."""
     ring, n = phi.ring, phi.nvars
     p = ring.characteristic
     if not (is_prime(p) and ring.is_field):
         return None
-    for l in itertools.product(range(p), repeat=n):
-        if all(li == 0 for li in l):
-            continue
+    profiles = {}  # over a field every coefficient is a unit
+    for j, img in enumerate(phi.images, start=1):
+        for e in [e for e in img.terms if max(e) < p]:
+            for u, v in itertools.combinations_with_replacement(range(n), 2):
+                l = tuple(ei - (i == u) - (i == v) for i, ei in enumerate(e))
+                if min(l) >= 0 and any(l):
+                    profiles.setdefault(l, set()).add(j)
+    work = 0
+
+    def charge(terms):
+        nonlocal work
+        work += terms
+        if work > DELTA_WORK:
+            raise ResourceLimit(f"difference-operator search stopped at l = "
+                                f"{spec.l}: its translations exceed {DELTA_WORK} terms")
+
+    for l in sorted(profiles):
         spec = DeltaSpec.ones(ring, l)
-        if not _admissible_patterns(n, p, l):
-            continue
-        for j in range(1, n + 1):
-            found = delta_match(phi, spec, j)
+        # the first translations of its images must fit before any is taken
+        i = next(i for i, li in enumerate(l) if li)
+        first = sum(e[i] + 1 for j in profiles[l] for e in phi.images[j - 1].terms)
+        if work + first > DELTA_WORK:
+            charge(first)  # raises
+        for j in sorted(profiles[l]):
+            found = delta_match(phi, spec, j, charge=charge)
             if found is not None:
                 return (spec, j, *found)
     return None

@@ -28,9 +28,8 @@ from .classify import (
     resolve_k_size,
     target_kind,
 )
-# delta_search is re-exported for bench/traced.py, which wraps it here; decide
-# calls it from cotame.delta, so that wrap never fires
-from .delta import delta_search, pattern_exps, unit_plus_affine
+# re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
+from .delta import delta_search, pattern_exps
 from .endo import (
     AffineMap,
     GeneratorWord,
@@ -120,7 +119,7 @@ def span_decomposition(phi, combo, linear=None):
     terms = []
     target = h
     for i, c in enumerate(combo, start=1):
-        cv = ring.coerce_value(c.value if isinstance(c, RingElement) else c)
+        cv = ring.coerce_value(c)
         if cv == zero:
             continue
         terms.append((RingElement(ring, cv), ident, i))
@@ -151,7 +150,7 @@ def dec_linear_combine(pairs):
     for c, dec in pairs:
         if dec.phi is not phi and dec.phi != phi:
             raise ValueError("all decompositions must be bound to the same map")
-        cv = ring.coerce_value(c.value if isinstance(c, RingElement) else c)
+        cv = ring.coerce_value(c)
         if cv == zero:
             continue
         ce = RingElement(ring, cv)
@@ -368,7 +367,7 @@ def convert_cube(dec, xi=None):
         raise Unsupported("cube conversion applies to n = 2 in characteristic 2")
     if xi is None:
         xi = find_special_unit(ring)
-    xi_v = ring.coerce_value(xi.value if isinstance(xi, RingElement) else xi)
+    xi_v = ring.coerce_value(xi)
     succ = ring.add(xi_v, ring.one_value())
     if not (ring.is_unit(xi_v) and ring.is_unit(succ)):
         raise NotAUnit("need xi and xi+1 both invertible")
@@ -641,6 +640,14 @@ def delta_transport(phi, spec, j):
             moved = dec_apply_affine(dec, eta)
             dec = dec_linear_combine([(1, moved), (-1, dec)])
     return dec
+
+
+def unit_plus_affine(f, exps):
+    """The coefficient of x^exps in f if a unit and the rest of f affine, else None."""
+    c = f.terms.get(exps)
+    if c is None or not f.ring.is_unit(c):
+        return None
+    return c if (f - Polynomial.monomial(f.ring, exps, c)).is_affine() else None
 
 
 def delta_decomposition(phi, spec, j, pair):

@@ -10,11 +10,13 @@ from cotame.classify import decide
 from cotame.endo import AffineMap, try_invert
 from cotame.linalg import solve_field_system
 from cotame.maps import Endomorphism, elementary
-from cotame.errors import Unsupported
+from cotame.errors import ResourceLimit, Unsupported
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import PrimeField, RingElement, ring_from_spec
+from cotame import delta, witness
 from cotame.delta import (
     DeltaSpec,
+    DELTA_WORK,
     _admissible_patterns,
     delta_apply,
     delta_match,
@@ -27,12 +29,14 @@ from cotame.witness import (
     build_witness_with_info,
     delta_decomposition,
     delta_transport,
+    unit_plus_affine,
     verify_witness,
 )
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,127 @@ def test_a_six_variable_delta_route_is_fast_and_verifies():
     word, info = build_witness_with_info(phi, f)
     assert info.route == "delta-route"
     assert verify_witness(word, phi, f)
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the search as it walked all p^n order profiles
+# ---------------------------------------------------------------------------
+
+def product_order_search(phi):
+    """(spec, j, kind, pair) of the first match in itertools.product order
+    over every order profile, each image and each admissible pattern; a match
+    needs the membership of phi(x_j) less its pattern term and differences
+    that are a unit times the target plus affine terms."""
+    ring, n = phi.ring, phi.nvars
+    p = ring.characteristic
+    for l in itertools.product(range(p), repeat=n):
+        if not any(l):
+            continue
+        spec = DeltaSpec.ones(ring, l)
+        for j, img in enumerate(phi.images, start=1):
+            for kind, uv in _admissible_patterns(n, p, l):
+                wanted = pattern_exps(l, uv)
+                c = img.terms.get(wanted)
+                if c is None or not ring.is_unit(c):
+                    continue
+                rest = img - Polynomial.monomial(ring, wanted, c)
+                differences = delta_power(img, spec)
+                if (delta_module_membership(rest, spec) and unit_plus_affine(
+                        differences, pattern_exps((0,) * n, uv)) is not None):
+                    return spec, j, kind, uv
+    return None
+
+
+@st.composite
+def searched_maps(draw):
+    """Maps with p^n <= 128 whose images are x_j plus a few terms of
+    exponents up to p, some of them a planted pattern x^l*x_u*x_v with
+    members of the delta-kernel module beside it."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    p, units = ring.characteristic, list(ring.iter_units())
+    n = draw(st.integers(2, max(k for k in range(2, 8) if p**k <= 128)))
+
+    def term(exps):
+        return Polynomial.monomial(ring, exps, draw(st.sampled_from(units)))
+
+    images = []
+    for j in range(1, n + 1):
+        f = Polynomial.variable(ring, n, j)
+        for _ in range(draw(st.integers(0, 3))):
+            f = f + term(tuple(draw(st.integers(0, p)) for _ in range(n)))
+        if draw(st.booleans()):
+            l = tuple(draw(st.integers(0, p - 1)) for _ in range(n))
+            pair = tuple(sorted(draw(st.lists(st.integers(1, n), min_size=2,
+                                              max_size=2))))
+            f = f + term(pattern_exps(l, pair))
+            i = draw(st.integers(1, n))
+            if l[i - 1]:
+                q = kernel_generator(ring, n, i, ring.one_value())
+                f = f + q * term(pattern_exps((0,) * n, (i,) * (l[i - 1] - 1)))
+        images.append(f)
+    return Endomorphism(ring, images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(searched_maps())
+def test_the_search_over_read_profiles_agrees_with_the_product_order_walk(phi):
+    found = delta_search(phi)
+    expected = product_order_search(phi)
+    event("match" if expected else "no match")
+    if expected is None:
+        assert found is None
+    else:
+        assert (found[0].l, *found[1:]) == (expected[0].l, *expected[1:])
+
+
+def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
+    phi = elementary(parse_poly(
+        "x2^7*x3 + x2^3*x3^2 + x2^2*x3^3 + 2*x2^3*x3^3 + x2*x3^4", F7, 3))
+    images = {id(img): j for j, img in enumerate(phi.images, start=1)}
+    calls = []
+    power = delta.delta_power
+
+    def counted(f, spec, charge=lambda terms: None):
+        if len(f.terms) > 1:  # not the pattern monomial: an image, once
+            calls.append((spec.l, images.get(id(f))))
+        return power(f, spec, charge)
+
+    def refused(*args):
+        raise AssertionError("delta_match checked the differences again")
+
+    monkeypatch.setattr(delta, "delta_power", counted)
+    monkeypatch.setattr(witness, "unit_plus_affine", refused)
+    assert delta_search(phi) is not None
+    assert calls and all(j is not None for _, j in calls)  # images alone
+    assert len(calls) == len(set(calls))  # each once per profile
+    assert not hasattr(delta, "unit_plus_affine")
+
+
+def test_a_map_beyond_the_old_cap_takes_the_delta_route():
+    # p^n = 343: the search once refused every map with p^n > 128
+    phi = elementary(parse_poly("x2^7*x3 + x2^3*x3^2", F7, 3))
+    spec, j, kind, pair = delta_search(phi)
+    assert (spec.l, j, kind, pair) == ((0, 1, 2), 1, "square", (2, 2))
+    assert decide(phi).route == "delta-route"
+    f = parse_poly("x2*x3", F7, 3)
+    word, info = build_witness_with_info(phi, f)
+    assert len(word) == 132 and verify_witness(word, phi, f)
+
+
+def test_the_work_bound_stops_the_search_without_a_verdict():
+    # one translation of x2^2400*x3^2400 in x3 expands to 2400 * 2401 terms
+    phi = elementary(parse_poly("x2^3*x3^2 + x2^2400*x3^2400", F7, 3))
+    with pytest.raises(ResourceLimit, match=f"exceed {DELTA_WORK} terms"):
+        delta_search(phi)
+    start = time.perf_counter()
+    verdict = decide(phi)
+    assert time.perf_counter() - start < 1
+    assert verdict.answer == "Unknown"
+    assert verdict.diagnostics[-1] == (
+        "difference-operator search stopped at l = (0, 1, 2): its translations"
+        f" exceed {DELTA_WORK} terms"
+    )
+    assert "difference-operator search exhausted" not in verdict.diagnostics
 
 
 def test_delta_route_product_case():
