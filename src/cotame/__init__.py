@@ -40,7 +40,7 @@ _EXPORTS = {
     "witness": (
         "SpanDecomposition", "build_witness", "compile_last_word",
         "compile_tame_word", "convert_cube", "convert_square",
-        "delta_decomposition", "shift_extract", "theta_map", "vandermonde_extract",
+        "shift_extract", "theta_map", "vandermonde_extract",
     ),
     "delta": (
         "DeltaSpec", "delta_apply", "delta_match", "delta_module_membership",

@@ -462,21 +462,13 @@ class Verdict(Record):
         self.evidence = {} if evidence is None else evidence
 
     def to_json(self):
-        cert = None
-        if self.certificate is not None:
-            cert = {}
-            for key, value in self.certificate.items():
-                if isinstance(value, (str, int, bool, list, type(None))):
-                    cert[key] = value
-                elif isinstance(value, tuple):
-                    cert[key] = list(value)
-                else:
-                    cert[key] = str(value)
+        # every certificate value decide builds is a str, an int or a list
+        cert = self.certificate
         return {
             "answer": self.answer,
             "route": self.route,
             "reason": self.reason,
-            "certificate": cert,
+            "certificate": None if cert is None else dict(cert),
             "diagnostics": list(self.diagnostics),
         }
 

@@ -165,6 +165,13 @@ class Polynomial:
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def _clean(cls, ring, nvars, terms):
+        """Over a term dict already clean: nvars-long tuple keys, no zeros."""
+        out = cls(ring, nvars)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, ring, nvars):
         return cls(ring, nvars)
 
@@ -221,13 +228,12 @@ class Polynomial:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        return Polynomial(ring, self.nvars, out)
+        return Polynomial._clean(ring, self.nvars, out)
 
     def __neg__(self):
         ring = self.ring
-        return Polynomial(
-            ring, self.nvars, {e: ring.neg(v) for e, v in self.terms.items()}
-        )
+        return Polynomial._clean(
+            ring, self.nvars, {e: ring.neg(v) for e, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -241,22 +247,14 @@ class Polynomial:
             _max_exponents(self.terms), _max_exponents(other.terms))]
         acc = {}
         _mul_into(acc, _pack(self.terms, radices), _pack(other.terms, radices), ring)
-        out = Polynomial(ring, self.nvars)
-        out.terms = _unpack(_reduce(acc, ring), radices)
-        return out
+        return Polynomial._clean(ring, self.nvars, _unpack(_reduce(acc, ring), radices))
 
     def scale(self, c):
         ring = self.ring
         cv = ring.coerce_value(c)
         zero = ring.zero_value()
-        if cv == zero:
-            return Polynomial(ring, self.nvars)
-        out = {}
-        for exps, v in self.terms.items():
-            prod = ring.mul(cv, v)
-            if prod != zero:
-                out[exps] = prod
-        return Polynomial(ring, self.nvars, out)
+        return Polynomial._clean(ring, self.nvars, {
+            e: w for e, v in self.terms.items() if (w := ring.mul(cv, v)) != zero})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -337,9 +335,7 @@ class Polynomial:
                           powers[i][k].items(), ring)
             return _reduce(acc, ring) if groups else acc
 
-        out = Polynomial(ring, m)
-        out.terms = _unpack(horner(terms, 0), radices)
-        return out
+        return Polynomial._clean(ring, m, _unpack(horner(terms, 0), radices))
 
     def embed(self, nvars):
         """The same polynomial viewed inside a larger variable set."""

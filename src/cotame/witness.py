@@ -7,20 +7,21 @@ The central object is SpanDecomposition: an explicit identity
 with h affine and eta_j affine maps, certifying that the target lies in
 the module generated by 1, the variables, and all affine transforms of
 phi's coordinate images.  Everything downstream is exact bookkeeping on
-such identities: scaling interpolation isolates one monomial, the
-all-ones shift exposes a quadratic or cubic monomial, two conversions
-normalize it, and the word compilers turn the final decomposition into a
-product of affine letters and phi^{+-1} that composes to a prescribed
-tame generator.  The identity is checked once, where it becomes a word:
-compile_last_word recomputes it exactly, at any size.  The compiled word
-is re-checked by a dumb evaluator.
+such identities.  Each route ends in a unit times a target monomial plus
+affine terms: a span witness reaches it by scaling interpolation and the
+all-ones shift, a difference-operator match by translation differences of
+one image (a direct match is the zero-order case), and two conversions
+normalize it into a seed that the word compilers turn into a product of
+affine letters and phi^{+-1} composing to a prescribed tame generator.
+compile_last_word checks the identity once, exactly and at any size, and
+a dumb evaluator re-checks the compiled word.
 """
 
 from __future__ import annotations
 
 from .classify import (
     NO_ROUTE,
-    _strip_linear,
+    _singles,
     check_witness_target,
     decide,
     degree_condition,
@@ -29,7 +30,7 @@ from .classify import (
     target_kind,
 )
 # re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
-from .delta import delta_search, pattern_exps
+from .delta import delta_search
 from .endo import (
     AffineMap,
     GeneratorWord,
@@ -110,14 +111,13 @@ def trivial_decomposition(phi, affine_poly):
     return SpanDecomposition(phi, affine_poly, affine_poly, [])
 
 
-def span_decomposition(phi, combo, linear=None):
-    """Decomposition of sum combo_i * phi(x_i) + linear, built from scratch."""
+def span_decomposition(phi, combo):
+    """Decomposition of sum combo_i * phi(x_i), built from scratch."""
     ring, n = phi.ring, phi.nvars
     zero = ring.zero_value()
-    h = linear if linear is not None else Polynomial.zero(ring, n)
+    target = h = Polynomial.zero(ring, n)
     ident = AffineMap.identity(ring, n)
     terms = []
-    target = h
     for i, c in enumerate(combo, start=1):
         cv = ring.coerce_value(c)
         if cv == zero:
@@ -175,6 +175,13 @@ def dec_linear_combine(pairs):
 
 def dec_scale(dec, c):
     return dec_linear_combine([(c, dec)])
+
+
+def dec_less_affine(dec, degrees=(0, 1)):
+    """Decomposition of dec.target less its terms of a degree in degrees, 0 or 1."""
+    part = Polynomial(dec.phi.ring, dec.phi.nvars, {
+        e: v for e, v in dec.target.terms.items() if sum(e) in degrees})
+    return dec_linear_combine([(1, dec), (-1, trivial_decomposition(dec.phi, part))])
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +319,6 @@ def _single_variable_of(exps):
     return support[0] + 1
 
 
-def unit_normalize(dec):
-    """Scale so that the single-monomial target has coefficient one."""
-    exps, value = dec.single_monomial()
-    ring = dec.phi.ring
-    return dec_scale(dec, RingElement(ring, ring.inv(value))), exps
-
-
 def move_monomial(dec, perm):
     """Apply a permutation to relocate the target monomial's variables."""
     ring = dec.phi.ring
@@ -403,12 +403,16 @@ def _relabel_perm(n, sources, targets):
 
 
 def normalize_to_seed(dec, kind):
-    """Route any extracted target to x1*x2 (product seed) or x1*x2^2 (cube seed).
+    """Route a unit times a target monomial of the kind to x1*x2 (product
+    seed) or x1*x2^2 (cube seed).
 
     Returns (dec, seed_kind) with the target coefficient scaled to one.
     """
-    n = dec.phi.nvars
-    dec, exps = unit_normalize(dec)
+    ring, n = dec.phi.ring, dec.phi.nvars
+    exps, value = dec.single_monomial()
+    if target_kind(exps) != kind:
+        raise ValueError(f"target {dec.target} is not of kind {kind!r}")
+    dec = dec_scale(dec, RingElement(ring, ring.inv(value)))
     if kind == "product":
         support = [i + 1 for i, t in enumerate(exps) if t > 0]
         i, j = support[0], support[1]
@@ -424,10 +428,7 @@ def normalize_to_seed(dec, kind):
         if exps[0] == 2:
             dec = move_monomial(dec, swap_perm(n, (1, 2)))
         return dec, "cube"
-    if kind == "pure-cube":
-        converted = convert_cube(dec)
-        return converted, "cube"
-    raise ValueError(f"unknown target kind {kind!r}")
+    return convert_cube(dec), "cube"
 
 
 # ---------------------------------------------------------------------------
@@ -541,49 +542,37 @@ class WitnessInfo(Record):
 def _seed_from_span(phi, scan, k_size):
     """(seed decomposition, seed kind) from a span scan that certified J-full;
     None when no witness coefficient is a unit, which needs a non-field."""
-    ring, n = phi.ring, phi.nvars
     # low-degree good monomials first: they need no shift, so the resulting
     # words stay shorter and avoid translation wrappers entirely
     witnesses = sorted(
         scan.witnesses, key=lambda w: (sum(w.monomial), w.monomial)
     )
-    negated_linear_parts = [_strip_linear(img) - img for img in phi.images]
     for witness in witnesses:
         if not witness.coefficient.is_unit():
             continue
-        linear = Polynomial.zero(ring, n)
-        for c, part in zip(witness.combo, negated_linear_parts):
-            linear = linear + part.scale(c)
-        dec = span_decomposition(phi, witness.combo, linear=linear)
+        dec = dec_less_affine(span_decomposition(phi, witness.combo), (1,))
         if dec.target != witness.candidate:
             raise ValueError("span witness failed to rebuild")
         extracted = vandermonde_extract(dec, witness.monomial)
-        target = witness.gm_type.target(n)
+        target = witness.gm_type.target(phi.nvars)
         if target != witness.monomial:
             extracted, _, _ = shift_extract(extracted, k_size)
         return normalize_to_seed(extracted, target_kind(target))
     return None
 
 
-def _seed_from_direct(phi, found):
-    """(seed decomposition, seed kind) from an image unit*m + affine."""
+def _seed_from_image(phi, j, kind, spec=None):
+    """(seed decomposition, seed kind) from phi(x_j), taken through the
+    spec.l translation differences when a delta spec is given: what is left
+    is a unit times a target monomial of the kind plus affine terms.  A
+    direct match is the zero-order delta match."""
     ring, n = phi.ring, phi.nvars
-    j = found["image"]
-    monomial = Polynomial.monomial(
-        ring, found["monomial"], RingElement(ring, found["coefficient"])
-    )
-    affine_rest = phi.images[j - 1] - monomial
-    base = span_decomposition(phi, _unit_vector(ring, n, j))
-    dec = dec_linear_combine(
-        [(1, base), (-1, trivial_decomposition(phi, affine_rest))]
-    )
-    return normalize_to_seed(dec, target_kind(found["monomial"]))
-
-
-def _unit_vector(ring, n, j):
-    vec = [ring.zero_value()] * n
-    vec[j - 1] = ring.one_value()
-    return vec
+    dec = span_decomposition(phi, _singles(ring, n)[j - 1])
+    for i, (li, ai) in enumerate(zip(spec.l, spec.a) if spec else (), start=1):
+        eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
+        for _ in range(li):
+            dec = dec_linear_combine([(1, dec_apply_affine(dec, eta)), (-1, dec)])
+    return normalize_to_seed(dec_less_affine(dec), kind)
 
 
 def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
@@ -606,10 +595,12 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
         ksz = resolve_k_size(ring, k_size)
         found = _seed_from_span(phi, evidence["scan"], ksz)
     elif verdict.route == "delta-route":
-        spec, j, kind, pair = evidence["delta"]
-        found = normalize_to_seed(delta_decomposition(phi, spec, j, pair), kind)
+        spec, j, kind, _ = evidence["delta"]
+        found = _seed_from_image(phi, j, kind, spec)
     elif verdict.route is not None:
-        found = _seed_from_direct(phi, evidence["direct"])
+        direct = evidence["direct"]
+        found = _seed_from_image(
+            phi, direct["image"], target_kind(direct["monomial"]))
     if found is None:
         raise NoRouteFound(NO_ROUTE)
     seed_dec, seed_kind = found
@@ -623,45 +614,6 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
 def build_witness(phi, target, k_size="auto", **kwargs):
     word, _ = build_witness_with_info(phi, target, k_size=k_size, **kwargs)
     return word
-
-
-# ---------------------------------------------------------------------------
-# difference operators: the decomposition behind a delta_match
-# ---------------------------------------------------------------------------
-
-def delta_transport(phi, spec, j):
-    """Decomposition of delta_power(phi(x_j), spec): each difference is the
-    decomposition transported by the translation minus itself."""
-    ring, n = phi.ring, phi.nvars
-    dec = span_decomposition(phi, _unit_vector(ring, n, j))
-    for i, (li, ai) in enumerate(zip(spec.l, spec.a), start=1):
-        eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
-        for _ in range(li):
-            moved = dec_apply_affine(dec, eta)
-            dec = dec_linear_combine([(1, moved), (-1, dec)])
-    return dec
-
-
-def unit_plus_affine(f, exps):
-    """The coefficient of x^exps in f if a unit and the rest of f affine, else None."""
-    c = f.terms.get(exps)
-    if c is None or not f.ring.is_unit(c):
-        return None
-    return c if (f - Polynomial.monomial(f.ring, exps, c)).is_affine() else None
-
-
-def delta_decomposition(phi, spec, j, pair):
-    """Decomposition of x_u*x_v (x_u^2 when u == v), coefficient one, from the
-    differences of phi(x_j) less their affine rest; None if they are not so."""
-    ring, n = phi.ring, phi.nvars
-    dec = delta_transport(phi, spec, j)
-    target = pattern_exps((0,) * n, pair)
-    c = unit_plus_affine(dec.target, target)
-    if c is None:
-        return None
-    rest = dec.target - Polynomial.monomial(ring, target, c)
-    dec = dec_linear_combine([(1, dec), (-1, trivial_decomposition(phi, rest))])
-    return dec_scale(dec, RingElement(ring, ring.inv(c)))
 
 
 # ---------------------------------------------------------------------------

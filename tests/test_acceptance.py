@@ -27,8 +27,8 @@ from cotame.rings import (
 )
 from cotame.delta import DeltaSpec, delta_match
 from cotame.witness import (
+    _seed_from_image,
     build_witness_with_info,
-    delta_decomposition,
     theta_map,
     vandermonde_combination,
     verify_witness,
@@ -298,9 +298,9 @@ def test_criterion_9_delta_route():
     assert not scan.certified_full()
     spec = DeltaSpec.ones(F3, (0, 1, 1))
     assert delta_match(phi, spec, 1) == ("product", (2, 3))
-    dec = delta_decomposition(phi, spec, 1, (2, 3))
-    assert dec.target == parse_poly("x2*x3", F3, 3)
-    dec.validate()
+    seed, kind = _seed_from_image(phi, 1, "product", spec)
+    assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
+    seed.validate()
     f = parse_poly("x2*x3", F3, 3)
     word, winfo = build_witness_with_info(phi, f)
     assert winfo.route == "delta-route"

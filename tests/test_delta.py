@@ -26,10 +26,8 @@ from cotame.delta import (
     pattern_exps,
 )
 from cotame.witness import (
+    _seed_from_image,
     build_witness_with_info,
-    delta_decomposition,
-    delta_transport,
-    unit_plus_affine,
     verify_witness,
 )
 
@@ -295,6 +293,14 @@ def test_a_six_variable_delta_route_is_fast_and_verifies():
 # the oracle: the search as it walked all p^n order profiles
 # ---------------------------------------------------------------------------
 
+def unit_plus_affine(f, exps):
+    """The coefficient of x^exps in f if a unit and the rest of f affine, else None."""
+    c = f.terms.get(exps)
+    if c is None or not f.ring.is_unit(c):
+        return None
+    return c if (f - Polynomial.monomial(f.ring, exps, c)).is_affine() else None
+
+
 def product_order_search(phi):
     """(spec, j, kind, pair) of the first match in itertools.product order
     over every order profile, each image and each admissible pattern; a match
@@ -374,15 +380,12 @@ def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
             calls.append((spec.l, images.get(id(f))))
         return power(f, spec, charge)
 
-    def refused(*args):
-        raise AssertionError("delta_match checked the differences again")
-
     monkeypatch.setattr(delta, "delta_power", counted)
-    monkeypatch.setattr(witness, "unit_plus_affine", refused)
     assert delta_search(phi) is not None
     assert calls and all(j is not None for _, j in calls)  # images alone
     assert len(calls) == len(set(calls))  # each once per profile
     assert not hasattr(delta, "unit_plus_affine")
+    assert not hasattr(witness, "unit_plus_affine")
 
 
 def test_a_map_beyond_the_old_cap_takes_the_delta_route():
@@ -416,9 +419,9 @@ def test_delta_route_product_case():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
     spec = DeltaSpec.ones(F3, (0, 1, 1))
     assert delta_match(phi, spec, 1) == ("product", (2, 3))
-    dec = delta_decomposition(phi, spec, 1, (2, 3))
-    assert dec.target == parse_poly("x2*x3", F3, 3)
-    dec.validate()
+    seed, kind = _seed_from_image(phi, 1, "product", spec)
+    assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
+    seed.validate()
 
 
 def test_delta_route_affine_no_route():
@@ -440,9 +443,9 @@ def test_delta_search_finds_certificate():
     assert found is not None
     spec, j, kind, pair = found
     assert delta_match(phi, spec, j) == (kind, pair)
-    dec = delta_decomposition(phi, spec, j, pair)
-    dec.validate()
-    exps, value = dec.single_monomial()
+    seed, _ = _seed_from_image(phi, j, kind, spec)
+    seed.validate()
+    exps, value = seed.single_monomial()
     assert value == F3.one_value()
 
 
@@ -463,6 +466,19 @@ def test_delta_route_witness_end_to_end():
     word, info = build_witness_with_info(phi, f)
     assert info.route == "delta-route"
     assert verify_witness(word, phi, f)
+
+
+@pytest.mark.parametrize("decided, other, ring, refusal", [
+    # the differences of x1 + x2*x3 at l = (0, 1, 1) are the constant 1
+    ("x2^2*x3^2", "x2*x3", F3, "not a single monomial"),
+    # a direct match is the zero-order case: x2^2 is not a product
+    ("x2*x3", "x2^2", F5, "is not of kind 'product'"),
+])
+def test_a_verdict_on_another_map_is_refused(decided, other, ring, refusal):
+    verdict = decide(elementary(parse_poly(decided, ring, 3)))
+    phi = elementary(parse_poly(other, ring, 3))
+    with pytest.raises(ValueError, match=refusal):
+        build_witness_with_info(phi, parse_poly("x2*x3", ring, 3), verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +546,7 @@ EQUIVALENCE_MAPS = equivalence_maps()
 def test_delta_match_agrees_with_witness_decomposition(phi):
     ring, n = phi.ring, phi.nvars
     p = ring.characteristic
+    x1x2 = Polynomial.monomial(ring, pattern_exps((0,) * n, (1, 2)))  # the seed
     for l in itertools.product(range(p), repeat=n):
         patterns = _admissible_patterns(n, p, l)
         if not any(l) or not patterns:
@@ -548,20 +565,19 @@ def test_delta_match_agrees_with_witness_decomposition(phi):
                         img - Polynomial.monomial(ring, wanted, c), spec)
                 )
                 if built:
-                    transported = delta_transport(phi, spec, j)
-                    assert transported.target == delta_power(img, spec)
-                    dec = delta_decomposition(phi, spec, j, pair)
-                    built = dec is not None
+                    built = unit_plus_affine(delta_power(img, spec),
+                                             pattern_exps((0,) * n, pair)) is not None
                 if built:
-                    dec.validate()
-                    target = Polynomial.monomial(ring, pattern_exps((0,) * n, pair))
-                    assert dec.target == target
+                    seed, seed_kind = _seed_from_image(phi, j, kind, spec)
+                    seed.validate()
+                    assert seed_kind == "product" and seed.target == x1x2
                 assert matched == built, (l, j, kind, pair)
     verdict = decide(phi)
     if verdict.route == "delta-route":
         spec, j, kind, pair = verdict.evidence["delta"]
-        dec = delta_decomposition(phi, spec, j, pair)
-        assert verdict.certificate["target"] == str(dec.target)
+        (target,) = parse_poly(verdict.certificate["target"], ring, n).terms
+        differences = delta_power(phi.images[j - 1], spec)
+        assert unit_plus_affine(differences, target) is not None
         assert verdict.certificate["monomial"] == list(pattern_exps(spec.l, pair))
         f = parse_poly("x2*x3" if n > 2 else "x2^2", ring, n)
         word, winfo = build_witness_with_info(phi, f)

@@ -26,6 +26,7 @@ from cotame.rings import (
 from cotame import witness
 from cotame.witness import (
     SpanDecomposition,
+    _seed_from_image,
     build_witness,
     build_witness_with_info,
     compile_last_word,
@@ -39,7 +40,6 @@ from cotame.witness import (
     span_decomposition,
     theta_map,
     trivial_decomposition,
-    unit_normalize,
     vandermonde_combination,
     vandermonde_extract,
     verify_witness,
@@ -206,12 +206,8 @@ def test_shift_extract_cases():
 
 
 def test_convert_square():
-    phiq = elementary(P("x2^2"))
-    dec = span_decomposition(phiq, [1, 0, 0])
-    dec = vandermonde_extract(dec, (0, 2, 0))
-    dec, _ = unit_normalize(dec)
-    out = convert_square(dec)
-    assert out.target == P("x1*x2")
+    out, kind = _seed_from_image(elementary(P("x2^2")), 1, "square")
+    assert kind == "product" and out.target == P("x1*x2")
     out.validate()
     # over F5 as well
     phi5 = elementary(parse_poly("x2^2", F5, 3))
@@ -531,7 +527,7 @@ def test_a_large_broken_seed_is_refused(monkeypatch):
     ident = AffineMap.identity(F5, 3)
     broken = SpanDecomposition(phi, parse_poly("x1*x2", F5, 3), Polynomial.zero(F5, 3),
                                [(1, ident, 1)] * 2001)
-    monkeypatch.setattr(witness, "_seed_from_direct", lambda *_: (broken, "product"))
+    monkeypatch.setattr(witness, "_seed_from_image", lambda *_: (broken, "product"))
     calls = counted_validations(monkeypatch)
     with pytest.raises(ValueError, match="decomposition identity failed"):
         build_witness_with_info(phi, parse_poly("x2*x3", F5, 3))
