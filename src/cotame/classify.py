@@ -131,10 +131,8 @@ def good_coefficients(f):
 
 def good_ideal(phi):
     """The obstruction ideal generated by all good coefficients of the images."""
-    gens = []
-    for img in phi.images:
-        gens.extend(good_coefficients(img))
-    return IdealHandle(phi.ring, gens)
+    return IdealHandle(phi.ring, [
+        coeff for img in phi.images for _, coeff, _ in good_monomials(img)])
 
 
 def degree_condition(f, k_size):
@@ -164,9 +162,7 @@ class SpanWitness(Record):
 
     def describe(self):
         return {
-            "combo": [
-                self.candidate.ring.format_value(c) for c in self.combo
-            ],
+            "combo": [self.candidate.ring.format_value(c) for c in self.combo],
             "candidate": str(self.candidate),
             "monomial": list(self.monomial),
             "coefficient": self.candidate.ring.format_value(self.coefficient.value),
@@ -189,11 +185,8 @@ class SpanScan(Record):
 
 def _strip_linear(f):
     """Drop degree-one monomials; the optimal span adjustment by variables."""
-    return Polynomial(
-        f.ring,
-        f.nvars,
-        {e: v for e, v in f.terms.items() if sum(e) != 1},
-    )
+    return Polynomial(f.ring, f.nvars,
+                      {e: v for e, v in f.terms.items() if sum(e) != 1})
 
 
 def _singles(ring, n):
@@ -237,25 +230,24 @@ def _swept_combos(ring, n, live, bound):
 
 
 def span_good_scan(phi, k_size, budget=200000):
-    """Collect good coefficients of span elements that pass the degree condition.
+    """The first span element that passes the degree condition and has a good
+    monomial; over a field its good monomials, all of unit coefficient, fill
+    the ideal and are the witnesses.
 
-    Over a finite ring the c-sweep with linear parts stripped is complete:
+    Over a finite field the c-sweep with linear parts stripped is complete:
     dropping degree-one monomials never hurts the degree condition and the
-    good coefficients do not depend on them.  Over an infinite ring the
-    characteristic is 0, so every monomial of degree at least 2 is good,
-    and there is no finite base field, so the degree condition is vacuous:
-    the good coefficients of a combination lie in the ideal of those of the
-    singles, and the singles alone are an exhaustive scan.
+    good coefficients do not depend on them.  Over `Q` the singles decide:
+    every monomial of degree at least 2 is good.
 
     Stripping commutes with the combination, so each image is stripped once
     and the candidate depends only on the key of coefficients of the live
     images (those with something left).  Only the first vector of each key
     is visited, and the vectors are counted arithmetically; the zero key,
-    the single of a dead image, is never built.  The scan stops at the
-    first vector whose good coefficients fill the ideal.
+    the single of a dead image, is never built.
     """
     ring, n = phi.ring, phi.nvars
-    _guard_characteristic(ring.characteristic)
+    if not ring.is_field:
+        raise Unsupported(f"the span scan needs a base field, not {ring.spec_string()}")
     if not ring.is_finite and k_size is not None:
         raise ValueError(_no_finite_base_field(ring, k_size))
     stripped = [_strip_linear(img) for img in phi.images]
@@ -268,11 +260,7 @@ def span_good_scan(phi, k_size, budget=200000):
     else:
         stream = enumerate(_singles(ring, n), start=1)
     zero_key = (ring.zero_value(),) * len(live)
-    gens = []
-    witnesses = []
     examined = 0
-    diagnostics = []
-    exhausted_all = True
     for examined, combo in stream:
         key = tuple([combo[j] for j in live])
         if key == zero_key:
@@ -283,24 +271,20 @@ def span_good_scan(phi, k_size, budget=200000):
         if candidate.is_zero() or not degree_condition(candidate, k_size):
             continue
         goods = good_monomials(candidate)
-        if not goods:
-            continue
-        for exps, coeff, gm_type in goods:
-            witnesses.append(SpanWitness(combo, candidate, exps, coeff, gm_type))
-            gens.append(coeff)
-        if IdealHandle(ring, gens).is_full():
-            exhausted_all = False
-            break
-    handle = IdealHandle(ring, gens)
-    exhaustive = exhausted_all
-    if ring.is_finite and exhausted_all:
+        if goods:
+            witnesses = [SpanWitness(combo, candidate, *good) for good in goods]
+            handle = IdealHandle(ring, [coeff for _, coeff, _ in goods])
+            return SpanScan(handle, witnesses, False, examined, [])
+    diagnostics = []
+    exhaustive = True
+    if ring.is_finite:
         examined = _stream_length(ring.order, n, bound)
         exhaustive = total <= budget
         if not exhaustive:
             diagnostics.append(
                 f"span scan budget {budget} below the {total} coefficient vectors"
             )
-    return SpanScan(handle, witnesses, exhaustive, examined, diagnostics)
+    return SpanScan(IdealHandle(ring, []), [], exhaustive, examined, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +338,7 @@ def pattern_membership(f, pattern):
 
 def no_good_monomials(phi):
     """True when no good monomial appears in any image (affineness when p=0)."""
-    p = _guard_characteristic(phi.ring.characteristic)
-    if p == 0:
-        return phi.is_affine()
-    return all(not good_monomials(img) for img in phi.images)
+    return good_ideal(phi).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +507,11 @@ def decide(phi, k_size="auto", budget=200000):
     unit-monomial image, a full degree-condition span ideal over a base
     field, or the difference-operator route.  Anything else is Unknown.
     The base-field size is checked first, whatever route answers.
+
+    phi is taken to be an automorphism, unchecked: x1 + x1*x2^2, x2 over
+    GF(4) is not invertible, yet answers StablyCotame by M-phi-case-c; its
+    witness word is built unevaluated (verified: null), and verify refuses
+    it for want of an inverse.
     """
     ring, n = phi.ring, phi.nvars
     if n < 2:
@@ -533,85 +519,59 @@ def decide(phi, k_size="auto", budget=200000):
     ksz = resolve_k_size(ring, k_size)
     p = ring.characteristic
     composite = p != 0 and not is_prime(p)
-    diagnostics = []
-    if not composite:
-        if no_good_monomials(phi):
-            return Verdict(
-                "NotStablyCotame",
-                reason="ngg-membership",
-                certificate={
-                    "kind": "ngg",
-                    "pattern": "affine" if p == 0 else repr(default_pattern(n, p)),
-                },
-                diagnostics=diagnostics,
-            )
-        ideal = good_ideal(phi)
-        if not ideal.is_full():
-            return Verdict(
-                "NotStablyCotame",
-                reason="I-phi-proper",
-                certificate={"kind": "ideal", "generators": repr(ideal)},
-                diagnostics=diagnostics,
-            )
+    # every verdict shares the notes so far and what the searches found
+    diagnostics, evidence = [], {}
+
+    def verdict(answer, certificate=None, route=None, reason=None):
+        return Verdict(answer, route, reason, certificate, diagnostics, evidence)
+
+    if composite:
+        diagnostics.append(f"characteristic {p} is composite;"
+                           " good-monomial criteria skipped")
     else:
-        diagnostics.append(
-            f"characteristic {p} is composite; good-monomial criteria skipped"
-        )
+        ideal = good_ideal(phi)
+        if ideal.is_zero():
+            pattern = "affine" if p == 0 else repr(default_pattern(n, p))
+            return verdict("NotStablyCotame", {"kind": "ngg", "pattern": pattern},
+                           reason="ngg-membership")
+        if not ideal.is_full():
+            return verdict("NotStablyCotame",
+                           {"kind": "ideal", "generators": repr(ideal)},
+                           reason="I-phi-proper")
     reduction = reduction_search(phi)
     if reduction is not None:
-        return Verdict(
-            "NotStablyCotame",
-            reason="reduction-to-ngg",
-            certificate={
-                "kind": "reduction",
-                "modulus": reduction["modulus"],
-                "quotient_ring": reduction["quotient_ring"],
-            },
-            diagnostics=diagnostics,
-        )
+        return verdict("NotStablyCotame", {
+            "kind": "reduction",
+            "modulus": reduction["modulus"],
+            "quotient_ring": reduction["quotient_ring"],
+        }, reason="reduction-to-ngg")
     direct = direct_pattern_scan(phi)
     if direct is not None:
-        return Verdict(
-            "StablyCotame",
-            route=f"M-phi-case-{direct['case']}",
-            certificate={
-                "kind": "direct",
-                "image": direct["image"],
-                "monomial": list(direct["monomial"]),
-                "coefficient": ring.format_value(direct["coefficient"]),
-                "case": direct["case"],
-            },
-            diagnostics=diagnostics,
-            evidence={"direct": direct},
-        )
-    evidence = {}
+        evidence["direct"] = direct
+        return verdict("StablyCotame", {
+            "kind": "direct",
+            "image": direct["image"],
+            "monomial": list(direct["monomial"]),
+            "coefficient": ring.format_value(direct["coefficient"]),
+            "case": direct["case"],
+        }, route=f"M-phi-case-{direct['case']}")
     if ksz != "unavailable":
         scan = evidence["scan"] = span_good_scan(phi, ksz, budget=budget)
         diagnostics.extend(scan.diagnostics)
         if scan.certified_full():
-            witness = scan.witnesses[-1]
-            cert = {"kind": "span-good-monomial"}
-            cert.update(witness.describe())
             if ksz is None:
                 diagnostics.append(
                     "infinite base field: the degree condition is vacuous and the"
                     " obstruction ideal alone decides"
                 )
-            return Verdict(
-                "StablyCotame",
-                route="J-full",
-                certificate=cert,
-                diagnostics=diagnostics,
-                evidence=evidence,
-            )
+            cert = {"kind": "span-good-monomial", **scan.witnesses[-1].describe()}
+            return verdict("StablyCotame", cert, route="J-full")
         if scan.exhaustive:
             diagnostics.append(
                 "span scan exhausted every coefficient vector without certifying"
             )
     else:
-        diagnostics.append(
-            "no base field available; degree-condition route skipped"
-        )
+        diagnostics.append("no base field available; degree-condition route skipped")
     if not composite and p != 0 and ring.is_field:
         from .delta import delta_search, pattern_exps
 
@@ -624,18 +584,12 @@ def decide(phi, k_size="auto", budget=200000):
             evidence["delta"] = found
             spec, j, _, pair = found
             target = pattern_exps((0,) * n, pair)
-            return Verdict(
-                "StablyCotame",
-                route="delta-route",
-                certificate={
-                    "kind": "delta",
-                    "image": j,
-                    "l": list(spec.l),
-                    "monomial": list(pattern_exps(spec.l, pair)),
-                    "target": str(Polynomial.monomial(ring, target)),
-                },
-                diagnostics=diagnostics,
-                evidence=evidence,
-            )
+            return verdict("StablyCotame", {
+                "kind": "delta",
+                "image": j,
+                "l": list(spec.l),
+                "monomial": list(pattern_exps(spec.l, pair)),
+                "target": str(Polynomial.monomial(ring, target)),
+            }, route="delta-route")
         diagnostics.append(note)
-    return Verdict("Unknown", diagnostics=diagnostics, evidence=evidence)
+    return verdict("Unknown")

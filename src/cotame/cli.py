@@ -186,7 +186,7 @@ def cmd_classify(args):
             "I_phi": ideal.to_json(),
             "I_phi_full": ideal.is_full(),
             "J_phi_certified": scan is not None and scan.certified_full(),
-            "ngg": classify.no_good_monomials(phi),
+            "ngg": ideal.is_zero(),
         }
     payload["verdict"] = verdict.to_json()
     code = UNKNOWN if verdict.answer == "Unknown" else OK
@@ -311,14 +311,12 @@ def cmd_reduce(args):
 
 def cmd_ngg_check(args):
     phi = _load_endo(args.phi, args.ring)
-    member = classify.no_good_monomials(phi)
-    payload = {"ngg": member}
-    if not member:
-        for j, img in enumerate(phi.images, start=1):
-            goods = classify.good_monomials(img)
-            if goods:
-                payload["witness"] = _good_entry(phi, j, *goods[0])
-                break
+    payload = {"ngg": True}
+    for j, img in enumerate(phi.images, start=1):
+        goods = classify.good_monomials(img)
+        if goods:
+            payload = {"ngg": False, "witness": _good_entry(phi, j, *goods[0])}
+            break
     return _finish(args, "ngg-check", payload)
 
 

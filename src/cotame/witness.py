@@ -86,20 +86,6 @@ class SpanDecomposition:
         ((exps, value),) = self.target.terms.items()
         return exps, value
 
-    def to_json(self):
-        return {
-            "target": str(self.target),
-            "affine_part": str(self.affine_part),
-            "terms": [
-                {
-                    "a": self.phi.ring.format_value(a.value),
-                    "eta": eta.to_json(),
-                    "i": i,
-                }
-                for a, eta, i in self.terms
-            ],
-        }
-
     def __repr__(self):
         return (
             f"<decomposition of {self.target} with {len(self.terms)} terms>"
@@ -205,7 +191,8 @@ def vandermonde_combination(g, monomial):
     monomial = tuple(monomial)
     if monomial not in g.terms:
         raise ValueError("the requested monomial does not appear")
-    combos = {tuple(ring.one_value() for _ in range(g.nvars)): ring.one_value()}
+    zero, one = ring.zero_value(), ring.one_value()
+    combos = {(one,) * g.nvars: one}
     current = g
     for v in range(1, g.nvars + 1):
         exps = sorted({e[v - 1] for e in current.terms})
@@ -226,32 +213,19 @@ def vandermonde_combination(g, monomial):
             rhs = []
             for i in index_set:
                 rows.append([ring.pow(b, i) for b in betas])
-                rhs.append(
-                    ring.one_value() if i == target_i else ring.zero_value()
-                )
+                rhs.append(one if i == target_i else zero)
             solution = solve_field_system(ring, rows, rhs)
             if solution is not None:
                 break
         if solution is None:
             raise ValueError("power matrix unexpectedly singular")
-        zero = ring.zero_value()
-        new_combos = {}
-        for vec, c in combos.items():
-            for c_l, alpha in zip(solution, alphas):
-                if c_l == zero:
-                    continue
-                coeff = ring.mul(c, c_l)
-                if coeff == zero:
-                    continue
-                new_vec = list(vec)
-                new_vec[v - 1] = ring.mul(new_vec[v - 1], alpha.value)
-                key = tuple(new_vec)
-                acc = ring.add(new_combos.get(key, zero), coeff)
-                if acc == zero:
-                    new_combos.pop(key, None)
-                else:
-                    new_combos[key] = acc
-        combos = new_combos
+        # every vector holds 1 at v, and the alphas are distinct: no two
+        # keys collide, and over a field no product of nonzeros is zero
+        combos = {
+            vec[:v - 1] + (alpha.value,) + vec[v:]: ring.mul(c, c_l)
+            for vec, c in combos.items()
+            for c_l, alpha in zip(solution, alphas) if c_l != zero
+        }
         current = Polynomial(
             ring,
             g.nvars,
@@ -540,25 +514,22 @@ class WitnessInfo(Record):
 
 
 def _seed_from_span(phi, scan, k_size):
-    """(seed decomposition, seed kind) from a span scan that certified J-full;
-    None when no witness coefficient is a unit, which needs a non-field."""
-    # low-degree good monomials first: they need no shift, so the resulting
-    # words stay shorter and avoid translation wrappers entirely
-    witnesses = sorted(
-        scan.witnesses, key=lambda w: (sum(w.monomial), w.monomial)
-    )
-    for witness in witnesses:
-        if not witness.coefficient.is_unit():
-            continue
-        dec = dec_less_affine(span_decomposition(phi, witness.combo), (1,))
-        if dec.target != witness.candidate:
-            raise ValueError("span witness failed to rebuild")
-        extracted = vandermonde_extract(dec, witness.monomial)
-        target = witness.gm_type.target(phi.nvars)
-        if target != witness.monomial:
-            extracted, _, _ = shift_extract(extracted, k_size)
-        return normalize_to_seed(extracted, target_kind(target))
-    return None
+    """(seed decomposition, seed kind) from a span scan that certified J-full.
+
+    Its witnesses are the good monomials of one candidate, with unit
+    coefficients over the field.  The lowest is taken: a low-degree good
+    monomial needs no shift, so the word stays shorter and avoids
+    translation wrappers entirely.
+    """
+    witness = min(scan.witnesses, key=lambda w: (sum(w.monomial), w.monomial))
+    dec = dec_less_affine(span_decomposition(phi, witness.combo), (1,))
+    if dec.target != witness.candidate:
+        raise ValueError("span witness failed to rebuild")
+    extracted = vandermonde_extract(dec, witness.monomial)
+    if witness.gm_type.target(phi.nvars) == witness.monomial:
+        return normalize_to_seed(extracted, target_kind(witness.monomial))
+    extracted, kind, _ = shift_extract(extracted, k_size)
+    return normalize_to_seed(extracted, kind)
 
 
 def _seed_from_image(phi, j, kind, spec=None):
@@ -590,22 +561,18 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
     if verdict is None:
         verdict = decide(phi, k_size=k_size)
     evidence = verdict.evidence
-    found = None
+    if verdict.route is None:
+        raise NoRouteFound(NO_ROUTE)
     if verdict.route == "J-full":
         ksz = resolve_k_size(ring, k_size)
-        found = _seed_from_span(phi, evidence["scan"], ksz)
+        seed_dec, seed_kind = _seed_from_span(phi, evidence["scan"], ksz)
     elif verdict.route == "delta-route":
         spec, j, kind, _ = evidence["delta"]
-        found = _seed_from_image(phi, j, kind, spec)
-    elif verdict.route is not None:
+        seed_dec, seed_kind = _seed_from_image(phi, j, kind, spec)
+    else:
         direct = evidence["direct"]
-        found = _seed_from_image(
+        seed_dec, seed_kind = _seed_from_image(
             phi, direct["image"], target_kind(direct["monomial"]))
-    if found is None:
-        raise NoRouteFound(NO_ROUTE)
-    seed_dec, seed_kind = found
-    if seed_kind == "cube" and n != 2:
-        raise NoRouteFound("cube seed arose outside n = 2")
     seed_word = compile_last_word(seed_dec)
     word = compile_tame_word(seed_word, seed_kind, target, n)
     return word, WitnessInfo(verdict.route, seed_kind, seed_dec)

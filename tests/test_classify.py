@@ -25,7 +25,7 @@ from cotame.classify import (
     span_good_scan,
 )
 from cotame.endo import AffineMap, invert_structured
-from cotame.errors import CompositeCharacteristic
+from cotame.errors import CompositeCharacteristic, Unsupported
 from cotame.gf import GaloisField
 from cotame.maps import Endomorphism, IdealHandle, compose, elementary, identity
 from cotame.poly import Polynomial, parse_poly
@@ -411,6 +411,14 @@ def test_span_scan_over_q_refuses_a_finite_base_field():
         span_good_scan(phi, 4)
 
 
+@pytest.mark.parametrize("spec", ["Z", "Zn:6", "Zn:4"])
+def test_span_scan_refuses_a_ring_that_is_not_a_field(spec):
+    ring = ring_from_spec(spec)
+    phi = elementary(parse_poly("x2*x3", ring, 3))
+    with pytest.raises(Unsupported, match="the span scan needs a base field"):
+        span_good_scan(phi, None)
+
+
 def test_pattern_membership_examples():
     w2 = default_pattern(2, 2)
     for t in (1, 5, 9, 13):
@@ -459,6 +467,49 @@ def test_ngg_membership():
     assert not no_good_monomials(elementary(parse_poly("x2*x3", F2, 3)))
     assert no_good_monomials(AffineMap.translation(Q, [1, 1, 1]).to_endo())
     assert not no_good_monomials(elementary(parse_poly("x2^2", Q, 3)))
+
+
+def oracle_no_good_monomials(phi):
+    """No good monomial, by its definition case by case: affineness in
+    characteristic 0, otherwise no image with a good monomial."""
+    if phi.ring.characteristic == 0:
+        return phi.is_affine()
+    return all(not good_monomials(img) for img in phi.images)
+
+
+NGG_SPECS = ["Q", "Z", "Fp:2", "Fp:3", "Fp:5", "GF:2^2"]
+
+
+@st.composite
+def maps_for_ngg(draw):
+    ring = ring_from_spec(draw(st.sampled_from(NGG_SPECS)))
+    n = draw(st.integers(min_value=2, max_value=3))
+    if ring.is_finite:
+        values = st.sampled_from([el.value for el in ring.elements()])
+    elif ring.is_field:
+        values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        values = st.integers(min_value=-4, max_value=4)
+    images = []
+    for i in range(n):
+        top = draw(st.sampled_from([1, 1, 2, 4]))  # affine images are common
+        exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * n)
+        terms = draw(st.dictionaries(exps, values, max_size=3))
+        if top == 1:
+            terms = {e: v for e, v in terms.items() if sum(e) <= 1}
+        own = tuple(int(j == i) for j in range(n))
+        terms[own] = ring.add(ring.coerce_value(terms.get(own, 0)), ring.one_value())
+        images.append(Polynomial(ring, n, {e: ring.coerce_value(v)
+                                           for e, v in terms.items()}))
+    return Endomorphism(ring, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_for_ngg())
+def test_no_good_monomials_is_the_zero_good_ideal(phi):
+    expected = oracle_no_good_monomials(phi)
+    assert no_good_monomials(phi) is expected
+    assert good_ideal(phi).is_zero() is expected
 
 
 def _pattern_elementary_pool(ring, n, p):
