@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "classify": (
         "GoodMonomialType", "ModulePattern", "Verdict", "decide",
-        "degree_condition", "good_coefficients", "good_ideal",
-        "good_monomial_type", "no_good_monomials", "pattern_membership",
+        "degree_condition", "good_ideal", "good_monomial_type",
+        "no_good_monomials", "pattern_membership",
     ),
     "witness": (
         "SpanDecomposition", "build_witness", "compile_last_word",

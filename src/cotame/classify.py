@@ -119,20 +119,17 @@ def good_monomials(f):
     return out
 
 
-def good_coefficients(f):
-    """The set C_f of coefficients of good monomials, in deterministic order."""
-    seen = []
-    for _, coeff, _ in good_monomials(f):
-        if coeff not in seen:
-            seen.append(coeff)
-    seen.sort(key=lambda c: f.ring.sort_key(c.value))
-    return seen
+def image_good_monomials(phi):
+    """All (image j, exponents, coefficient, type) of the good monomials of
+    phi's images, in image order and then monomial order."""
+    return [(j, *good) for j, img in enumerate(phi.images, start=1)
+            for good in good_monomials(img)]
 
 
 def good_ideal(phi):
     """The obstruction ideal generated by all good coefficients of the images."""
     return IdealHandle(phi.ring, [
-        coeff for img in phi.images for _, coeff, _ in good_monomials(img)])
+        coeff for _, _, coeff, _ in image_good_monomials(phi)])
 
 
 def degree_condition(f, k_size):
@@ -385,42 +382,43 @@ def reduction_search(phi):
 # direct pattern: an image is unit * (target monomial) + affine
 # ---------------------------------------------------------------------------
 
+def normalizes(ring, n, kind):
+    """Whether a unit times a target of the kind normalizes to a seed over
+    ring: a square needs 2 to be a unit, a cube needs n = 2 in characteristic
+    2, and a pure cube also needs a unit u with u + 1 a unit."""
+    if kind == "square":
+        return ring.is_unit(ring.coerce_value(2))
+    if n != 2 or ring.characteristic != 2:
+        return kind == "product"
+    if kind == "pure-cube":
+        try:
+            find_special_unit(ring)
+        except NoSuchUnit:
+            return False
+    return True
+
+
+# the case letter of a direct match, by the kind of its target monomial
+DIRECT_CASES = {"product": "a", "square": "b", "mixed-cube": "c", "pure-cube": "d"}
+
+
 def direct_pattern_scan(phi):
-    """Look for an image of the form unit*m + affine with m a usable target.
+    """Look for an image of the form unit*m + affine with m a target
+    monomial of a kind the ring normalizes.
 
     Valid over any coefficient ring; this is the zero-order case of the
     difference-operator route.
     """
     ring, n = phi.ring, phi.nvars
-    p = ring.characteristic
     for j, img in enumerate(phi.images, start=1):
-        nonlinear = Polynomial(
-            ring, n, {e: v for e, v in img.terms.items() if sum(e) > 1}
-        )
-        if len(nonlinear.terms) != 1:
+        nonlinear = [e for e in img.terms if sum(e) > 1]
+        if len(nonlinear) != 1:
             continue
-        (exps,) = nonlinear.terms
-        c = nonlinear.terms[exps]
-        if not ring.is_unit(c):
-            continue
-        positive = sorted(t for t in exps if t > 0)
-        if positive == [1, 1]:
-            case = "a"
-        elif positive == [2] and ring.is_unit(ring.coerce_value(2)):
-            case = "b"
-        elif n != 2 or p != 2:
-            continue
-        elif positive == [1, 2]:
-            case = "c"
-        elif positive != [3]:
-            continue
-        else:
-            try:
-                find_special_unit(ring)
-            except NoSuchUnit:
-                continue
-            case = "d"
-        return {"case": case, "image": j, "monomial": exps, "coefficient": c}
+        (exps,) = nonlinear
+        c, kind = img.terms[exps], target_kind(exps)
+        if ring.is_unit(c) and kind is not None and normalizes(ring, n, kind):
+            return {"case": DIRECT_CASES[kind], "image": j, "monomial": exps,
+                    "coefficient": c, "kind": kind}
     return None
 
 
@@ -437,9 +435,12 @@ class Verdict(Record):
         self.answer = answer  # "StablyCotame" | "NotStablyCotame" | "Unknown"
         self.route, self.reason, self.certificate = route, reason, certificate
         self.diagnostics = [] if diagnostics is None else diagnostics
-        # what the searches found, kept in memory for witness and classify,
-        # outside equality and repr: "direct" (the direct_pattern_scan
-        # match), "scan" (the SpanScan) and "delta" (delta_search's match)
+        # what decide found, kept in memory for witness and classify,
+        # outside equality and repr: "k_size" (the resolved base-field
+        # size); outside composite characteristic "goods" (its
+        # image_good_monomials) and "ideal" (their good_ideal); "scan" (the
+        # SpanScan) when the span step ran; and "image" = (delta spec or
+        # None, j, target kind) for a direct or delta match of phi(x_j)
         self.evidence = {} if evidence is None else evidence
 
     def to_json(self):
@@ -520,7 +521,7 @@ def decide(phi, k_size="auto", budget=200000):
     p = ring.characteristic
     composite = p != 0 and not is_prime(p)
     # every verdict shares the notes so far and what the searches found
-    diagnostics, evidence = [], {}
+    diagnostics, evidence = [], {"k_size": ksz}
 
     def verdict(answer, certificate=None, route=None, reason=None):
         return Verdict(answer, route, reason, certificate, diagnostics, evidence)
@@ -529,7 +530,9 @@ def decide(phi, k_size="auto", budget=200000):
         diagnostics.append(f"characteristic {p} is composite;"
                            " good-monomial criteria skipped")
     else:
-        ideal = good_ideal(phi)
+        goods = evidence["goods"] = image_good_monomials(phi)
+        ideal = evidence["ideal"] = IdealHandle(
+            ring, [coeff for _, _, coeff, _ in goods])
         if ideal.is_zero():
             pattern = "affine" if p == 0 else repr(default_pattern(n, p))
             return verdict("NotStablyCotame", {"kind": "ngg", "pattern": pattern},
@@ -547,7 +550,7 @@ def decide(phi, k_size="auto", budget=200000):
         }, reason="reduction-to-ngg")
     direct = direct_pattern_scan(phi)
     if direct is not None:
-        evidence["direct"] = direct
+        evidence["image"] = (None, direct["image"], direct["kind"])
         return verdict("StablyCotame", {
             "kind": "direct",
             "image": direct["image"],
@@ -581,8 +584,8 @@ def decide(phi, k_size="auto", budget=200000):
         except ResourceLimit as exc:  # past its work bound: still Unknown
             found, note = None, str(exc)
         if found is not None:
-            evidence["delta"] = found
-            spec, j, _, pair = found
+            spec, j, kind, pair = found
+            evidence["image"] = (spec, j, kind)
             target = pattern_exps((0,) * n, pair)
             return verdict("StablyCotame", {
                 "kind": "delta",

@@ -40,6 +40,7 @@ classify = _lazy("classify")
 witness = _lazy("witness")
 
 OK, ERROR, UNKNOWN = 0, 1, 2
+STATUS = {OK: "ok", ERROR: "error", UNKNOWN: "unknown-verdict"}
 
 
 def _load_json(path):
@@ -94,11 +95,10 @@ def emit_report(result, fmt="json"):
     return "\n".join(lines) + "\n"
 
 
-def _finish(args, command, payload, status="ok", diagnostics=None, code=OK,
-            artifact=None):
+def _finish(args, command, payload, diagnostics=None, code=OK, artifact=None):
     """Print the report; for artifact commands -o saves the artifact JSON."""
     result = {
-        "status": status,
+        "status": STATUS[code],
         "command": command,
         "payload": payload,
         "diagnostics": list(diagnostics or ()),
@@ -155,60 +155,47 @@ def _good_entry(phi, j, exps, coeff, gm_type):
     }
 
 
+def _verdict_code(verdict):
+    return UNKNOWN if verdict.answer == "Unknown" else OK
+
+
 def cmd_classify(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
-    ksize = _k_size(args)
-    verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
-    p = phi.ring.characteristic
-    if p != 0 and not is_prime(p):
+    verdict = classify.decide(phi, k_size=_k_size(args), budget=args.budget)
+    evidence = verdict.evidence
+    if "ideal" not in evidence:
         # good monomials exist in characteristic 0 or prime only
         payload = dict.fromkeys(
             ("good_monomials", "I_phi", "I_phi_full", "J_phi_certified", "ngg")
         )
         diagnostics = verdict.diagnostics
     else:
-        ideal = classify.good_ideal(phi)
-        resolved = classify.resolve_k_size(phi.ring, ksize)
+        ideal, ksz = evidence["ideal"], evidence["k_size"]
         # the verdict's scan when decide got that far, else a scan of its own
-        scan = verdict.evidence.get("scan")
-        if scan is None and resolved != "unavailable":
-            scan = classify.span_good_scan(phi, resolved, budget=args.budget)
+        scan = evidence.get("scan")
+        if scan is None and ksz != "unavailable":
+            scan = classify.span_good_scan(phi, ksz, budget=args.budget)
         if scan is not None:
             diagnostics = scan.diagnostics
         else:
             diagnostics = ["no base field available for the span scan"]
         payload = {
-            "good_monomials": [
-                _good_entry(phi, j, *good)
-                for j, img in enumerate(phi.images, start=1)
-                for good in classify.good_monomials(img)
-            ],
+            "good_monomials": [_good_entry(phi, *good) for good in evidence["goods"]],
             "I_phi": ideal.to_json(),
             "I_phi_full": ideal.is_full(),
             "J_phi_certified": scan is not None and scan.certified_full(),
             "ngg": ideal.is_zero(),
         }
     payload["verdict"] = verdict.to_json()
-    code = UNKNOWN if verdict.answer == "Unknown" else OK
-    status = "unknown-verdict" if code == UNKNOWN else "ok"
-    return _finish(args, "classify", payload, status=status,
-                   diagnostics=diagnostics, code=code)
+    return _finish(args, "classify", payload, diagnostics=diagnostics,
+                   code=_verdict_code(verdict))
 
 
 def cmd_decide(args):
     phi = _load_endo(args.phi, args.ring, getattr(args, "n", None))
-    ksize = _k_size(args)
-    verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
-    code = UNKNOWN if verdict.answer == "Unknown" else OK
-    status = "unknown-verdict" if code == UNKNOWN else "ok"
-    return _finish(
-        args,
-        "decide",
-        verdict.to_json(),
-        status=status,
-        diagnostics=verdict.diagnostics,
-        code=code,
-    )
+    verdict = classify.decide(phi, k_size=_k_size(args), budget=args.budget)
+    return _finish(args, "decide", verdict.to_json(),
+                   diagnostics=verdict.diagnostics, code=_verdict_code(verdict))
 
 
 def cmd_witness(args):
@@ -226,17 +213,10 @@ def cmd_witness(args):
         if inverse is None:
             inverse = endo.try_invert(phi)
         word, info = witness.build_witness_with_info(
-            phi, target, k_size=ksize, max_degree=args.max_degree, verdict=verdict
-        )
+            phi, target, max_degree=args.max_degree, verdict=verdict)
     except NoRouteFound as exc:
         args.output = None  # no word: the -o path is left untouched
-        return _finish(
-            args,
-            "witness",
-            {"error": str(exc)},
-            status="unknown-verdict",
-            code=UNKNOWN,
-        )
+        return _finish(args, "witness", {"error": str(exc)}, code=UNKNOWN)
     verified = None
     if inverse is not None:
         verified = endo.verify_witness(word, phi, target, phi_inverse=inverse)
@@ -266,13 +246,9 @@ def cmd_verify(args):
     mismatch = endo.first_mismatch(word, phi, target, inverse)
     if mismatch is None:
         return _finish(args, "verify", {"match": True, "word_length": len(word)})
-    return _finish(
-        args,
-        "verify",
-        {"match": False, "first_mismatch_variable": mismatch},
-        status="error",
-        code=ERROR,
-    )
+    return _finish(args, "verify",
+                   {"match": False, "first_mismatch_variable": mismatch},
+                   code=ERROR)
 
 
 def cmd_theta(args):
@@ -283,19 +259,19 @@ def cmd_theta(args):
         "theta_prime": theta_prime.to_json(),
     }
     if args.analyze:
+        verdict = classify.decide(theta, budget=args.budget)
         img = theta_prime.images[1]
         analysis = {
             "degrees_theta_prime_x2": [img.deg_xi(i) for i in (1, 2, 3)],
             "term_counts": [len(i.terms) for i in theta.images],
         }
         if is_prime(ring.characteristic):
-            analysis["ngg"] = classify.no_good_monomials(theta)
+            analysis["ngg"] = verdict.evidence["ideal"].is_zero()
         if args.N == 1:
             coeff = img.terms.get((2, 0, 4))
             analysis["x1^2*x3^4_coefficient"] = (
                 ring.format_value(coeff) if coeff is not None else "0"
             )
-        verdict = classify.decide(theta, budget=args.budget)
         analysis["verdict"] = verdict.to_json()
         payload["analysis"] = analysis
     return _finish(args, "theta", payload, artifact=payload["theta"])
@@ -424,8 +400,8 @@ def run(argv):
     except Exception as exc:
         # a defect, or a lazily loaded module that fails: still one report
         payload = {"error": f"internal error: {type(exc).__name__}: {exc}"}
-    result = {"status": "error", "command": args.command, "payload": payload,
-              "diagnostics": []}
+    result = {"status": STATUS[ERROR], "command": args.command,
+              "payload": payload, "diagnostics": []}
     sys.stdout.write(emit_report(result, args.format))
     return ERROR
 

@@ -26,7 +26,6 @@ from .classify import (
     decide,
     degree_condition,
     good_monomial_type,
-    resolve_k_size,
     target_kind,
 )
 # re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
@@ -328,7 +327,7 @@ def convert_square(dec):
     return dec_scale(mixed, RingElement(ring, four_inv))
 
 
-def convert_cube(dec, xi=None):
+def convert_cube(dec):
     """From c*x_i^3 to c*x1*x2^2 in two variables over characteristic 2.
 
     x1^3 + x2^3 + (x1+x2)^3 collapses to x1^2*x2 + x1*x2^2; combining with
@@ -339,12 +338,8 @@ def convert_cube(dec, xi=None):
     n = dec.phi.nvars
     if n != 2 or ring.characteristic != 2:
         raise Unsupported("cube conversion applies to n = 2 in characteristic 2")
-    if xi is None:
-        xi = find_special_unit(ring)
-    xi_v = ring.coerce_value(xi)
+    xi_v = find_special_unit(ring).value
     succ = ring.add(xi_v, ring.one_value())
-    if not (ring.is_unit(xi_v) and ring.is_unit(succ)):
-        raise NotAUnit("need xi and xi+1 both invertible")
     exps, _ = dec.single_monomial()
     i = _single_variable_of(exps)
     if exps[i - 1] != 3 or sum(exps) != 3:
@@ -507,10 +502,10 @@ def compile_tame_word(seed_word, seed_kind, f, n):
 # ---------------------------------------------------------------------------
 
 class WitnessInfo(Record):
-    __slots__ = _fields = ("route", "seed_kind", "seed_dec")
+    __slots__ = _fields = ("route", "seed_kind")
 
-    def __init__(self, route, seed_kind, seed_dec):
-        self.route, self.seed_kind, self.seed_dec = route, seed_kind, seed_dec
+    def __init__(self, route, seed_kind):
+        self.route, self.seed_kind = route, seed_kind
 
 
 def _seed_from_span(phi, scan, k_size):
@@ -552,11 +547,11 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
 
     The word lives in n+1 variables; its evaluation against extend(phi, 1)
     equals extend(elementary(target), 1) exactly.  The seed comes from the
-    evidence of decide's route, so the word certifies decide's verdict.  A
-    caller that has already decided with this k_size, or wants other
-    options of decide, passes the verdict.
+    evidence of decide's route, base-field size included, so the word
+    certifies decide's verdict.  A caller that has already decided, or
+    wants other options of decide, passes the verdict; k_size serves only
+    the decide made here without one.
     """
-    ring, n = phi.ring, phi.nvars
     check_witness_target(phi, target, max_degree)
     if verdict is None:
         verdict = decide(phi, k_size=k_size)
@@ -564,18 +559,14 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
     if verdict.route is None:
         raise NoRouteFound(NO_ROUTE)
     if verdict.route == "J-full":
-        ksz = resolve_k_size(ring, k_size)
-        seed_dec, seed_kind = _seed_from_span(phi, evidence["scan"], ksz)
-    elif verdict.route == "delta-route":
-        spec, j, kind, _ = evidence["delta"]
-        seed_dec, seed_kind = _seed_from_image(phi, j, kind, spec)
+        seed_dec, seed_kind = _seed_from_span(
+            phi, evidence["scan"], evidence["k_size"])
     else:
-        direct = evidence["direct"]
-        seed_dec, seed_kind = _seed_from_image(
-            phi, direct["image"], target_kind(direct["monomial"]))
+        spec, j, kind = evidence["image"]
+        seed_dec, seed_kind = _seed_from_image(phi, j, kind, spec)
     seed_word = compile_last_word(seed_dec)
-    word = compile_tame_word(seed_word, seed_kind, target, n)
-    return word, WitnessInfo(verdict.route, seed_kind, seed_dec)
+    word = compile_tame_word(seed_word, seed_kind, target, phi.nvars)
+    return word, WitnessInfo(verdict.route, seed_kind)
 
 
 def build_witness(phi, target, k_size="auto", **kwargs):

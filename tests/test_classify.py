@@ -13,7 +13,6 @@ from cotame.classify import (
     default_pattern,
     degree_condition,
     direct_pattern_scan,
-    good_coefficients,
     good_ideal,
     good_monomial_type,
     good_monomials,
@@ -23,9 +22,10 @@ from cotame.classify import (
     reduction_search,
     resolve_k_size,
     span_good_scan,
+    target_kind,
 )
 from cotame.endo import AffineMap, invert_structured
-from cotame.errors import CompositeCharacteristic, Unsupported
+from cotame.errors import CompositeCharacteristic, NoSuchUnit, Unsupported
 from cotame.gf import GaloisField
 from cotame.maps import Endomorphism, IdealHandle, compose, elementary, identity
 from cotame.poly import Polynomial, parse_poly
@@ -35,6 +35,7 @@ from cotame.rings import (
     PrimeField,
     RationalField,
     RingElement,
+    find_special_unit,
     is_prime,
     ring_from_spec,
 )
@@ -68,13 +69,6 @@ def test_good_matches_pattern_complement_exhaustively():
             good = good_monomial_type(exps, n, p).is_good()
             inside = monomial_in_pattern(exps, pattern)
             assert good != inside, (n, p, exps)
-
-
-def test_good_coefficients_examples():
-    f = parse_poly("x1 + 3*x2*x3", F5, 3)
-    assert good_coefficients(f) == [F5.of(3)]
-    assert good_coefficients(parse_poly("x1 + 2*x2 + 1", F5, 3)) == []
-    assert good_coefficients(parse_poly("x2^2", F2, 3)) == []
 
 
 def test_good_ideal_examples():
@@ -480,16 +474,20 @@ def oracle_no_good_monomials(phi):
 NGG_SPECS = ["Q", "Z", "Fp:2", "Fp:3", "Fp:5", "GF:2^2"]
 
 
+def ring_values(ring):
+    """Coefficient values of ring: all of a finite ring, small ones otherwise."""
+    if ring.is_finite:
+        return st.sampled_from([el.value for el in ring.elements()])
+    if ring.is_field:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.integers(min_value=-4, max_value=4)
+
+
 @st.composite
 def maps_for_ngg(draw):
     ring = ring_from_spec(draw(st.sampled_from(NGG_SPECS)))
     n = draw(st.integers(min_value=2, max_value=3))
-    if ring.is_finite:
-        values = st.sampled_from([el.value for el in ring.elements()])
-    elif ring.is_field:
-        values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    else:
-        values = st.integers(min_value=-4, max_value=4)
+    values = ring_values(ring)
     images = []
     for i in range(n):
         top = draw(st.sampled_from([1, 1, 2, 4]))  # affine images are common
@@ -603,6 +601,79 @@ def test_direct_pattern_scan():
     hit = direct_pattern_scan(phi)
     assert hit is not None and hit["case"] == "a"
     assert direct_pattern_scan(identity(F2, 3)) is None
+
+
+def oracle_direct_pattern_scan(phi):
+    """The direct match by a ladder over the sorted positive exponents of
+    the one nonlinear monomial, case by case."""
+    ring, n = phi.ring, phi.nvars
+    p = ring.characteristic
+    for j, img in enumerate(phi.images, start=1):
+        nonlinear = Polynomial(
+            ring, n, {e: v for e, v in img.terms.items() if sum(e) > 1}
+        )
+        if len(nonlinear.terms) != 1:
+            continue
+        (exps,) = nonlinear.terms
+        c = nonlinear.terms[exps]
+        if not ring.is_unit(c):
+            continue
+        positive = sorted(t for t in exps if t > 0)
+        if positive == [1, 1]:
+            case = "a"
+        elif positive == [2] and ring.is_unit(ring.coerce_value(2)):
+            case = "b"
+        elif n != 2 or p != 2:
+            continue
+        elif positive == [1, 2]:
+            case = "c"
+        elif positive != [3]:
+            continue
+        else:
+            try:
+                find_special_unit(ring)
+            except NoSuchUnit:
+                continue
+            case = "d"
+        return {"case": case, "image": j, "monomial": exps, "coefficient": c}
+    return None
+
+
+DIRECT_SPECS = ["Q", "Z", "Zn:2", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Fp:2", "Fp:3",
+                "Fp:5", "GF:2^2", "GF:3^2"]
+
+
+@st.composite
+def maps_for_direct(draw):
+    """Maps whose images are x_j plus affine terms and up to two monomials of
+    degree 2 to 4, so that many have exactly one."""
+    ring = ring_from_spec(draw(st.sampled_from(DIRECT_SPECS)))
+    n = draw(st.integers(min_value=2, max_value=3))
+    values = ring_values(ring)
+    affine = st.tuples(*[st.integers(min_value=0, max_value=1)] * n).filter(
+        lambda e: sum(e) <= 1)
+    nonlinear = st.tuples(*[st.integers(min_value=0, max_value=3)] * n).filter(
+        lambda e: 2 <= sum(e) <= 4)
+    images = []
+    for i in range(n):
+        terms = draw(st.dictionaries(affine, values, max_size=2))
+        terms.update(draw(st.dictionaries(nonlinear, values, max_size=2)))
+        own = tuple(int(j == i) for j in range(n))
+        terms[own] = ring.add(ring.coerce_value(terms.get(own, 0)), ring.one_value())
+        images.append(Polynomial(ring, n, {e: ring.coerce_value(v)
+                                           for e, v in terms.items()}))
+    return Endomorphism(ring, images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_for_direct())
+def test_direct_pattern_scan_agrees_with_the_case_ladder(phi):
+    hit, expected = direct_pattern_scan(phi), oracle_direct_pattern_scan(phi)
+    if expected is None:
+        assert hit is None
+    else:
+        assert hit.pop("kind") == target_kind(hit["monomial"])
+        assert hit == expected
 
 
 def test_decide_examples():

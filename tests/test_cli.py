@@ -336,6 +336,33 @@ def test_classify_scans_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, ring, images, calls", [
+    (["classify", "--n", "3", "--ksize", "5"], "Fp:5", ["x1 + x2*x3", "x2", "x3"], 4),
+    (["classify"], "GF:2^5", ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"], 3),
+    (["decide"], "Fp:5", ["x1 + x2*x3", "x2", "x3"], 3),
+    (["theta", "--ring", "Fp:7", "--N", "1", "--analyze"], None, None, 4),
+])
+def test_good_monomials_are_listed_once(tmp_path, capsys, monkeypatch, argv, ring,
+                                        images, calls):
+    # decide lists each image's good monomials once, and classify and theta
+    # --analyze read them off its verdict; the rest are span candidates
+    import cotame.classify
+
+    counted = []
+    good_monomials = cotame.classify.good_monomials
+
+    def counting(f):
+        counted.append(f)
+        return good_monomials(f)
+
+    monkeypatch.setattr(cotame.classify, "good_monomials", counting)
+    if ring is not None:
+        argv = argv + ["--phi", write_phi(tmp_path, "phi.json", ring, 3, images)]
+    code, _ = run_cli(capsys, argv)
+    assert code in (OK, UNKNOWN)
+    assert len(counted) == calls
+
+
 def test_reduce_cli(tmp_path, capsys):
     phi = write_phi(tmp_path, "phi.json", "Zn:6", 2, ["x1 + 3*x2^2", "x2"])
     code, out = run_cli(

@@ -574,7 +574,9 @@ def test_delta_match_agrees_with_witness_decomposition(phi):
                 assert matched == built, (l, j, kind, pair)
     verdict = decide(phi)
     if verdict.route == "delta-route":
-        spec, j, kind, pair = verdict.evidence["delta"]
+        spec, j, kind = verdict.evidence["image"]
+        matched_kind, pair = delta_match(phi, spec, j)
+        assert matched_kind == kind
         (target,) = parse_poly(verdict.certificate["target"], ring, n).terms
         differences = delta_power(phi.images[j - 1], spec)
         assert unit_plus_affine(differences, target) is not None
