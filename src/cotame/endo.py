@@ -8,10 +8,11 @@ too, so checking a word needs none of the code that builds one.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import NotAUnit, ResourceLimit, Unsupported
-from .linalg import adjugate, det, mat_mul, vec_mat
+from .linalg import adjugate, det as matrix_det, mat_mul, vec_mat
 from .maps import Endomorphism, compose, elementary, extend, identity
 from .maps import _field, _is_list, _is_positive_int
 from .poly import Polynomial
@@ -62,14 +63,15 @@ class AffineMap:
     """x -> xA + b with A invertible over R.
 
     Entries are raw ring values.  A[i][j] is the coefficient of x_{i+1} in
-    the image of x_{j+1}.  Construction checks only that det A is a unit;
-    the inverse map is built on the first call of inverse() and kept, with
-    this map as its own inverse.
+    the image of x_{j+1}.  Construction checks only that det A is a unit.
+    A caller that knows det A passes it as `det`; otherwise Berkowitz's
+    characteristic polynomial computes it.  The inverse map is built on the
+    first call of inverse() and kept, with this map as its own inverse.
     """
 
-    __slots__ = ("ring", "n", "A", "b", "_inv", "_img")
+    __slots__ = ("ring", "n", "A", "b", "det", "_inv", "_img")
 
-    def __init__(self, ring, A, b, _inv=None):
+    def __init__(self, ring, A, b, det=None, _inv=None):
         n = len(A)
         if any(len(row) != n for row in A) or len(b) != n:
             raise ValueError("matrix/translation shape mismatch")
@@ -79,23 +81,21 @@ class AffineMap:
         self.b = [ring.coerce_value(v) for v in b]
         self._img = None
         self._inv = _inv
-        if _inv is None:
-            d = det(ring, self.A)
-            if not ring.is_unit(d):
-                raise NotAUnit(
-                    f"matrix determinant {ring.format_value(d)} is not a unit"
-                )
+        self.det = matrix_det(ring, self.A) if det is None else det
+        if not ring.is_unit(self.det):
+            raise NotAUnit(
+                f"matrix determinant {ring.format_value(self.det)} is not a unit"
+            )
 
     def inverse(self):
         """x -> (x - b) A^-1, with A^-1 the adjugate over the determinant."""
         if self._inv is None:
             ring = self.ring
-            adj = adjugate(ring, self.A)
-            # A adj(A) = det(A) I: the determinant without a second charpoly
-            det_inv = ring.inv(vec_mat(ring, self.A[0], adj)[0])
-            inv = [[ring.mul(det_inv, v) for v in row] for row in adj]
+            det_inv = ring.inv(self.det)
+            inv = [[ring.mul(det_inv, v) for v in row]
+                   for row in adjugate(ring, self.A)]
             b_inv = vec_mat(ring, [ring.neg(v) for v in self.b], inv)
-            self._inv = AffineMap(ring, inv, b_inv, _inv=self)
+            self._inv = AffineMap(ring, inv, b_inv, det=det_inv, _inv=self)
         return self._inv
 
     def image_polys(self):
@@ -118,7 +118,8 @@ class AffineMap:
         pad = [zero] * (ambient - n)
         lower = [[one if j == i else zero for j in range(ambient)]
                  for i in range(n, ambient)]
-        return AffineMap(ring, [row + pad for row in self.A] + lower, self.b + pad)
+        return AffineMap(ring, [row + pad for row in self.A] + lower, self.b + pad,
+                         det=self.det)
 
     def to_endo(self):
         return Endomorphism(self.ring, self.image_polys())
@@ -153,7 +154,7 @@ class AffineMap:
             ring.add(v, w)
             for v, w in zip(vec_mat(ring, self.b, other.A), other.b)
         ]
-        return AffineMap(ring, A, b)
+        return AffineMap(ring, A, b, det=ring.mul(self.det, other.det))
 
     def __eq__(self, other):
         return (isinstance(other, AffineMap) and self.ring == other.ring
@@ -168,7 +169,7 @@ class AffineMap:
     # -- constructors -----------------------------------------------------
     @classmethod
     def identity(cls, ring, n):
-        return cls.diagonal(ring, [ring.one_value()] * n)
+        return cls.translation(ring, [ring.zero_value()] * n)
 
     @classmethod
     def permutation(cls, ring, perm):
@@ -177,19 +178,23 @@ class AffineMap:
             raise ValueError(f"{perm} is not a permutation of 1..{n}")
         one, zero = ring.one_value(), ring.zero_value()
         A = [[one if perm[j] == i else zero for j in range(n)] for i in range(1, n + 1)]
-        return cls(ring, A, [zero] * n)
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        return cls(ring, A, [zero] * n,
+                   det=ring.neg(one) if inversions % 2 else one)
 
     @classmethod
     def diagonal(cls, ring, scalars):
+        scalars = [ring.coerce_value(s) for s in scalars]
         zeros = [ring.zero_value()] * len(scalars)
         return cls(ring, [zeros[:i] + [s] + zeros[i + 1:]
-                          for i, s in enumerate(scalars)], zeros)
+                          for i, s in enumerate(scalars)], zeros,
+                   det=functools.reduce(ring.mul, scalars, ring.one_value()))
 
     @classmethod
     def translation(cls, ring, vector):
         n, zero, one = len(vector), ring.zero_value(), ring.one_value()
         return cls(ring, [[one if j == i else zero for j in range(n)]
-                          for i in range(n)], vector)
+                          for i in range(n)], vector, det=one)
 
     @classmethod
     def from_affine_endo(cls, phi):
@@ -209,7 +214,7 @@ class AffineMap:
             raise ValueError("shift polynomial must avoid the shifted variable")
         images = identity(h.ring, ambient).images
         images[index - 1] = images[index - 1] + g
-        return cls(h.ring, *_affine_rows(h.ring, images))
+        return cls(h.ring, *_affine_rows(h.ring, images), det=h.ring.one_value())
 
     def to_json(self):
         fmt = self.ring.format_value

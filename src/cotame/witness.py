@@ -349,7 +349,7 @@ def convert_cube(dec):
     swapped = move_monomial(dec, swap_perm(n, (1, 2)))
     one, zero = ring.one_value(), ring.zero_value()
     # x1 -> x1 + x2, x2 -> x2
-    shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero])
+    shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero], det=one)
     summed = dec_apply_affine(dec, shear)
     both = dec_linear_combine([(1, dec), (1, swapped), (1, summed)])
     scaling = AffineMap.diagonal(ring, [xi_v, one])

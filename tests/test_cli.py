@@ -2,8 +2,10 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cotame.cli import COMMANDS, build_parser, run
+from cotame.cli import COMMANDS, build_parser, emit_report, run
 
 OK, ERROR, UNKNOWN = 0, 1, 2
 
@@ -898,3 +900,60 @@ def test_witness_decides_once(tmp_path, capsys, monkeypatch):
     assert code == OK
     assert json.loads(out)["payload"]["route"] == "J-full"
     assert len(calls) == 1
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=6))
+
+
+def json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.text(max_size=4), inner,
+                                                max_size=4)),
+        max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_report_reuses_the_encoded_artifact(data):
+    # the artifact may be empty, a scalar, nested anywhere or in several places
+    artifact = data.draw(json_values(JSON_SCALARS), label="artifact")
+    result = data.draw(json_values(st.one_of(JSON_SCALARS, st.just(artifact))),
+                       label="result")
+    text = json.dumps(artifact, indent=2)
+    assert (emit_report(result, "json", artifact, text)
+            == json.dumps(result, indent=2) + "\n")
+
+
+def artifact_requests(tmp_path):
+    phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
+    phi6 = write_phi(tmp_path, "phi6.json", "Zn:6", 2, ["x1 + 3*x2^2", "x2"])
+    return {
+        "compose": (["compose", "--phi", phi, "--psi", phi], ()),
+        "invert": (["invert", "--phi", phi], ()),
+        "reduce": (["reduce", "--phi", phi6, "--ideal", "3"], ()),
+        "theta": (["theta", "--ring", "Fp:7", "--N", "1", "--analyze"],
+                  ("theta",)),
+        "witness": (["witness", "--phi", phi, "--target", "x2^2*x3"], ("word",)),
+    }
+
+
+@pytest.mark.parametrize("command", ["compose", "invert", "reduce", "theta",
+                                     "witness"])
+def test_an_artifact_report_is_what_json_dumps_prints(tmp_path, capsys, command):
+    argv, path = artifact_requests(tmp_path)[command]
+    out_file = str(tmp_path / "artifact.json")
+    code, out = run_cli(capsys, argv + ["-o", out_file])
+    assert code == OK
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    artifact = report["payload"]
+    for key in path:
+        artifact = artifact[key]
+    with open(out_file, encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(artifact, indent=2) + "\n"
+    assert report["written"] == out_file
+    assert run_cli(capsys, argv)[1] == json.dumps(
+        {key: v for key, v in report.items() if key != "written"}, indent=2) + "\n"

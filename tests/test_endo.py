@@ -162,12 +162,71 @@ def test_an_affine_inverse_is_built_once(monkeypatch):
     monkeypatch.setattr(linalg, "charpoly",
                         lambda ring, a: calls.append(a) or charpoly(ring, a))
     assert m.inverse() is m.inverse() and m.inverse().inverse() is m
-    assert len(calls) == 1  # the determinant comes from the adjugate
+    assert len(calls) == 1  # the adjugate's; the letter keeps its determinant
     word = GeneratorWord(2, [m, 1, m.inverse(), -1])
     back = word.inverse()
     assert [back.letters[0], back.letters[2]] == [1, -1]
     assert back.letters[1] is m and back.letters[3] is m.inverse()
     assert back.inverse().letters[0] is m
+
+
+DET_RINGS = [F5, Z6, GaloisField(2, 2), Q]
+
+
+def known_det_letters(ring):
+    """Letters from every constructor that knows its determinant."""
+    units = ([e.value for e in enumerate_units(ring)] if ring.is_finite
+             else [ring.coerce_value(v) for v in (1, -1, 2, -3)])
+    letters = [AffineMap.identity(ring, n) for n in (1, 2, 3)]
+    letters += [AffineMap.permutation(ring, list(perm))
+                for n in (1, 2, 3, 4) for perm in itertools.permutations(range(1, n + 1))]
+    letters += [AffineMap.permutation(ring, [3, 4, 5, 1, 2]),
+                AffineMap.permutation(ring, [2, 1, 4, 3, 5])]
+    letters += [AffineMap.translation(ring, units[:n]) for n in (1, 2, 3)]
+    letters += [AffineMap.diagonal(ring, list(scalars))
+                for scalars in itertools.product(units[:4], repeat=2)]
+    shift = parse_poly("x2 + 1", ring, 2)
+    letters += [AffineMap.variable_shift(shift, ambient, index)
+                for ambient in (2, 3) for index in (1, 3)[:ambient - 1]]
+    letters += [letter.embed(ambient) for letter in list(letters)
+                for ambient in (letter.n, letter.n + 2)]
+    last = letters[-1]
+    letters += [last.compose(letter.embed(last.n)) for letter in letters
+                if letter.n <= last.n]
+    letters += [letter.inverse() for letter in letters]
+    return letters
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=repr)
+def test_affine_constructors_know_their_determinant(ring, monkeypatch):
+    letters = known_det_letters(ring)  # computes nothing by Berkowitz ...
+    for letter in letters:
+        assert letter.det == linalg.det(ring, letter.A)  # ... which agrees
+    monkeypatch.setattr("cotame.endo.matrix_det", None)
+    assert len(known_det_letters(ring)) == len(letters)
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=repr)
+def test_affine_readers_compute_their_determinant(ring, monkeypatch):
+    calls = []
+    monkeypatch.setattr("cotame.endo.matrix_det",
+                        lambda ring, a: calls.append(a) or linalg.det(ring, a))
+    rows = [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
+    m = AffineMap.from_json(ring, {"A": [[str(v) for v in r] for r in rows],
+                                   "b": ["0", "1", "0"]}, 3)
+    assert AffineMap.from_affine_endo(m.to_endo()) == m
+    assert calls == [m.A, m.A] and m.det == ring.one_value()
+
+
+def test_a_diagonal_letter_checks_its_product():
+    assert AffineMap.diagonal(Z6, [5, 5]).det == 1
+    with pytest.raises(NotAUnit, match="^matrix determinant 4 is not a unit$"):
+        AffineMap.diagonal(Z6, [5, 2])
+    with pytest.raises(NotAUnit, match="^matrix determinant 0 is not a unit$"):
+        AffineMap.diagonal(Q, [1, 0, 2])
+    gf4 = GaloisField(2, 2)
+    assert AffineMap.diagonal(gf4, [1, 1]) == AffineMap.identity(gf4, 2)
+    assert AffineMap.diagonal(gf4, [1, 1]).det == gf4.one_value()
 
 
 KERNEL_RINGS = [Q, IntegerRing(), Z6, PrimeField(7), GaloisField(2, 2),
