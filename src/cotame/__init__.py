@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "endo": (
         "AffineMap", "GeneratorWord", "conjugate", "invert_structured",
-        "verify_witness",
+        "theta_map", "verify_witness",
     ),
     "classify": (
         "GoodMonomialType", "ModulePattern", "Verdict", "decide",
@@ -40,7 +40,7 @@ _EXPORTS = {
     "witness": (
         "SpanDecomposition", "build_witness", "compile_last_word",
         "compile_tame_word", "convert_cube", "convert_square",
-        "shift_extract", "theta_map", "vandermonde_extract",
+        "shift_extract", "vandermonde_extract",
     ),
     "delta": (
         "DeltaSpec", "delta_apply", "delta_match", "delta_module_membership",

@@ -39,12 +39,9 @@ def _guard_characteristic(p):
 
 
 class GoodMonomialType(Record):
+    # tag: one of "I".."V" or "NotGood"; i, j: 1-based witness indices,
+    # j == i in one variable
     __slots__ = _fields = ("tag", "i", "j")
-
-    def __init__(self, tag, i=None, j=None):
-        self.tag = tag  # one of "I".."V" or "NotGood"
-        self.i = i  # 1-based witness indices; j == i in one variable
-        self.j = j
 
     def is_good(self):
         return self.tag != "NotGood"
@@ -59,7 +56,7 @@ class GoodMonomialType(Record):
         return tuple(exps)
 
 
-NOT_GOOD = GoodMonomialType("NotGood")
+NOT_GOOD = GoodMonomialType("NotGood", None, None)
 
 # The kind of each target monomial, keyed by its sorted positive exponents;
 # normalize_to_seed turns each kind into a seed.
@@ -153,10 +150,6 @@ class SpanWitness(Record):
     # combo: raw coefficient values c with candidate = sum c_i * phi(x_i) - linear part
     __slots__ = _fields = ("combo", "candidate", "monomial", "coefficient", "gm_type")
 
-    def __init__(self, combo, candidate, monomial, coefficient, gm_type):
-        self.combo, self.candidate, self.monomial = combo, candidate, monomial
-        self.coefficient, self.gm_type = coefficient, gm_type
-
     def describe(self):
         return {
             "combo": [self.candidate.ring.format_value(c) for c in self.combo],
@@ -171,10 +164,6 @@ class SpanScan(Record):
     __slots__ = _fields = (
         "handle", "witnesses", "exhaustive", "examined", "diagnostics"
     )
-
-    def __init__(self, handle, witnesses, exhaustive, examined, diagnostics):
-        self.handle, self.witnesses, self.exhaustive = handle, witnesses, exhaustive
-        self.examined, self.diagnostics = examined, diagnostics
 
     def certified_full(self):
         return self.handle.is_full()

@@ -280,7 +280,7 @@ def cmd_verify(args):
 
 def cmd_theta(args):
     ring = ring_from_spec(args.ring)
-    theta, theta_prime = witness.theta_map(args.N, ring, max_terms=args.max_terms)
+    theta, theta_prime = endo.theta_map(args.N, ring, max_terms=args.max_terms)
     payload = {
         "theta": theta.to_json(),
         "theta_prime": theta_prime.to_json(),

@@ -4,6 +4,8 @@ The map core (Endomorphism, composition, elementary maps, ideals and
 quotients) lives in ``maps``; this module adds what needs matrices or
 words.  The word verifier (`first_mismatch`, `verify_witness`) lives here
 too, so checking a word needs none of the code that builds one.
+`theta_map` needs only inversion and affine maps, so it lives here too
+and `theta` runs no builder code.
 """
 
 from __future__ import annotations
@@ -311,6 +313,53 @@ def try_invert(phi):
         return invert_structured(phi)
     except (ValueError, NotAUnit):
         return None
+
+
+# ---------------------------------------------------------------------------
+# the swap-conjugate gallery
+# ---------------------------------------------------------------------------
+
+def _theta_generators(ring):
+    n = 3
+    x1 = Polynomial.variable(ring, n, 1)
+    x2 = Polynomial.variable(ring, n, 2)
+    x3 = Polynomial.variable(ring, n, 3)
+    bump = x2 + x3 * x3
+    beta = Endomorphism(ring, [x1 + (x2 * x2) * (bump * bump), bump, x3])
+    pi = AffineMap.permutation(ring, [2, 1, 3]).to_endo()
+    return beta, pi
+
+
+def theta_map(N, ring, max_terms=2_000_000):
+    """The swap conjugated by N rounds of the triangular map and the swap.
+
+    Returns (theta, theta_prime) where theta_prime = theta o swap strips
+    the trailing transposition.  Exact composition with a term-count guard.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    beta, pi = _theta_generators(ring)
+    beta_inv = invert_structured(beta, hint="triangular")
+    forward = compose(beta, pi)
+    backward = compose(pi, beta_inv)
+
+    def guarded(a, b):
+        out = compose(a, b)
+        size = _term_count(out)
+        if size > max_terms:
+            raise ResourceLimit(
+                f"theta composition grew to {size} terms (limit {max_terms})"
+            )
+        return out
+
+    fwd_n = forward
+    bwd_n = backward
+    for _ in range(N - 1):
+        fwd_n = guarded(fwd_n, forward)
+        bwd_n = guarded(bwd_n, backward)
+    theta = guarded(bwd_n, guarded(pi, fwd_n))
+    theta_prime = guarded(theta, pi)
+    return theta, theta_prime
 
 
 # ---------------------------------------------------------------------------

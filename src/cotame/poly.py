@@ -3,7 +3,8 @@
 Terms live in a dict mapping exponent tuples to nonzero raw coefficient
 values of the attached ring.  The variable count is fixed per polynomial;
 moving to more variables is an explicit embed step.  Degrees of the zero
-polynomial are the distinguished NEG_INF marker, never an integer.
+polynomial are NEG_INF = -math.inf, below every integer, so
+deg(fg) = deg f + deg g holds for zero factors too.
 
 Products and substitutions run on packed monomials (Monagan & Pearce):
 each exponent tuple becomes one mixed-radix int, with a radix per variable
@@ -22,50 +23,19 @@ from .rings import (_MAX_DIGITS, IntegerModRing, IntegerRing, RationalField,
                     RingElement, _parse_int, is_prime)
 
 
-class _NegInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInfinity()
+NEG_INF = -math.inf
 
 
 def p_power_split(exponents, p):
     """Largest p-power dividing every positive exponent; 1 when p = 0."""
-    positive = [t for t in exponents if t > 0]
-    if not positive or p == 0:
+    g = math.gcd(*exponents)
+    if g == 0 or p == 0:
         return 1
-    vmin = None
-    for t in positive:
-        v = 0
-        while t % p == 0:
-            t //= p
-            v += 1
-        vmin = v if vmin is None else min(vmin, v)
-        if vmin == 0:
-            break
-    return p**vmin
+    v = 0
+    while g % p == 0:
+        g //= p
+        v += 1
+    return p**v
 
 
 def _term_order_key(exps):
@@ -197,8 +167,7 @@ class Polynomial:
         return not self.terms
 
     def is_affine(self):
-        deg = self.total_deg()
-        return deg is NEG_INF or deg <= 1
+        return self.total_deg() <= 1
 
     def coefficient(self, exps):
         v = self.terms.get(tuple(exps))

@@ -53,9 +53,14 @@ def is_prime(n):
 
 class Record:
     """Equality, hash and repr over the attributes named in ``_fields``, as
-    a frozen dataclass generates them, without importing ``dataclasses``."""
+    a frozen dataclass generates them, without importing ``dataclasses``.
+    The constructor takes one value per field, in order."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)

@@ -30,23 +30,9 @@ from .classify import (
 )
 # re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
 from .delta import delta_search
-from .endo import (
-    AffineMap,
-    GeneratorWord,
-    conjugate_word,
-    invert_structured,
-    swap_perm,
-    verify_witness,  # re-exported: the verifier lives in endo
-)
-from .errors import (
-    DegreeConditionError,
-    NoRouteFound,
-    NotAUnit,
-    ResourceLimit,
-    Unsupported,
-)
+from .endo import AffineMap, GeneratorWord, conjugate_word, swap_perm
+from .errors import DegreeConditionError, NoRouteFound, NotAUnit, Unsupported
 from .linalg import solve_field_system
-from .maps import Endomorphism, compose
 from .poly import Polynomial, p_power_split
 from .rings import Record, RingElement, distinct_scalars, find_special_unit
 
@@ -287,15 +273,23 @@ def shift_extract(dec, k_size=None):
 # conversions between quadratic/cubic targets
 # ---------------------------------------------------------------------------
 
-def _single_variable_of(exps):
-    support = [i for i, t in enumerate(exps) if t > 0]
-    return support[0] + 1
-
-
 def move_monomial(dec, perm):
     """Apply a permutation to relocate the target monomial's variables."""
     ring = dec.phi.ring
     return dec_apply_affine(dec, AffineMap.permutation(ring, perm))
+
+
+def _power_at_x1(dec, k):
+    """(dec, swapped) for a target c*x_i^k: dec moved so that the target
+    is c*x1^k, and swapped that under the (1 2)-swap."""
+    n = dec.phi.nvars
+    exps, _ = dec.single_monomial()
+    i = [i for i, t in enumerate(exps, start=1) if t > 0][0]
+    if exps[i - 1] != k or sum(exps) != k:
+        raise ValueError(f"target must be a single x_i^{k} monomial")
+    if i != 1:
+        dec = move_monomial(dec, swap_perm(n, (1, i)))
+    return dec, move_monomial(dec, swap_perm(n, (1, 2)))
 
 
 def convert_square(dec):
@@ -309,13 +303,7 @@ def convert_square(dec):
     two = ring.coerce_value(2)
     if not ring.is_unit(two):
         raise NotAUnit("2 must be a unit for the square-to-product conversion")
-    exps, _ = dec.single_monomial()
-    i = _single_variable_of(exps)
-    if exps[i - 1] != 2 or sum(exps) != 2:
-        raise ValueError("target must be a single x_i^2 monomial")
-    if i != 1:
-        dec = move_monomial(dec, swap_perm(n, (1, i)))
-    swapped = move_monomial(dec, swap_perm(n, (1, 2)))
+    dec, swapped = _power_at_x1(dec, 2)
     diff = dec_linear_combine([(1, dec), (-1, swapped)])
     one, zero = ring.one_value(), ring.zero_value()
     A = AffineMap.identity(ring, n).A
@@ -340,13 +328,7 @@ def convert_cube(dec):
         raise Unsupported("cube conversion applies to n = 2 in characteristic 2")
     xi_v = find_special_unit(ring).value
     succ = ring.add(xi_v, ring.one_value())
-    exps, _ = dec.single_monomial()
-    i = _single_variable_of(exps)
-    if exps[i - 1] != 3 or sum(exps) != 3:
-        raise ValueError("target must be a single x_i^3 monomial")
-    if i != 1:
-        dec = move_monomial(dec, swap_perm(n, (1, i)))
-    swapped = move_monomial(dec, swap_perm(n, (1, 2)))
+    dec, swapped = _power_at_x1(dec, 3)
     one, zero = ring.one_value(), ring.zero_value()
     # x1 -> x1 + x2, x2 -> x2
     shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero], det=one)
@@ -504,9 +486,6 @@ def compile_tame_word(seed_word, seed_kind, f, n):
 class WitnessInfo(Record):
     __slots__ = _fields = ("route", "seed_kind")
 
-    def __init__(self, route, seed_kind):
-        self.route, self.seed_kind = route, seed_kind
-
 
 def _seed_from_span(phi, scan, k_size):
     """(seed decomposition, seed kind) from a span scan that certified J-full.
@@ -573,49 +552,3 @@ def build_witness(phi, target, k_size="auto", **kwargs):
     word, _ = build_witness_with_info(phi, target, k_size=k_size, **kwargs)
     return word
 
-
-# ---------------------------------------------------------------------------
-# the swap-conjugate gallery
-# ---------------------------------------------------------------------------
-
-def _theta_generators(ring):
-    n = 3
-    x1 = Polynomial.variable(ring, n, 1)
-    x2 = Polynomial.variable(ring, n, 2)
-    x3 = Polynomial.variable(ring, n, 3)
-    bump = x2 + x3 * x3
-    beta = Endomorphism(ring, [x1 + (x2 * x2) * (bump * bump), bump, x3])
-    pi = AffineMap.permutation(ring, [2, 1, 3]).to_endo()
-    return beta, pi
-
-
-def theta_map(N, ring, max_terms=2_000_000):
-    """The swap conjugated by N rounds of the triangular map and the swap.
-
-    Returns (theta, theta_prime) where theta_prime = theta o swap strips
-    the trailing transposition.  Exact composition with a term-count guard.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    beta, pi = _theta_generators(ring)
-    beta_inv = invert_structured(beta, hint="triangular")
-    forward = compose(beta, pi)
-    backward = compose(pi, beta_inv)
-
-    def guarded(a, b):
-        out = compose(a, b)
-        size = sum(len(img.terms) for img in out.images)
-        if size > max_terms:
-            raise ResourceLimit(
-                f"theta composition grew to {size} terms (limit {max_terms})"
-            )
-        return out
-
-    fwd_n = forward
-    bwd_n = backward
-    for _ in range(N - 1):
-        fwd_n = guarded(fwd_n, forward)
-        bwd_n = guarded(bwd_n, backward)
-    theta = guarded(bwd_n, guarded(pi, fwd_n))
-    theta_prime = guarded(theta, pi)
-    return theta, theta_prime

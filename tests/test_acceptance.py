@@ -15,7 +15,7 @@ from cotame.classify import (
     no_good_monomials,
     span_good_scan,
 )
-from cotame.endo import AffineMap, invert_structured
+from cotame.endo import AffineMap, invert_structured, theta_map, verify_witness
 from cotame.gf import GaloisField
 from cotame.maps import IdealHandle, compose, elementary, identity, reduce_mod
 from cotame.poly import Polynomial, parse_poly
@@ -29,9 +29,7 @@ from cotame.delta import DeltaSpec, delta_match
 from cotame.witness import (
     _seed_from_image,
     build_witness_with_info,
-    theta_map,
     vandermonde_combination,
-    verify_witness,
 )
 
 Q = RationalField()
@@ -227,7 +225,7 @@ def test_criterion_6_theta_desk_scale():
         assert img.deg_xi(i) <= 4
     v = decide(theta1)
     assert v.answer == "StablyCotame"
-    from cotame.witness import _theta_generators
+    from cotame.endo import _theta_generators
 
     beta, pi = _theta_generators(F7)
     beta_inv = invert_structured(beta)

@@ -712,7 +712,8 @@ def test_decide_composite_characteristic_ring():
 def test_decide_soundness_certificates_verify():
     # positive verdicts must back a full generator-word witness; negative
     # pattern verdicts must survive a monomial-by-monomial recheck
-    from cotame.witness import build_witness_with_info, verify_witness
+    from cotame.endo import verify_witness
+    from cotame.witness import build_witness_with_info
     from cotame.classify import monomial_in_pattern
 
     cases = [

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cotame.classify import decide
-from cotame.endo import AffineMap, try_invert
+from cotame.endo import AffineMap, try_invert, verify_witness
 from cotame.linalg import solve_field_system
 from cotame.maps import Endomorphism, elementary
 from cotame.errors import ResourceLimit, Unsupported
@@ -25,11 +25,7 @@ from cotame.delta import (
     delta_search,
     pattern_exps,
 )
-from cotame.witness import (
-    _seed_from_image,
-    build_witness_with_info,
-    verify_witness,
-)
+from cotame.witness import _seed_from_image, build_witness_with_info
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

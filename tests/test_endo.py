@@ -612,8 +612,8 @@ def test_word_memo_matches_naive_evaluation(ring, seed, shifts_only):
 
 
 def test_theta_word_substitutes_into_the_large_image_once(monkeypatch):
-    from cotame.endo import first_mismatch
-    from cotame.witness import build_witness_with_info, theta_map
+    from cotame.endo import first_mismatch, theta_map
+    from cotame.witness import build_witness_with_info
 
     F7 = PrimeField(7)
     theta, _ = theta_map(1, F7)

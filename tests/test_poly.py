@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cotame.errors import PolynomialSyntaxError, ZeroPolynomial
 from cotame.gf import GaloisField
-from cotame.poly import NEG_INF, Polynomial, parse_poly
+from cotame.poly import NEG_INF, Polynomial, p_power_split, parse_poly
 from cotame.rings import PrimeField, RationalField, ring_from_spec
 
 
@@ -68,6 +68,46 @@ def test_degrees():
     z = Polynomial.zero(Q, 3)
     assert z.deg_xi(1) is NEG_INF and z.total_deg() is NEG_INF
     assert NEG_INF < 0
+
+
+def per_exponent_split(exponents, p):
+    """Oracle: the least p-adic valuation over the positive exponents."""
+    positive = [t for t in exponents if t > 0]
+    if not positive or p == 0:
+        return 1
+    vmin = None
+    for t in positive:
+        v = 0
+        while t % p == 0:
+            t //= p
+            v += 1
+        vmin = v if vmin is None else min(vmin, v)
+    return p**vmin
+
+
+@given(st.sampled_from([0, 2, 3, 5, 7]),
+       st.lists(st.one_of(st.just(0), st.integers(0, 3**9),
+                          st.builds(lambda a, b, e: a * b**e, st.integers(1, 50),
+                                    st.sampled_from([2, 3, 5, 7]), st.integers(0, 8))),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_p_power_split_matches_the_per_exponent_loop(p, exponents):
+    assert p_power_split(exponents, p) == per_exponent_split(exponents, p)
+
+
+@given(st.integers(-10**30, 10**30), st.sampled_from([Q, F3, GaloisField(2, 2)]),
+       st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_zero_polynomial_degrees_are_neg_inf(k, ring, i):
+    z = Polynomial.zero(ring, 3)
+    assert z.deg_xi(i) is NEG_INF
+    assert z.total_deg() is NEG_INF
+    assert z.sep_deg_xi(i) is NEG_INF
+    assert NEG_INF < k and not NEG_INF >= k
+    assert repr(NEG_INF) == "-inf"
+    # deg(fg) = deg f + deg g, also with a zero factor
+    f = Polynomial.monomial(ring, (i, 0, 1))
+    assert (z * f).total_deg() == z.total_deg() + f.total_deg()
 
 
 def test_separable_degree():

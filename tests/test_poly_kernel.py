@@ -21,10 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cotame.poly as poly_module
-from cotame.endo import verify_witness
+from cotame.endo import theta_map, verify_witness
 from cotame.poly import Polynomial, _pack, _powers, _unpack, parse_poly
 from cotame.rings import ring_from_spec
-from cotame.witness import build_witness_with_info, theta_map
+from cotame.witness import build_witness_with_info
 
 RING_SPECS = ["Q", "Z", "Zn:6", "Fp:7", "GF:3^2", "GF:2^5"]
 # exponents at or above 2^16 need bit fields of 17 bits or more

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotame.classify import (NOT_GOOD, GoodMonomialType, ModulePattern,
+                             SpanScan, SpanWitness, Verdict)
+from cotame.delta import DeltaSpec
 from cotame.errors import NoSuchUnit, NotAUnit, ResourceLimit, Unsupported
 from cotame.gf import DEFAULT_MODULI, GaloisField
 from cotame.rings import (
@@ -18,6 +21,7 @@ from cotame.rings import (
     find_special_unit,
     ring_from_spec,
 )
+from cotame.witness import WitnessInfo
 
 
 def brute_force_nilpotent(a, n):
@@ -259,3 +263,38 @@ def test_ring_pow_is_repeated_multiplication():
             acc = ring.mul(acc, a)
     with pytest.raises(ValueError):
         PrimeField(5).pow(2, -1)
+
+
+GM = GoodMonomialType("I", 2, 3)
+# (class, field values, their repr) for each Record subclass
+RECORD_CASES = [
+    (GoodMonomialType, ("I", 2, 3), "GoodMonomialType(tag='I', i=2, j=3)"),
+    (GoodMonomialType, NOT_GOOD._values(),
+     "GoodMonomialType(tag='NotGood', i=None, j=None)"),
+    (SpanWitness, ((1, 0), "x2*x3", (0, 1, 1), 4, GM),
+     "SpanWitness(combo=(1, 0), candidate='x2*x3', monomial=(0, 1, 1),"
+     " coefficient=4, gm_type=GoodMonomialType(tag='I', i=2, j=3))"),
+    (SpanScan, ("J", (), True, 24, ("note",)),
+     "SpanScan(handle='J', witnesses=(), exhaustive=True, examined=24,"
+     " diagnostics=('note',))"),
+    (WitnessInfo, ("J-full", "product"),
+     "WitnessInfo(route='J-full', seed_kind='product')"),
+    (ModulePattern, (3, 1, 1, frozenset({0})),
+     "ModulePattern(p=3, d=1, e=1, shifts=frozenset({0}))"),
+    (DeltaSpec, (PrimeField(5), (2,), (1,)),
+     f"DeltaSpec(ring={PrimeField(5)!r}, l=(2,), a=(1,))"),
+    (Verdict, ("Unknown", None, "why", None, ("note",)),
+     "Verdict(answer='Unknown', route=None, reason='why', certificate=None,"
+     " diagnostics=('note',))"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", RECORD_CASES)
+def test_records_keep_equality_hash_and_repr(cls, values, text):
+    a, b = cls(*values), cls(*values)
+    assert a == b and hash(a) == hash(b) and a._values() == values
+    assert repr(a) == text and a != values
+    if cls is not Verdict:  # its constructor has defaults and takes evidence
+        for wrong in (values[:-1], values + (None,)):
+            with pytest.raises((TypeError, ValueError)):
+                cls(*wrong)

@@ -105,7 +105,9 @@ CASES = [
     case(["classify", "--phi", "phi.json"], DECIDER),
     case(["ngg-check", "--phi", "phi.json"], DECIDER),
     case(["witness", "--phi", "phi.json", "--target", "x2*x3"], EVERYTHING),
-    case(["theta", "--ring", "Fp:7", "--N", "1"], EVERYTHING),
+    case(["theta", "--ring", "Fp:7", "--N", "1"], VERIFIER),
+    case(["theta", "--ring", "Fp:7", "--N", "1", "--analyze"],
+         sorted(VERIFIER + ["cotame.classify"]), "theta-analyze"),
     # decide and classify reach the difference-operator search on both maps:
     # it certifies the F_3 map, and the GF(2^5) map ends Unknown.  The search
     # solves no linear system, so none of them runs linalg.  ngg-check never
@@ -155,12 +157,12 @@ def test_package_import_executes_no_submodule():
 
 
 def test_package_names_resolve_on_access():
-    _, executed, _ = executed_modules("import cotame\ncotame.theta_map")
+    _, executed, _ = executed_modules("import cotame\ncotame.build_witness")
     assert executed == [m for m in EVERYTHING if m != "cotame.cli"]
     for name in cotame.__all__:
         assert getattr(cotame, name) is not None
     assert set(cotame.__all__) <= set(dir(cotame))
     assert cotame.decide is cotame.classify.decide
-    assert cotame.verify_witness is cotame.witness.verify_witness
+    assert cotame.verify_witness is cotame.endo.verify_witness
     with pytest.raises(AttributeError):
         cotame.no_such_name

@@ -1,18 +1,13 @@
 import pytest
 
 from cotame.classify import decide, default_pattern, no_good_monomials, pattern_membership
-from cotame.endo import invert_structured
+from cotame.endo import _theta_generators, invert_structured, theta_map, verify_witness
 from cotame.errors import ResourceLimit
 from cotame.gf import GaloisField
 from cotame.maps import compose, identity
 from cotame.poly import parse_poly
 from cotame.rings import PrimeField, RationalField
-from cotame.witness import (
-    _theta_generators,
-    build_witness_with_info,
-    theta_map,
-    verify_witness,
-)
+from cotame.witness import build_witness_with_info
 
 F7 = PrimeField(7)
 F2 = PrimeField(2)

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cotame.classify import decide, degree_condition, span_good_scan
-from cotame.endo import AffineMap, invert_structured
+from cotame.endo import AffineMap, invert_structured, theta_map, verify_witness
 from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.gf import GaloisField
 from cotame.maps import (
@@ -38,11 +38,9 @@ from cotame.witness import (
     normalize_to_seed,
     shift_extract,
     span_decomposition,
-    theta_map,
     trivial_decomposition,
     vandermonde_combination,
     vandermonde_extract,
-    verify_witness,
 )
 
 Q = RationalField()
