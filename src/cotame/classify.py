@@ -24,7 +24,6 @@ from .rings import (
     IntegerRing,
     PrimeField,
     Record,
-    RingElement,
     find_special_unit,
     is_prime,
 )
@@ -106,13 +105,13 @@ def good_monomial_type(exps, n, p):
 
 
 def good_monomials(f):
-    """All (exponents, coefficient, type) triples of good monomials in f."""
+    """All (exponents, raw coefficient, type) triples of good monomials in f."""
     p = _guard_characteristic(f.ring.characteristic)
     out = []
     for exps in f.monomials():
         t = good_monomial_type(exps, f.nvars, p)
         if t.is_good():
-            out.append((exps, RingElement(f.ring, f.terms[exps]), t))
+            out.append((exps, f.terms[exps], t))
     return out
 
 
@@ -147,7 +146,8 @@ def degree_condition(f, k_size):
 # ---------------------------------------------------------------------------
 
 class SpanWitness(Record):
-    # combo: raw coefficient values c with candidate = sum c_i * phi(x_i) - linear part
+    # combo: raw coefficient values c with candidate = sum c_i * phi(x_i) - linear
+    # part; coefficient: the raw coefficient of the good monomial
     __slots__ = _fields = ("combo", "candidate", "monomial", "coefficient", "gm_type")
 
     def describe(self):
@@ -155,7 +155,7 @@ class SpanWitness(Record):
             "combo": [self.candidate.ring.format_value(c) for c in self.combo],
             "candidate": str(self.candidate),
             "monomial": list(self.monomial),
-            "coefficient": self.candidate.ring.format_value(self.coefficient.value),
+            "coefficient": self.candidate.ring.format_value(self.coefficient),
             "case": self.gm_type.tag,
         }
 
@@ -353,7 +353,7 @@ def reduction_search(phi):
     """A proper ideal whose quotient map has no good monomials, if one is found."""
     ring = phi.ring
     for q in _reduction_moduli(ring):
-        ideal = IdealHandle(ring, [ring.of(q)])
+        ideal = IdealHandle(ring, [q])
         try:
             quotient = reduce_mod(phi, ideal)
         except Unsupported:

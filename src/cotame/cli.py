@@ -177,7 +177,7 @@ def _good_entry(phi, j, exps, coeff, gm_type):
     return {
         "image": j,
         "monomial": list(exps),
-        "coefficient": phi.ring.format_value(coeff.value),
+        "coefficient": phi.ring.format_value(coeff),
         "case": gm_type.tag,
     }
 

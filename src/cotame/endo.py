@@ -18,7 +18,6 @@ from .linalg import adjugate, det as matrix_det, mat_mul, vec_mat
 from .maps import Endomorphism, compose, elementary, extend, identity
 from .maps import _field, _is_list, _is_positive_int
 from .poly import Polynomial
-from .rings import RingElement
 
 
 def swap_perm(n, *pairs):
@@ -231,7 +230,7 @@ class AffineMap:
 
         def val(x):
             if isinstance(x, str):
-                return ring.parse_literal(x).value
+                return ring.parse_literal(x)
             if type(x) is int:
                 return ring.coerce_value(x)
             raise ValueError(f"matrix entry {x!r} must be a string or an integer")
@@ -267,7 +266,7 @@ def _triangular_inverse(phi):
                    or not {j + 1 for j, e in enumerate(exps) if e > 0} <= later | {i}
                    for exps in img.terms):
                 continue
-            g = img - Polynomial.monomial(ring, one_exps[i - 1], RingElement(ring, c))
+            g = img - Polynomial.monomial(ring, one_exps[i - 1], c)
             order.append((i, c, g))
             later.add(i)
             remaining.remove(i)
@@ -278,7 +277,7 @@ def _triangular_inverse(phi):
     for i, c, g in order:
         g_sub = g.substitute(inv_images)
         xi = Polynomial.variable(ring, n, i)
-        inv_images[i - 1] = (xi - g_sub).scale(RingElement(ring, ring.inv(c)))
+        inv_images[i - 1] = (xi - g_sub).scale(ring.inv(c))
     return Endomorphism(ring, inv_images)
 
 

@@ -240,9 +240,6 @@ class GaloisField(Ring):
     def is_unit(self, a):
         return any(x != 0 for x in a)
 
-    def is_nilpotent(self, a):
-        return all(x == 0 for x in a)
-
     def zero_value(self):
         return self._zero
 
@@ -278,8 +275,8 @@ class GaloisField(Ring):
                 raise ValueError(f"unterminated coefficient vector {text!r}")
             inner = text[1:-1].strip()
             coeffs = [] if not inner else [_parse_int(c) for c in inner.split(",")]
-            return self.of(coeffs)
-        return self.of(_parse_int(text))
+            return self.coerce_value(coeffs)
+        return self.coerce_value(_parse_int(text))
 
     def format_value(self, value):
         if all(c == 0 for c in value[1:]):

@@ -13,7 +13,7 @@ import math
 
 from .errors import Unsupported
 from .poly import Polynomial, parse_poly
-from .rings import IntegerModRing, IntegerRing, RingElement, ring_from_spec
+from .rings import IntegerModRing, IntegerRing, ring_from_spec
 
 
 # JSON schema checks for map and word files
@@ -153,7 +153,8 @@ def elementary_last(f, ambient=None):
 # ---------------------------------------------------------------------------
 
 class IdealHandle:
-    """A finitely generated ideal of the coefficient ring."""
+    """A finitely generated ideal of the coefficient ring; its generators are
+    the distinct nonzero raw values, in the ring's sort order."""
 
     __slots__ = ("ring", "generators")
 
@@ -166,7 +167,7 @@ class IdealHandle:
                 seen.append(v)
         seen.sort(key=ring.sort_key)
         self.ring = ring
-        self.generators = [RingElement(ring, v) for v in seen]
+        self.generators = seen
 
     def is_zero(self):
         return not self.generators
@@ -179,19 +180,18 @@ class IdealHandle:
     def modulus(self):
         """Over Z or Z/n (the rings that are not fields): the m >= 0 with
         this ideal equal to mZ, or to mZ/nZ."""
-        return math.gcd(self.ring.characteristic,
-                        *(g.value for g in self.generators))
+        return math.gcd(self.ring.characteristic, *self.generators)
 
     def to_json(self):
         return {
             "ring": self.ring.spec_string(),
-            "generators": [self.ring.format_value(g.value) for g in self.generators],
+            "generators": [self.ring.format_value(g) for g in self.generators],
         }
 
     def __repr__(self):
         if not self.generators:
             return "(0)"
-        return "(" + ", ".join(repr(g) for g in self.generators) + ")"
+        return "(" + ", ".join(map(self.ring.format_value, self.generators)) + ")"
 
 
 def reduce_mod(phi, ideal):

@@ -588,7 +588,7 @@ def _parse_primary(tk, ring, nvars):
             tk.error("unterminated '['")
         literal = tk.text[start:tk.pos]
         try:
-            return (0,) * nvars, ring.parse_literal(literal).value
+            return (0,) * nvars, ring.parse_literal(literal)
         except ValueError as exc:
             raise PolynomialSyntaxError(str(exc), start) from None
     if "0" <= ch <= "9" or ch == "-":
@@ -598,7 +598,7 @@ def _parse_primary(tk, ring, nvars):
             tk.pos += 1
             d = tk.take_int()
             try:
-                return (0,) * nvars, ring.parse_literal(f"{n}/{d}").value
+                return (0,) * nvars, ring.parse_literal(f"{n}/{d}")
             except ValueError as exc:
                 raise PolynomialSyntaxError(str(exc), start) from None
         return (0,) * nvars, ring.coerce_value(n)

@@ -2,8 +2,13 @@
 
 Every ring works on canonical raw values (Fraction, int residue, or a
 coefficient tuple for extension fields) so that equality of elements,
-polynomials and maps is plain structural equality.  RingElement is the
-public wrapper; internal hot loops call the ring's raw methods directly.
+polynomials and maps is plain structural equality.  Engine functions take
+and return raw values and compute through the ring's raw methods.
+RingElement is the public wrapper of one raw value, with equality, hash
+and the ring's printing but no arithmetic; only ``Ring.of``, ``zero``,
+``one``, ``elements``, ``enumerate_units`` and
+``Polynomial.coefficient`` hand one out, and ``coerce_value`` accepts one
+wherever a raw value is expected.
 
 Each rule the rings share is stated once.  ``Ring`` holds ring identity
 (``==`` and ``hash`` on the spec string each ring sets once), the
@@ -76,58 +81,11 @@ class Record:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-class RingElement:
-    """An element of a Ring, stored in canonical form."""
+class RingElement(Record):
+    """An element of a Ring, stored in canonical form: the public wrapper
+    of a raw value, printed as the ring prints it."""
 
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring, value):
-        self.ring = ring
-        self.value = value
-
-    def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
-            raise ValueError("ring mismatch in element arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.value))
-
-    def __pow__(self, k):
-        return RingElement(self.ring, self.ring.pow(self.value, k))
-
-    def inv(self):
-        return RingElement(self.ring, self.ring.inv(self.value))
-
-    def is_unit(self):
-        return self.ring.is_unit(self.value)
-
-    def is_nilpotent(self):
-        return self.ring.is_nilpotent(self.value)
-
-    def is_zero(self):
-        return self.value == self.ring.zero_value()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.ring == other.ring
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
+    __slots__ = _fields = ("ring", "value")
 
     def __repr__(self):
         return self.ring.format_value(self.value)
@@ -178,9 +136,6 @@ class Ring:
         return acc
 
     def is_unit(self, a):
-        raise NotImplementedError
-
-    def is_nilpotent(self, a):
         raise NotImplementedError
 
     def zero_value(self):
@@ -274,9 +229,6 @@ class _NativeRing(Ring):
     def neg(self, a):
         return -a
 
-    def is_nilpotent(self, a):
-        return a == 0
-
 
 class _IntegerValues:
     """Z and Z/n: int values, printed and ordered as ints."""
@@ -291,7 +243,7 @@ class _IntegerValues:
         return value
 
     def parse_literal(self, text):
-        return self.of(_parse_int(text))
+        return self.coerce_value(_parse_int(text))
 
     def format_value(self, value):
         return str(value)
@@ -334,8 +286,8 @@ class RationalField(_NativeRing):
             d = _parse_int(den)
             if d == 0:
                 raise ValueError("zero denominator")
-            return self.of(Fraction(_parse_int(num), d))
-        return self.of(_parse_int(text))
+            return Fraction(_parse_int(num), d)
+        return Fraction(_parse_int(text))
 
     def format_value(self, value):
         if value.denominator == 1:
@@ -396,10 +348,6 @@ class IntegerModRing(_IntegerValues, Ring):
 
     def is_unit(self, a):
         return math.gcd(a, self.n) == 1
-
-    def is_nilpotent(self, a):
-        # max prime exponent in n is at most bit_length(n)
-        return pow(a, self.n.bit_length(), self.n) == 0
 
     def coerce_value(self, x):
         if isinstance(x, int):
@@ -481,19 +429,19 @@ def enumerate_units(ring):
 def find_special_unit(ring):
     """A unit u with u+1 also a unit; used by the cube-to-product conversion."""
     if isinstance(ring, RationalField):
-        return ring.one
+        return ring.one_value()
     if isinstance(ring, IntegerRing):
         raise NoSuchUnit("Z has no unit u with u+1 a unit")
     for v in ring.iter_units():
         if ring.is_unit(ring.add(v, ring.one_value())):
-            return RingElement(ring, v)
+            return v
     raise NoSuchUnit(f"{ring.spec_string()} has no unit u with u+1 a unit")
 
 
 def distinct_scalars(ring, count):
     """`count` pairwise distinct units, for scaling-based interpolation."""
     if isinstance(ring, RationalField):
-        return [ring.of(i) for i in range(1, count + 1)]
+        return [ring.coerce_value(i) for i in range(1, count + 1)]
     if not ring.is_finite:
         raise Unsupported(f"cannot pick scalars from {ring.spec_string()}")
     units = list(itertools.islice(ring.iter_units(), count))
@@ -501,4 +449,4 @@ def distinct_scalars(ring, count):
         raise DegreeConditionError(
             f"need {count} distinct units but {ring.spec_string()} has {len(units)}"
         )
-    return [RingElement(ring, v) for v in units]
+    return units

@@ -34,10 +34,11 @@ from .endo import AffineMap, GeneratorWord, conjugate_word, swap_perm
 from .errors import DegreeConditionError, NoRouteFound, NotAUnit, Unsupported
 from .linalg import solve_field_system
 from .poly import Polynomial, p_power_split
-from .rings import Record, RingElement, distinct_scalars, find_special_unit
+from .rings import Record, distinct_scalars, find_special_unit
 
 class SpanDecomposition:
-    """target = affine_part + sum a * eta(phi(x_i)), recomputable exactly."""
+    """target = affine_part + sum a * eta(phi(x_i)), recomputable exactly;
+    each a is kept as a raw value of phi's ring."""
 
     __slots__ = ("phi", "target", "affine_part", "terms")
 
@@ -45,10 +46,7 @@ class SpanDecomposition:
         self.phi = phi
         self.target = target
         self.affine_part = affine_part
-        self.terms = [
-            (a if isinstance(a, RingElement) else RingElement(phi.ring, a), eta, i)
-            for a, eta, i in terms
-        ]
+        self.terms = [(phi.ring.coerce_value(a), eta, i) for a, eta, i in terms]
 
     def validate(self):
         """Recompute the right-hand side exactly; ValueError unless it is target."""
@@ -93,8 +91,8 @@ def span_decomposition(phi, combo):
         cv = ring.coerce_value(c)
         if cv == zero:
             continue
-        terms.append((RingElement(ring, cv), ident, i))
-        target = target + phi.images[i - 1].scale(RingElement(ring, cv))
+        terms.append((cv, ident, i))
+        target = target + phi.images[i - 1].scale(cv)
     return SpanDecomposition(phi, target, h, terms)
 
 
@@ -116,31 +114,18 @@ def dec_linear_combine(pairs):
     zero = ring.zero_value()
     target = Polynomial.zero(ring, n)
     affine = Polynomial.zero(ring, n)
-    merged = {}
-    order = []
+    merged = {}  # (eta, i) -> a, in the order each key first comes
     for c, dec in pairs:
         if dec.phi is not phi and dec.phi != phi:
             raise ValueError("all decompositions must be bound to the same map")
         cv = ring.coerce_value(c)
         if cv == zero:
             continue
-        ce = RingElement(ring, cv)
-        target = target + dec.target.scale(ce)
-        affine = affine + dec.affine_part.scale(ce)
+        target = target + dec.target.scale(cv)
+        affine = affine + dec.affine_part.scale(cv)
         for a, eta, i in dec.terms:
-            key = (eta, i)
-            prev = merged.get(key)
-            contrib = ring.mul(cv, a.value)
-            if prev is None:
-                merged[key] = contrib
-                order.append(key)
-            else:
-                merged[key] = ring.add(prev, contrib)
-    terms = []
-    for key in order:
-        v = merged[key]
-        if v != zero:
-            terms.append((RingElement(ring, v), key[0], key[1]))
+            merged[eta, i] = ring.add(merged.get((eta, i), zero), ring.mul(cv, a))
+    terms = [(a, eta, i) for (eta, i), a in merged.items() if a != zero]
     return SpanDecomposition(phi, target, affine, terms)
 
 
@@ -160,7 +145,7 @@ def dec_less_affine(dec, degrees=(0, 1)):
 # ---------------------------------------------------------------------------
 
 def vandermonde_combination(g, monomial):
-    """Scalars (c_l, alpha_l) with sum c_l * g(alpha_l . x) = a * monomial.
+    """Raw scalars (c_l, alpha_l) with sum c_l * g(alpha_l . x) = a * monomial.
 
     One variable at a time: writing g as a polynomial in x_v^{p^e}, scaling
     x_v by enough distinct units sets up an invertible power matrix whose
@@ -193,7 +178,7 @@ def vandermonde_combination(g, monomial):
         for index_set in (support, list(range(d + 1))):
             k = len(index_set)
             alphas = distinct_scalars(ring, k)
-            betas = [(a**pe).value for a in alphas]
+            betas = [ring.pow(a, pe) for a in alphas]
             rows = []
             rhs = []
             for i in index_set:
@@ -207,7 +192,7 @@ def vandermonde_combination(g, monomial):
         # every vector holds 1 at v, and the alphas are distinct: no two
         # keys collide, and over a field no product of nonzeros is zero
         combos = {
-            vec[:v - 1] + (alpha.value,) + vec[v:]: ring.mul(c, c_l)
+            vec[:v - 1] + (alpha,) + vec[v:]: ring.mul(c, c_l)
             for vec, c in combos.items()
             for c_l, alpha in zip(solution, alphas) if c_l != zero
         }
@@ -220,21 +205,15 @@ def vandermonde_combination(g, monomial):
                 if e[v - 1] == monomial[v - 1]
             },
         )
-    return [
-        (RingElement(ring, c), tuple(RingElement(ring, s) for s in vec))
-        for vec, c in combos.items()
-    ]
+    return [(c, vec) for vec, c in combos.items()]
 
 
 def vandermonde_extract(dec, monomial):
     """Decomposition of a*monomial from a decomposition of g containing it."""
     ring = dec.phi.ring
-    combos = vandermonde_combination(dec.target, monomial)
-    pairs = []
-    for c, vec in combos:
-        diagonal = AffineMap.diagonal(ring, [s.value for s in vec])
-        pairs.append((c, dec_apply_affine(dec, diagonal)))
-    out = dec_linear_combine(pairs)
+    out = dec_linear_combine([
+        (c, dec_apply_affine(dec, AffineMap.diagonal(ring, vec)))
+        for c, vec in vandermonde_combination(dec.target, monomial)])
     exps, _ = out.single_monomial()
     if exps != tuple(monomial):
         raise ValueError("interpolation did not isolate the requested monomial")
@@ -312,7 +291,7 @@ def convert_square(dec):
     eta = AffineMap(ring, A, [zero] * n)
     mixed = dec_apply_affine(diff, eta)
     four_inv = ring.inv(ring.coerce_value(4))
-    return dec_scale(mixed, RingElement(ring, four_inv))
+    return dec_scale(mixed, four_inv)
 
 
 def convert_cube(dec):
@@ -326,21 +305,18 @@ def convert_cube(dec):
     n = dec.phi.nvars
     if n != 2 or ring.characteristic != 2:
         raise Unsupported("cube conversion applies to n = 2 in characteristic 2")
-    xi_v = find_special_unit(ring).value
-    succ = ring.add(xi_v, ring.one_value())
+    xi = find_special_unit(ring)
+    succ = ring.add(xi, ring.one_value())
     dec, swapped = _power_at_x1(dec, 3)
     one, zero = ring.one_value(), ring.zero_value()
     # x1 -> x1 + x2, x2 -> x2
     shear = AffineMap(ring, [[one, zero], [one, one]], [zero, zero], det=one)
     summed = dec_apply_affine(dec, shear)
     both = dec_linear_combine([(1, dec), (1, swapped), (1, summed)])
-    scaling = AffineMap.diagonal(ring, [xi_v, one])
+    scaling = AffineMap.diagonal(ring, [xi, one])
     rescaled = dec_apply_affine(both, scaling)
-    combined = dec_linear_combine(
-        [(1, rescaled), (RingElement(ring, ring.mul(xi_v, xi_v)), both)]
-    )
-    factor = ring.inv(ring.mul(xi_v, succ))
-    return dec_scale(combined, RingElement(ring, factor))
+    combined = dec_linear_combine([(1, rescaled), (ring.mul(xi, xi), both)])
+    return dec_scale(combined, ring.inv(ring.mul(xi, succ)))
 
 
 def _relabel_perm(n, sources, targets):
@@ -363,7 +339,7 @@ def normalize_to_seed(dec, kind):
     exps, value = dec.single_monomial()
     if target_kind(exps) != kind:
         raise ValueError(f"target {dec.target} is not of kind {kind!r}")
-    dec = dec_scale(dec, RingElement(ring, ring.inv(value)))
+    dec = dec_scale(dec, ring.inv(value))
     if kind == "product":
         support = [i + 1 for i, t in enumerate(exps) if t > 0]
         i, j = support[0], support[1]
@@ -462,7 +438,7 @@ def compile_tame_word(seed_word, seed_kind, f, n):
         out = cache.get(key)
         if out is None:
             if sum(exps) <= 1:
-                poly = Polynomial.monomial(ring, exps, RingElement(ring, coeff))
+                poly = Polynomial.monomial(ring, exps, coeff)
                 out = GeneratorWord(
                     ambient, [AffineMap.variable_shift(poly, ambient, 1)]
                 )

@@ -50,7 +50,7 @@ def apply_scaling(g, scalevec):
         factor = ring.one_value()
         for t, s in zip(exps, scalevec):
             if t:
-                factor = ring.mul(factor, ring.pow(s.value, t))
+                factor = ring.mul(factor, ring.pow(s, t))
         prod = ring.mul(factor, v)
         if prod != zero:
             out[exps] = prod

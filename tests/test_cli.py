@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -136,7 +137,7 @@ def test_witness_verify_and_tamper(tmp_path, capsys):
         ],
     )
     assert code == OK
-    data = json.loads(open(word_file).read())
+    data = json.loads(Path(word_file).read_text())
     del data["letters"][len(data["letters"]) // 2]
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(data))
@@ -269,7 +270,7 @@ def test_compose_and_invert_cli(tmp_path, capsys):
     from cotame.rings import RationalField
 
     Q = RationalField()
-    composed = json.loads(open(out_file).read())
+    composed = json.loads(Path(out_file).read_text())
     assert parse_poly(composed["images"][1], Q, 3) == parse_poly("x2 + x3^2", Q, 3)
     code, out = run_cli(capsys, ["invert", "--phi", out_file])
     assert code == OK
@@ -383,6 +384,47 @@ def test_ngg_check_cli(tmp_path, capsys):
     code, out = run_cli(capsys, ["ngg-check", "--ring", "Fp:2", "--phi", phi2])
     payload = json.loads(out)["payload"]
     assert payload["ngg"] is False and payload["witness"]["case"] == "II"
+
+
+# one map per ring with a non-one coefficient, and an ideal to reduce by
+ELEMENT_FREE_MAPS = {
+    "Q": ("x1 + 1/2*x2*x3", "0"),
+    "Z": ("x1 - x2*x3", "4,6"),
+    "Zn:6": ("x1 + 5*x2*x3", "3"),
+    "Fp:5": ("x1 + 3*x2*x3", "0"),
+    "GF:3^2": ("x1 + [0,1]*x2*x3", "[0]"),
+}
+
+
+@pytest.mark.parametrize("ring", ELEMENT_FREE_MAPS)
+def test_the_cli_path_builds_no_ring_element(tmp_path, capsys, monkeypatch, ring):
+    # the engine computes on raw values; RingElement is for library callers
+    from cotame.rings import Record, RingElement
+
+    built = []
+
+    def counting(self, *values):
+        built.append(values)
+        Record.__init__(self, *values)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    image, ideal = ELEMENT_FREE_MAPS[ring]
+    phi = write_phi(tmp_path, "phi.json", ring, 3, [image, "x2", "x3"])
+    word = str(tmp_path / "word.json")
+    target = ["--target", "x2^2*x3"]
+    requests = [
+        ["parse", "--ring", ring, "--n", "3", "--poly", image + " + 2"],
+        ["decide", "--phi", phi],
+        ["classify", "--phi", phi],
+        ["witness", "--phi", phi, *target, "-o", word],
+        ["verify", "--phi", phi, *target, "--word", word],
+        ["reduce", "--phi", phi, "--ideal", ideal],
+        ["ngg-check", "--phi", phi],
+    ]
+    codes = [run_cli(capsys, argv)[0] for argv in requests]
+    # only ngg-check over Z/6 refuses, for its composite characteristic
+    assert codes == [OK] * 6 + [ERROR if ring == "Zn:6" else OK]
+    assert built == []
 
 
 def test_text_format(tmp_path, capsys):

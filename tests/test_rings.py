@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from cotame.classify import (NOT_GOOD, GoodMonomialType, ModulePattern,
                              SpanScan, SpanWitness, Verdict)
 from cotame.delta import DeltaSpec
@@ -16,22 +18,13 @@ from cotame.rings import (
     IntegerRing,
     PrimeField,
     RationalField,
+    RingElement,
     distinct_scalars,
     enumerate_units,
     find_special_unit,
     ring_from_spec,
 )
 from cotame.witness import WitnessInfo
-
-
-def brute_force_nilpotent(a, n):
-    """Oracle: a is nilpotent in Z/n iff some small power vanishes."""
-    x = a % n
-    for _ in range(n.bit_length() + 1):
-        if x == 0:
-            return True
-        x = (x * a) % n
-    return x == 0
 
 
 def test_make_ring_examples():
@@ -74,31 +67,18 @@ def test_reducible_modulus_rejected():
 
 def test_basic_arith_examples():
     f7 = PrimeField(7)
-    assert f7.of(3).inv() == f7.of(5)
+    assert f7.inv(3) == 5
     z4 = IntegerModRing(4)
     with pytest.raises(NotAUnit):
-        z4.of(2).inv()
+        z4.inv(2)
     q = RationalField()
-    from fractions import Fraction
-
-    assert q.of(Fraction(1, 2)) * q.of(Fraction(2, 3)) == q.of(Fraction(1, 3))
+    assert q.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
 
 
-def test_unit_and_nilpotent_examples():
+def test_unit_examples():
     z4 = IntegerModRing(4)
-    assert not z4.of(2).is_unit() and z4.of(2).is_nilpotent()
-    assert z4.of(3).is_unit()
-    z12 = IntegerModRing(12)
-    # 6^2 = 36 = 0 mod 12, so 6 is nilpotent; confirmed by the oracle
-    assert brute_force_nilpotent(6, 12)
-    assert z12.of(6).is_nilpotent()
-
-
-def test_nilpotent_matches_oracle_up_to_1000():
-    for n in list(range(2, 60)) + [360, 512, 625, 1000]:
-        ring = IntegerModRing(n)
-        for a in range(n):
-            assert ring.of(a).is_nilpotent() == brute_force_nilpotent(a, n), (a, n)
+    assert not z4.is_unit(2)
+    assert z4.is_unit(3)
 
 
 def test_enumerate_units():
@@ -109,15 +89,17 @@ def test_enumerate_units():
     for ring in (PrimeField(7), GaloisField(2, 2), GaloisField(3, 2)):
         assert len(enumerate_units(ring)) == ring.order - 1
     z12 = IntegerModRing(12)
-    non_units = [a for a in range(12) if not z12.of(a).is_unit()]
+    non_units = [a for a in range(12) if not z12.is_unit(a)]
     assert len(enumerate_units(z12)) == 12 - len(non_units)
 
 
 def test_find_special_unit():
     f4 = GaloisField(2, 2)
-    u = find_special_unit(f4)
-    assert u.is_unit() and (u + f4.one).is_unit() and u not in (f4.zero, f4.one)
-    assert find_special_unit(PrimeField(3)) == PrimeField(3).of(1)
+    u, one = find_special_unit(f4), f4.one_value()
+    assert f4.is_unit(u) and f4.is_unit(f4.add(u, one))
+    assert u not in (f4.zero_value(), one)
+    assert find_special_unit(PrimeField(3)) == 1
+    assert find_special_unit(RationalField()) == Fraction(1)
     with pytest.raises(NoSuchUnit):
         find_special_unit(PrimeField(2))
     with pytest.raises(NoSuchUnit):
@@ -135,38 +117,64 @@ def test_ring_axioms_random_samples():
         GaloisField(2, 3),
     ]
     for ring in rings:
+        add, mul = ring.add, ring.mul
         if ring.is_finite:
-            pool = ring.elements()
+            pool = [ring.index_value(i) for i in range(ring.order)]
         else:
-            pool = [ring.of(rng.randint(-20, 20)) for _ in range(25)]
+            pool = [ring.coerce_value(rng.randint(-20, 20)) for _ in range(25)]
         for _ in range(60):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-        units = [u for u in pool if u.is_unit()]
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        units = [u for u in pool if ring.is_unit(u)]
         for u in units[:10]:
-            assert u * u.inv() == ring.one
+            assert mul(u, ring.inv(u)) == ring.one_value()
 
 
 def test_extension_field_inverse_exhaustive():
     for ring in (GaloisField(2, 2), GaloisField(3, 2), GaloisField(2, 3)):
-        for u in enumerate_units(ring):
-            assert u * u.inv() == ring.one
+        for u in ring.iter_units():
+            assert ring.mul(u, ring.inv(u)) == ring.one_value()
 
 
 def test_literals_round_trip():
     gf9 = GaloisField(3, 2)
     e = gf9.parse_literal("[1,2]")
-    assert gf9.parse_literal(gf9.format_value(e.value)) == e
+    assert e == (1, 2) and gf9.parse_literal(gf9.format_value(e)) == e
     q = RationalField()
-    assert q.parse_literal("-3/6") == q.of(2).inv() * q.of(-1)
+    assert q.parse_literal("-3/6") == q.mul(q.inv(q.coerce_value(2)), q.coerce_value(-1))
+
+
+# raw values of each ring: Fractions over Q, ints over Z, residues and
+# coefficient tuples over the finite rings
+LITERAL_SPECS = ["Q", "Z", "Zn:6", "Fp:5", "GF:2^2", "GF:3^2"]
+
+
+def raw_values(ring):
+    if ring.is_finite:
+        return st.integers(0, ring.order - 1).map(ring.index_value)
+    if ring.is_field:
+        return st.fractions()
+    return st.integers()
+
+
+@pytest.mark.parametrize("spec", LITERAL_SPECS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_literals_round_trip(spec, data):
+    ring = ring_from_spec(spec)
+    v = data.draw(raw_values(ring))
+    text = ring.format_value(v)
+    parsed = ring.parse_literal(text)
+    assert parsed == v and type(parsed) is type(ring.zero_value()), text
+    assert ring.coerce_value(ring.of(v)) == v
 
 
 def test_distinct_scalars():
-    assert [s.value for s in distinct_scalars(PrimeField(5), 3)] == [1, 2, 3]
+    assert distinct_scalars(PrimeField(5), 3) == [1, 2, 3]
     from cotame.errors import DegreeConditionError
 
     with pytest.raises(DegreeConditionError):
@@ -286,6 +294,7 @@ RECORD_CASES = [
     (Verdict, ("Unknown", None, "why", None, ("note",)),
      "Verdict(answer='Unknown', route=None, reason='why', certificate=None,"
      " diagnostics=('note',))"),
+    (RingElement, (PrimeField(5), 3), "3"),
 ]
 
 
