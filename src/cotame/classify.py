@@ -161,12 +161,11 @@ class SpanWitness(Record):
 
 
 class SpanScan(Record):
-    __slots__ = _fields = (
-        "handle", "witnesses", "exhaustive", "examined", "diagnostics"
-    )
+    __slots__ = _fields = ("witnesses", "exhaustive", "examined", "diagnostics")
 
     def certified_full(self):
-        return self.handle.is_full()
+        # the scan runs over a field, where one witness fills the good ideal
+        return bool(self.witnesses)
 
 
 def _strip_linear(f):
@@ -259,8 +258,7 @@ def span_good_scan(phi, k_size, budget=200000):
         goods = good_monomials(candidate)
         if goods:
             witnesses = [SpanWitness(combo, candidate, *good) for good in goods]
-            handle = IdealHandle(ring, [coeff for _, coeff, _ in goods])
-            return SpanScan(handle, witnesses, False, examined, [])
+            return SpanScan(witnesses, False, examined, [])
     diagnostics = []
     exhaustive = True
     if ring.is_finite:
@@ -270,7 +268,7 @@ def span_good_scan(phi, k_size, budget=200000):
             diagnostics.append(
                 f"span scan budget {budget} below the {total} coefficient vectors"
             )
-    return SpanScan(IdealHandle(ring, []), [], exhaustive, examined, diagnostics)
+    return SpanScan([], exhaustive, examined, diagnostics)
 
 
 # ---------------------------------------------------------------------------

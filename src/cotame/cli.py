@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import itertools
 import json
 import sys
 
@@ -304,9 +305,17 @@ def cmd_theta(args):
     return _finish(args, "theta", payload, artifact=payload["theta"])
 
 
+def _split_generators(text):
+    """The --ideal entries: text split at its commas outside brackets, so a
+    GF coefficient vector such as [1,0] stays one entry."""
+    depths = itertools.accumulate((c == "[") - (c == "]") for c in text)
+    cuts = [k for k, (c, d) in enumerate(zip(text, depths)) if c == "," and d < 1]
+    return [text[a + 1:b] for a, b in zip([-1, *cuts], [*cuts, len(text)])]
+
+
 def cmd_reduce(args):
     phi = _load_endo(args.phi, args.ring)
-    gens = [phi.ring.parse_literal(t) for t in args.ideal.split(",")]
+    gens = [phi.ring.parse_literal(t) for t in _split_generators(args.ideal)]
     ideal = maps.IdealHandle(phi.ring, gens)
     reduced = maps.reduce_mod(phi, ideal).to_json()
     return _finish(args, "reduce", reduced, artifact=reduced)

@@ -20,6 +20,7 @@ printing of Z and Z/n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -41,6 +42,7 @@ MAX_RING_ORDER = 1 << 24
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or math.inf
 
 
+@functools.cache
 def is_prime(n):
     if n < 2:
         return False
@@ -92,7 +94,10 @@ class RingElement(Record):
 
 
 class Ring:
-    """Common interface; concrete rings fill in the raw-value arithmetic.
+    """Common interface.  Each concrete ring, or its mixin, defines the raw
+    protocol ``add mul neg inv is_unit zero_value one_value``, ``sort_key``
+    (a total order for output), and ``parse_literal`` with its inverse
+    ``format_value``; a finite ring adds ``index_value`` and ``iter_units``.
 
     A ring is known by its spec string, set once per ring (a class constant
     or at construction): ``==`` answers by identity first and otherwise
@@ -108,20 +113,8 @@ class Ring:
     _label = "?"  # the ring's name in a coercion error
 
     # -- raw value arithmetic -------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def pow(self, a, k):
         """a^k by repeated squaring, for an int k >= 0."""
@@ -134,15 +127,6 @@ class Ring:
             a = self.mul(a, a)
             k >>= 1
         return acc
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def zero_value(self):
-        raise NotImplementedError
-
-    def one_value(self):
-        raise NotImplementedError
 
     def coerce_value(self, x):
         """Canonical raw value from an int, RingElement or raw value.
@@ -172,20 +156,6 @@ class Ring:
         if not self.is_finite:
             raise Unsupported(f"{self.spec_string()} is not finite")
         return [RingElement(self, self.index_value(i)) for i in range(self.order)]
-
-    def iter_units(self):
-        """The unit values, lazily, in a fixed deterministic order."""
-        raise Unsupported(f"cannot enumerate units of {self.spec_string()}")
-
-    def sort_key(self, value):
-        """Total order on raw values, used only for deterministic output."""
-        raise NotImplementedError
-
-    def parse_literal(self, text):
-        raise NotImplementedError
-
-    def format_value(self, value):
-        raise NotImplementedError
 
     def spec_string(self):
         return self._spec

@@ -4,24 +4,25 @@ The central object is SpanDecomposition: an explicit identity
 
     target = h + sum_j a_j * eta_j(phi(x_i_j))
 
-with h affine and eta_j affine maps, certifying that the target lies in
-the module generated by 1, the variables, and all affine transforms of
-phi's coordinate images.  Everything downstream is exact bookkeeping on
-such identities.  Each route ends in a unit times a target monomial plus
-affine terms: a span witness reaches it by scaling interpolation and the
-all-ones shift, a difference-operator match by translation differences of
-one image (a direct match is the zero-order case), and two conversions
-normalize it into a seed that the word compilers turn into a product of
-affine letters and phi^{+-1} composing to a prescribed tame generator.
-compile_last_word checks the identity once, exactly and at any size, and
-a dumb evaluator re-checks the compiled word.
+with eta_j affine maps, certifying that the target lies in the module
+generated by 1, the variables, and all affine transforms of phi's
+coordinate images.  Only the target and the terms are kept: h is what
+validate() leaves, and it must be affine.  Everything downstream is exact
+bookkeeping on such identities.  Each route ends in a unit times a target
+monomial plus affine terms: a span witness reaches it by scaling
+interpolation and the all-ones shift, a difference-operator match by
+translation differences of one image (a direct match is the zero-order
+case), and two conversions normalize it into a seed that the word
+compilers turn into a product of affine letters and phi^{+-1} composing
+to a prescribed tame generator.  compile_last_word checks the identity
+once, exactly and at any size, and a dumb evaluator re-checks the
+compiled word.
 """
 
 from __future__ import annotations
 
 from .classify import (
     NO_ROUTE,
-    _singles,
     check_witness_target,
     decide,
     degree_condition,
@@ -37,31 +38,28 @@ from .poly import Polynomial, p_power_split
 from .rings import Record, distinct_scalars, find_special_unit
 
 class SpanDecomposition:
-    """target = affine_part + sum a * eta(phi(x_i)), recomputable exactly;
+    """target = h + sum a * eta(phi(x_i)), with h what validate() leaves;
     each a is kept as a raw value of phi's ring."""
 
-    __slots__ = ("phi", "target", "affine_part", "terms")
+    __slots__ = ("phi", "target", "terms")
 
-    def __init__(self, phi, target, affine_part, terms):
+    def __init__(self, phi, target, terms):
         self.phi = phi
         self.target = target
-        self.affine_part = affine_part
         self.terms = [(phi.ring.coerce_value(a), eta, i) for a, eta, i in terms]
 
     def validate(self):
-        """Recompute the right-hand side exactly; ValueError unless it is target."""
-        if not self.affine_part.is_affine():
-            raise ValueError("affine part has degree > 1")
-        acc = self.affine_part
+        """h = target - sum a * eta(phi(x_i)), exactly; ValueError unless affine."""
+        h = self.target
         for a, eta, i in self.terms:
             if not 1 <= i <= self.phi.nvars:
                 raise ValueError(f"image index {i} out of range")
             if eta.n != self.phi.nvars:
                 raise ValueError("affine map arity mismatch")
-            acc = acc + eta.apply(self.phi.images[i - 1]).scale(a)
-        if acc != self.target:
-            raise ValueError("decomposition identity failed to revalidate")
-        return True
+            h = h - eta.apply(self.phi.images[i - 1]).scale(a)
+        if not h.is_affine():
+            raise ValueError("decomposition identity failed: remainder not affine")
+        return h
 
     def single_monomial(self):
         if len(self.target.terms) != 1:
@@ -75,16 +73,11 @@ class SpanDecomposition:
         )
 
 
-def trivial_decomposition(phi, affine_poly):
-    """An affine polynomial needs no image terms at all."""
-    return SpanDecomposition(phi, affine_poly, affine_poly, [])
-
-
 def span_decomposition(phi, combo):
     """Decomposition of sum combo_i * phi(x_i), built from scratch."""
     ring, n = phi.ring, phi.nvars
     zero = ring.zero_value()
-    target = h = Polynomial.zero(ring, n)
+    target = Polynomial.zero(ring, n)
     ident = AffineMap.identity(ring, n)
     terms = []
     for i, c in enumerate(combo, start=1):
@@ -93,15 +86,13 @@ def span_decomposition(phi, combo):
             continue
         terms.append((cv, ident, i))
         target = target + phi.images[i - 1].scale(cv)
-    return SpanDecomposition(phi, target, h, terms)
+    return SpanDecomposition(phi, target, terms)
 
 
 def dec_apply_affine(dec, eta):
-    """Decomposition of eta(target): transport every piece through eta."""
-    new_target = eta.apply(dec.target)
-    new_affine = eta.apply(dec.affine_part)
+    """Decomposition of eta(target): transport the target and every term."""
     new_terms = [(a, eta.compose(eta_j), i) for a, eta_j, i in dec.terms]
-    return SpanDecomposition(dec.phi, new_target, new_affine, new_terms)
+    return SpanDecomposition(dec.phi, eta.apply(dec.target), new_terms)
 
 
 def dec_linear_combine(pairs):
@@ -110,10 +101,8 @@ def dec_linear_combine(pairs):
         raise ValueError("empty combination")
     phi = pairs[0][1].phi
     ring = phi.ring
-    n = phi.nvars
     zero = ring.zero_value()
-    target = Polynomial.zero(ring, n)
-    affine = Polynomial.zero(ring, n)
+    target = Polynomial.zero(ring, phi.nvars)
     merged = {}  # (eta, i) -> a, in the order each key first comes
     for c, dec in pairs:
         if dec.phi is not phi and dec.phi != phi:
@@ -122,11 +111,10 @@ def dec_linear_combine(pairs):
         if cv == zero:
             continue
         target = target + dec.target.scale(cv)
-        affine = affine + dec.affine_part.scale(cv)
         for a, eta, i in dec.terms:
             merged[eta, i] = ring.add(merged.get((eta, i), zero), ring.mul(cv, a))
     terms = [(a, eta, i) for (eta, i), a in merged.items() if a != zero]
-    return SpanDecomposition(phi, target, affine, terms)
+    return SpanDecomposition(phi, target, terms)
 
 
 def dec_scale(dec, c):
@@ -134,10 +122,11 @@ def dec_scale(dec, c):
 
 
 def dec_less_affine(dec, degrees=(0, 1)):
-    """Decomposition of dec.target less its terms of a degree in degrees, 0 or 1."""
-    part = Polynomial(dec.phi.ring, dec.phi.nvars, {
-        e: v for e, v in dec.target.terms.items() if sum(e) in degrees})
-    return dec_linear_combine([(1, dec), (-1, trivial_decomposition(dec.phi, part))])
+    """Decomposition of dec.target less its terms of a degree in degrees, 0 or 1;
+    dec's terms, merged and nonzero from either builder, pass through."""
+    rest = Polynomial(dec.phi.ring, dec.phi.nvars, {
+        e: v for e, v in dec.target.terms.items() if sum(e) not in degrees})
+    return SpanDecomposition(dec.phi, rest, dec.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +354,18 @@ def normalize_to_seed(dec, kind):
 def compile_last_word(dec):
     """A word evaluating to the map that adds dec.target to x_{n+1}.
 
-    The affine part is one affine letter; each term a*eta(phi(x_i)) becomes
-    eta~ o (phi o shift(a*x_i) o phi^{-1}) o eta~^{-1} with eta~ the block
-    extension of eta, since conjugating the shift of a*x_i by phi adds
-    a*phi(x_i) to the last variable.
+    The affine part h that validate() leaves is one affine letter; each
+    term a*eta(phi(x_i)) becomes eta~ o (phi o shift(a*x_i) o phi^{-1}) o
+    eta~^{-1} with eta~ the block extension of eta, since conjugating the
+    shift of a*x_i by phi adds a*phi(x_i) to the last variable.
     """
     phi = dec.phi
     ring, n = phi.ring, phi.nvars
     ambient = n + 1
-    dec.validate()
+    h = dec.validate()
     letters = []
-    if not dec.affine_part.is_zero():
-        letters.append(AffineMap.variable_shift(dec.affine_part, ambient, ambient))
+    if not h.is_zero():
+        letters.append(AffineMap.variable_shift(h, ambient, ambient))
     ident = AffineMap.identity(ring, n)
     for a, eta, i in dec.terms:
         shift = AffineMap.variable_shift(
@@ -488,7 +477,8 @@ def _seed_from_image(phi, j, kind, spec=None):
     is a unit times a target monomial of the kind plus affine terms.  A
     direct match is the zero-order delta match."""
     ring, n = phi.ring, phi.nvars
-    dec = span_decomposition(phi, _singles(ring, n)[j - 1])
+    dec = SpanDecomposition(
+        phi, phi.images[j - 1], [(ring.one_value(), AffineMap.identity(ring, n), j)])
     for i, (li, ai) in enumerate(zip(spec.l, spec.a) if spec else (), start=1):
         eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
         for _ in range(li):

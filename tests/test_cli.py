@@ -376,6 +376,18 @@ def test_reduce_cli(tmp_path, capsys):
     assert payload["ring"] == "Zn:3" and payload["images"][0] == "x1"
 
 
+def test_reduce_reads_gf_coefficient_vectors(tmp_path, capsys):
+    # the commas inside [...] belong to one generator
+    phi = write_phi(tmp_path, "phi.json", "GF:3^2", 3, ["x1 + x2*x3", "x2", "x3"])
+    code, out = run_cli(capsys, ["reduce", "--phi", phi, "--ideal", "0,[0,0]"])
+    assert code == OK
+    assert json.loads(out)["payload"] == {
+        "ring": "GF:3^2", "n": 3, "images": ["x2*x3 + x1", "x2", "x3"]}
+    code, out = run_cli(capsys, ["reduce", "--phi", phi, "--ideal", "[1,0]"])
+    assert code == ERROR
+    assert json.loads(out)["payload"]["error"] == "a field has no proper nonzero ideals"
+
+
 def test_ngg_check_cli(tmp_path, capsys):
     phi = write_phi(tmp_path, "phi.json", "Fp:2", 3, ["x1 + x2^2", "x2", "x3"])
     code, out = run_cli(capsys, ["ngg-check", "--ring", "Fp:2", "--phi", phi])

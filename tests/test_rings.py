@@ -282,9 +282,8 @@ RECORD_CASES = [
     (SpanWitness, ((1, 0), "x2*x3", (0, 1, 1), 4, GM),
      "SpanWitness(combo=(1, 0), candidate='x2*x3', monomial=(0, 1, 1),"
      " coefficient=4, gm_type=GoodMonomialType(tag='I', i=2, j=3))"),
-    (SpanScan, ("J", (), True, 24, ("note",)),
-     "SpanScan(handle='J', witnesses=(), exhaustive=True, examined=24,"
-     " diagnostics=('note',))"),
+    (SpanScan, ((), True, 24, ("note",)),
+     "SpanScan(witnesses=(), exhaustive=True, examined=24, diagnostics=('note',))"),
     (WitnessInfo, ("J-full", "product"),
      "WitnessInfo(route='J-full', seed_kind='product')"),
     (ModulePattern, (3, 1, 1, frozenset({0})),

@@ -38,7 +38,6 @@ from cotame.witness import (
     normalize_to_seed,
     shift_extract,
     span_decomposition,
-    trivial_decomposition,
     vandermonde_combination,
     vandermonde_extract,
 )
@@ -79,9 +78,10 @@ def test_span_decomposition_validates():
     phi = phi_product()
     dec = span_decomposition(phi, [F5.of(1), F5.of(0), F5.of(0)])
     assert dec.target == parse_poly("x1 + x2*x3", F5, 3)
-    assert dec.validate()
-    bogus = SpanDecomposition(phi, parse_poly("x1", F5, 3), Polynomial.zero(F5, 3), [])
-    with pytest.raises(ValueError):
+    assert dec.validate().is_zero()
+    # what the image terms leave of the target is not affine
+    bogus = SpanDecomposition(phi, parse_poly("x1*x2", F5, 3), [])
+    with pytest.raises(ValueError, match="decomposition identity failed"):
         bogus.validate()
 
 
@@ -107,11 +107,72 @@ def test_dec_linear_combine():
     assert zero.target.is_zero() and not zero.terms
     # difference-of-squares identity as a combination of decompositions
     phiq = elementary(P("x2^2"))
-    d1 = trivial_decomposition(phiq, P("x1"))
-    # x1^2 = (x1 + x2^2) - ... not needed; combine trivial decs exactly
-    d2 = trivial_decomposition(phiq, P("x2"))
+    d1 = SpanDecomposition(phiq, P("x1"), [])
+    # x1^2 = (x1 + x2^2) - ... not needed; combine term-free decs exactly
+    d2 = SpanDecomposition(phiq, P("x2"), [])
     both = dec_linear_combine([(1, d1), (1, d2)])
     assert both.target == P("x1 + x2")
+
+
+DERIVED_RINGS = ["Fp:5", "GF:2^2", "Zn:6", "Q"]
+AFFINE_EXPS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@st.composite
+def decomposition_chains(draw):
+    """(phi, f, dec, h): phi = x1 + f(x2, x3), dec from span_decomposition
+    of a random combo taken through permutations, unit diagonals,
+    translations and linear combinations with earlier links of the chain
+    and with term-free affine decompositions, and h its affine part as the
+    chain builds it."""
+    ring = ring_from_spec(draw(st.sampled_from(DERIVED_RINGS)))
+    if ring.is_finite:
+        value = st.sampled_from([el.value for el in ring.elements()])
+        unit = st.sampled_from([u.value for u in enumerate_units(ring)])
+    else:
+        value = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
+        unit = value.filter(ring.is_unit)
+    exps = draw(st.sampled_from([(0, 1, 1), (0, 2, 0), (0, 0, 3), (0, 2, 1)]))
+    f = Polynomial(ring, 3, {exps: draw(unit)})
+    phi = elementary(f)
+    chain = [(span_decomposition(phi, draw(st.tuples(value, value, value))),
+              Polynomial.zero(ring, 3))]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        dec, h = chain[-1]
+        step = draw(st.sampled_from(
+            ["permutation", "diagonal", "translation", "combine"]))
+        if step == "combine":
+            other, h_other = draw(st.sampled_from(chain))
+            affine = Polynomial(ring, 3, {e: draw(value) for e in AFFINE_EXPS})
+            c, d, s = draw(value), draw(value), draw(value)
+            dec = dec_linear_combine([
+                (c, dec), (d, other), (s, SpanDecomposition(phi, affine, []))])
+            h = h.scale(c) + h_other.scale(d) + affine.scale(s)
+        else:
+            if step == "permutation":
+                eta = AffineMap.permutation(ring, draw(st.permutations([1, 2, 3])))
+            elif step == "diagonal":
+                eta = AffineMap.diagonal(ring, draw(st.tuples(unit, unit, unit)))
+            else:
+                eta = AffineMap.translation(ring, draw(st.tuples(value, value, value)))
+            dec = dec_apply_affine(dec, eta)
+            h = h.substitute(eta.image_polys())
+        chain.append((dec, h))
+    return phi, f, *chain[-1]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(decomposition_chains())
+def test_validate_returns_the_affine_part_the_terms_leave(chain):
+    phi, f, dec, h = chain
+    rest = dec.target
+    for a, eta, i in dec.terms:
+        rest = rest - phi.images[i - 1].substitute(eta.image_polys()).scale(a)
+    assert dec.validate() == rest == h
+    assert rest.is_affine()
+    word = compile_last_word(dec)
+    assert word.evaluate(phi, elementary(-f)) == elementary_last(dec.target, 4)
 
 
 def test_vandermonde_combination_small_example():
@@ -218,10 +279,7 @@ def test_convert_square():
 
 def test_convert_square_needs_two_invertible():
     phi2 = elementary(parse_poly("x2^2 + x2^3", F2, 3))
-    dec = trivial_decomposition(phi2, Polynomial.zero(F2, 3))
-    fake = SpanDecomposition(
-        phi2, parse_poly("x2^2", F2, 3), Polynomial.zero(F2, 3), []
-    )
+    fake = SpanDecomposition(phi2, parse_poly("x2^2", F2, 3), [])
     with pytest.raises(NotAUnit):
         convert_square(fake)
 
@@ -233,7 +291,7 @@ def test_convert_cube_over_f4():
     phi = elementary(parse_poly("x2^3", f4, 2), nvars=2)
     base = span_decomposition(phi, [1, 0])
     dec = dec_linear_combine(
-        [(1, base), (-1, trivial_decomposition(phi, parse_poly("x1", f4, 2)))]
+        [(1, base), (-1, SpanDecomposition(phi, parse_poly("x1", f4, 2), []))]
     )
     assert dec.target == parse_poly("x2^3", f4, 2)
     out = convert_cube(dec)
@@ -245,7 +303,7 @@ def test_compile_last_word_basic():
     phi = phi_product()
     dec = span_decomposition(phi, [1, 0, 0])
     dec = dec_linear_combine(
-        [(1, dec), (-1, trivial_decomposition(phi, parse_poly("x1", F5, 3)))]
+        [(1, dec), (-1, SpanDecomposition(phi, parse_poly("x1", F5, 3), []))]
     )
     assert dec.target == parse_poly("x2*x3", F5, 3)
     word = compile_last_word(dec)
@@ -275,7 +333,7 @@ def test_compile_last_word_scaled_image():
 
 def test_compile_last_word_affine_only():
     phi = phi_product()
-    dec = trivial_decomposition(phi, parse_poly("x1 + 2", F5, 3))
+    dec = SpanDecomposition(phi, parse_poly("x1 + 2", F5, 3), [])
     word = compile_last_word(dec)
     assert len(word) == 1
     assert word.evaluate(phi) == elementary_last(parse_poly("x1 + 2", F5, 3), 4)
@@ -291,7 +349,7 @@ def test_compile_last_word_dense_translated_image():
     eta = AffineMap.translation(f101, [0, 1, 1])
     target = eta.apply(phi.images[0])
     assert len(target.terms) == 10_001
-    dec = SpanDecomposition(phi, target, Polynomial.zero(f101, 3), [(1, eta, 1)])
+    dec = SpanDecomposition(phi, target, [(1, eta, 1)])
     word = compile_last_word(dec)
     assert word.evaluate(phi) == elementary_last(target, 4)
 
@@ -523,8 +581,7 @@ def test_a_large_broken_seed_is_refused(monkeypatch):
     # the x1*x2 that a product seed claims
     phi = phi_product()
     ident = AffineMap.identity(F5, 3)
-    broken = SpanDecomposition(phi, parse_poly("x1*x2", F5, 3), Polynomial.zero(F5, 3),
-                               [(1, ident, 1)] * 2001)
+    broken = SpanDecomposition(phi, parse_poly("x1*x2", F5, 3), [(1, ident, 1)] * 2001)
     monkeypatch.setattr(witness, "_seed_from_image", lambda *_: (broken, "product"))
     calls = counted_validations(monkeypatch)
     with pytest.raises(ValueError, match="decomposition identity failed"):
