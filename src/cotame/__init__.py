@@ -20,7 +20,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "rings": (
         "IntegerModRing", "IntegerRing", "PrimeField", "RationalField",
-        "RingElement", "enumerate_units", "find_special_unit", "ring_from_spec",
+        "find_special_unit", "ring_from_spec",
     ),
     "gf": ("GaloisField",),
     "poly": ("NEG_INF", "Polynomial", "parse_poly"),

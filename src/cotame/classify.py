@@ -189,8 +189,9 @@ def _swept_combos(ring, n, live, bound):
     """(position, vector) of the first vector of each live key in the finite
     stream, in stream order, up to product index `bound`.
 
-    The stream is the singles, then itertools.product order over
-    ring.elements() (zero first, one second) without zero and the singles.
+    The stream is the singles, then itertools.product order over the raw
+    values index_value(0..q-1) (zero first, one second) without zero and
+    the singles.
     A key's first vector is zero off `live`, and its index t0 rises with the
     key.  A skipped t0 belongs to a key met among the singles (or, when every
     image is live, to the zero key, never met), so the rest come in key order.
@@ -349,19 +350,10 @@ def _reduction_moduli(ring):
 
 def reduction_search(phi):
     """A proper ideal whose quotient map has no good monomials, if one is found."""
-    ring = phi.ring
-    for q in _reduction_moduli(ring):
-        ideal = IdealHandle(ring, [q])
-        try:
-            quotient = reduce_mod(phi, ideal)
-        except Unsupported:
-            continue
+    for q in _reduction_moduli(phi.ring):
+        quotient = reduce_mod(phi, IdealHandle(phi.ring, [q]))
         if no_good_monomials(quotient):
-            return {
-                "modulus": q,
-                "quotient_ring": quotient.ring.spec_string(),
-                "quotient": quotient,
-            }
+            return {"modulus": q, "quotient_ring": quotient.ring.spec_string()}
     return None
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import CotameError, NoRouteFound, PolynomialSyntaxError
-from .poly import parse_poly
+from .poly import bounded_variables, parse_poly
 from .rings import is_prime, ring_from_spec
 
 
@@ -148,7 +148,7 @@ def cmd_parse(args):
     if args.n < 0:
         raise ValueError(f"--n must be a non-negative integer, not {args.n}")
     ring = ring_from_spec(args.ring)
-    f = parse_poly(args.poly, ring, args.n)
+    f = parse_poly(args.poly, ring, bounded_variables(args.n, "--n"))
     payload = {
         "canonical": str(f),
         "total_degree": None if f.is_zero() else f.total_deg(),

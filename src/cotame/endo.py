@@ -17,7 +17,7 @@ from .errors import NotAUnit, ResourceLimit, Unsupported
 from .linalg import adjugate, det as matrix_det, mat_mul, vec_mat
 from .maps import Endomorphism, compose, elementary, extend, identity
 from .maps import _field, _is_list, _is_positive_int
-from .poly import Polynomial
+from .poly import MAX_VARIABLES, Polynomial, bounded_variables
 
 
 def swap_perm(n, *pairs):
@@ -519,7 +519,9 @@ class GeneratorWord:
 
     @classmethod
     def from_json(cls, ring, data):
-        ambient = _field(data, "ambient", _is_positive_int, "a positive integer")
+        ambient = bounded_variables(
+            _field(data, "ambient", _is_positive_int, "a positive integer"),
+            "'ambient'", MAX_VARIABLES + 1)
         entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
         letters = []
         # a word file repeats a few letters many times: build each once, keyed

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import Unsupported
-from .poly import Polynomial, parse_poly
+from .poly import Polynomial, bounded_variables, parse_poly
 from .rings import IntegerModRing, IntegerRing, ring_from_spec
 
 
@@ -86,7 +86,8 @@ class Endomorphism:
     def from_json(cls, data, ring=None):
         if ring is None:
             ring = ring_from_spec(_field(data, "ring", _is_str, "a ring spec"))
-        n = _field(data, "n", _is_positive_int, "a positive integer")
+        n = bounded_variables(
+            _field(data, "n", _is_positive_int, "a positive integer"), "'n'")
         texts = _field(
             data,
             "images",

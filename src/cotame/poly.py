@@ -20,7 +20,7 @@ import operator
 
 from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
 from .rings import (_MAX_DIGITS, IntegerModRing, IntegerRing, RationalField,
-                    RingElement, _parse_int, is_prime)
+                    _parse_int, is_prime)
 
 
 NEG_INF = -math.inf
@@ -168,12 +168,6 @@ class Polynomial:
 
     def is_affine(self):
         return self.total_deg() <= 1
-
-    def coefficient(self, exps):
-        v = self.terms.get(tuple(exps))
-        if v is None:
-            return self.ring.zero
-        return RingElement(self.ring, v)
 
     def monomials(self):
         """Exponent tuples in canonical (graded-lex descending) order."""
@@ -408,6 +402,20 @@ _MAX_PRODUCTS = 500_000
 _MAX_EXPONENT = 1 << 20
 _MAX_POWER_BITS = 1 << 20
 _TOO_LONG = 10**_MAX_DIGITS
+
+# A variable count read from outside (parse --n, a map file's n) is at most
+# MAX_VARIABLES, and a word file's ambient at most one more, for the
+# stabilizing variable.  Each affine letter read from a file costs O(n^4)
+# for its determinant; a dense letter in 33 variables builds and inverts in
+# well under a second.
+MAX_VARIABLES = 32
+
+
+def bounded_variables(n, what, limit=MAX_VARIABLES):
+    """n, once it is at most limit; ResourceLimit naming the limit past it."""
+    if n > limit:
+        raise ResourceLimit(f"{what} is {n}, past the limit of {limit} variables")
+    return n
 
 
 def _check_products(products, what):

@@ -2,18 +2,15 @@
 
 Every ring works on canonical raw values (Fraction, int residue, or a
 coefficient tuple for extension fields) so that equality of elements,
-polynomials and maps is plain structural equality.  Engine functions take
-and return raw values and compute through the ring's raw methods.
-RingElement is the public wrapper of one raw value, with equality, hash
-and the ring's printing but no arithmetic; only ``Ring.of``, ``zero``,
-``one``, ``elements``, ``enumerate_units`` and
-``Polynomial.coefficient`` hand one out, and ``coerce_value`` accepts one
-wherever a raw value is expected.
+polynomials and maps is plain structural equality.  Every function takes
+raw values or ints and returns raw values; ``coerce_value`` turns an int
+or a ring's own raw type into its canonical raw value, and
+``format_value`` prints one.
 
 Each rule the rings share is stated once.  ``Ring`` holds ring identity
 (``==`` and ``hash`` on the spec string each ring sets once), the
-RingElement branch of ``coerce_value`` after a ring's own raw types, and
-``pow`` and ``sub``; ``_NativeRing`` holds the native ``+ - * neg`` of Q
+refusal of ``coerce_value`` after a ring's own raw types, and ``pow`` and
+``sub``; ``_NativeRing`` holds the native ``+ - * neg`` of Q
 and Z; ``_IntegerValues`` holds the int zero, one, order, parsing and
 printing of Z and Z/n.
 """
@@ -83,16 +80,6 @@ class Record:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-class RingElement(Record):
-    """An element of a Ring, stored in canonical form: the public wrapper
-    of a raw value, printed as the ring prints it."""
-
-    __slots__ = _fields = ("ring", "value")
-
-    def __repr__(self):
-        return self.ring.format_value(self.value)
-
-
 class Ring:
     """Common interface.  Each concrete ring, or its mixin, defines the raw
     protocol ``add mul neg inv is_unit zero_value one_value``, ``sort_key``
@@ -129,33 +116,11 @@ class Ring:
         return acc
 
     def coerce_value(self, x):
-        """Canonical raw value from an int, RingElement or raw value.
+        """Canonical raw value from an int or raw value.
 
         A concrete ring converts its own raw types and passes the rest here.
         """
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("cannot coerce element from a different ring")
-            return x.value
         raise ValueError(f"cannot coerce {x!r} into {self._label}")
-
-    # -- wrapped helpers -------------------------------------------------
-    @property
-    def zero(self):
-        return RingElement(self, self.zero_value())
-
-    @property
-    def one(self):
-        return RingElement(self, self.one_value())
-
-    def of(self, x):
-        return RingElement(self, self.coerce_value(x))
-
-    def elements(self):
-        """All elements of a finite ring, in index_value order."""
-        if not self.is_finite:
-            raise Unsupported(f"{self.spec_string()} is not finite")
-        return [RingElement(self, self.index_value(i)) for i in range(self.order)]
 
     def spec_string(self):
         return self._spec
@@ -387,13 +352,6 @@ def ring_from_spec(text):
 
         return GaloisField(p, e, modulus)
     raise ValueError(f"unknown ring spec {text!r}")
-
-
-def enumerate_units(ring):
-    """All units of a finite ring in a fixed deterministic order."""
-    if not ring.is_finite:
-        raise Unsupported(f"{ring.spec_string()} has infinitely many elements")
-    return [RingElement(ring, v) for v in ring.iter_units()]
 
 
 def find_special_unit(ring):

@@ -27,14 +27,14 @@ from cotame.classify import (
 from cotame.endo import AffineMap, invert_structured
 from cotame.errors import CompositeCharacteristic, NoSuchUnit, Unsupported
 from cotame.gf import GaloisField
-from cotame.maps import Endomorphism, IdealHandle, compose, elementary, identity
+from cotame.maps import (Endomorphism, IdealHandle, compose, elementary, identity,
+                         reduce_mod)
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
     IntegerModRing,
     IntegerRing,
     PrimeField,
     RationalField,
-    RingElement,
     find_special_unit,
     is_prime,
     ring_from_spec,
@@ -134,7 +134,7 @@ def oracle_span_combos(phi, budget):
         singles.append(tuple(vec))
     yield from singles
     if ring.is_finite:
-        values = [el.value for el in ring.elements()]
+        values = [ring.index_value(i) for i in range(ring.order)]
         count = 0
         for combo in itertools.product(values, repeat=n):
             if count >= budget:
@@ -164,7 +164,7 @@ def oracle_span_scan(phi, k_size, budget=200000):
         acc = Polynomial.zero(ring, n)
         for c, img in zip(combo, phi.images):
             if c != zero:
-                acc = acc + img.scale(RingElement(ring, c))
+                acc = acc + img.scale(c)
         candidate = Polynomial(
             ring, n, {e: v for e, v in acc.terms.items() if sum(e) != 1}
         )
@@ -230,7 +230,7 @@ def span_scan_cases(draw):
     ring = ring_from_spec(draw(st.sampled_from(SPAN_SPECS)))
     n = draw(st.integers(min_value=2, max_value=3))
     if ring.is_finite:
-        values = st.sampled_from([el.value for el in ring.elements()])
+        values = st.sampled_from([ring.index_value(i) for i in range(ring.order)])
     else:
         values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     # exponents up to q reach both sides of the degree bound q - 2, those up
@@ -400,7 +400,7 @@ def test_span_scan_over_q_is_decided_by_the_singles(phi):
     for combo in itertools.product(range(-2, 3), repeat=n):
         acc = Polynomial.zero(Q, n)
         for c, img in zip(combo, phi.images):
-            acc = acc + img.scale(RingElement(Q, Q.coerce_value(c)))
+            acc = acc + img.scale(c)
         assert not good_monomials(acc), combo
 
 
@@ -489,7 +489,7 @@ NGG_SPECS = ["Q", "Z", "Fp:2", "Fp:3", "Fp:5", "GF:2^2"]
 def ring_values(ring):
     """Coefficient values of ring: all of a finite ring, small ones otherwise."""
     if ring.is_finite:
-        return st.sampled_from([el.value for el in ring.elements()])
+        return st.sampled_from([ring.index_value(i) for i in range(ring.order)])
     if ring.is_field:
         return st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return st.integers(min_value=-4, max_value=4)
@@ -535,9 +535,7 @@ def _pattern_elementary_pool(ring, n, p):
 
 
 def random_pattern_affine(rng, ring, n):
-    from cotame.rings import enumerate_units
-
-    units = [u.value for u in enumerate_units(ring)]
+    units = list(ring.iter_units())
     one, zero = ring.one_value(), ring.zero_value()
     A = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -606,6 +604,17 @@ def test_reduction_moduli_are_the_prime_divisors_below_n():
     assert _reduction_moduli(IntegerModRing(10**12)) == [2, 5]
     assert _reduction_moduli(IntegerModRing(999983 * 1000003)) == [999983, 1000003]
     assert time.perf_counter() - start < 2
+
+
+def test_every_reduction_modulus_gives_a_proper_quotient():
+    # reduction_search passes each modulus to reduce_mod, which must accept it
+    from cotame.classify import _reduction_moduli
+
+    for ring in [IntegerRing()] + [IntegerModRing(n) for n in range(2, 61)]:
+        phi = elementary(parse_poly("x2^2 + 2*x2*x3", ring, 3))
+        for q in _reduction_moduli(ring):
+            quotient = reduce_mod(phi, IdealHandle(ring, [q]))
+            assert quotient.ring == IntegerModRing(q), (ring, q)
 
 
 def test_direct_pattern_scan():
@@ -749,9 +758,7 @@ def test_decide_soundness_certificates_verify():
 
 
 def random_tame_2(rng, ring, max_letters=5, max_deg=4):
-    from cotame.rings import enumerate_units
-
-    units = [u.value for u in enumerate_units(ring)]
+    units = list(ring.iter_units())
     acc = identity(ring, 2)
     for _ in range(rng.randint(1, max_letters)):
         if rng.random() < 0.5:

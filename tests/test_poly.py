@@ -26,9 +26,9 @@ def random_poly(rng, ring, nvars, max_deg=3, max_terms=4):
         exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         if ring.is_finite:
             c = rng.randrange(1, ring.order)
-            coeff = ring.elements()[c]
+            coeff = ring.index_value(c)
         else:
-            coeff = ring.of(rng.randint(-4, 4))
+            coeff = ring.coerce_value(rng.randint(-4, 4))
         out = out + Polynomial.monomial(ring, exps, coeff)
     return out
 
@@ -339,7 +339,7 @@ def test_parse_inverts_str(spec):
 def test_gf_coefficient_literals():
     gf9 = GaloisField(3, 2)
     f = parse_poly("[1,2]*x1 + [0,1]", gf9, 2)
-    assert f.coefficient((1, 0)) == gf9.of((1, 2))
+    assert f.terms.get((1, 0)) == gf9.coerce_value((1, 2))
     assert parse_poly(str(f), gf9, 2) == f
 
 

@@ -20,7 +20,6 @@ from cotame.poly import Polynomial, parse_poly
 from cotame.rings import (
     PrimeField,
     RationalField,
-    enumerate_units,
     ring_from_spec,
 )
 from cotame import witness
@@ -76,7 +75,7 @@ def phi_product(ring=F5):
 
 def test_span_decomposition_validates():
     phi = phi_product()
-    dec = span_decomposition(phi, [F5.of(1), F5.of(0), F5.of(0)])
+    dec = span_decomposition(phi, [1, 0, 0])
     assert dec.target == parse_poly("x1 + x2*x3", F5, 3)
     assert dec.validate().is_zero()
     # what the image terms leave of the target is not affine
@@ -127,8 +126,8 @@ def decomposition_chains(draw):
     chain builds it."""
     ring = ring_from_spec(draw(st.sampled_from(DERIVED_RINGS)))
     if ring.is_finite:
-        value = st.sampled_from([el.value for el in ring.elements()])
-        unit = st.sampled_from([u.value for u in enumerate_units(ring)])
+        value = st.sampled_from([ring.index_value(i) for i in range(ring.order)])
+        unit = st.sampled_from(list(ring.iter_units()))
     else:
         value = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
         unit = value.filter(ring.is_unit)
@@ -208,7 +207,7 @@ def test_vandermonde_extract_on_image():
 def test_vandermonde_random_recovery():
     rng = random.Random(47)
     for ring in (F5, F7, F9):
-        units = [u.value for u in enumerate_units(ring)]
+        units = list(ring.iter_units())
         bound = ring.order - 2
         for _ in range(25):
             nvars = 2
@@ -327,7 +326,7 @@ def test_compile_last_word_scaled_image():
     phi = phi_product()
     dec = span_decomposition(phi, [3, 0, 0])
     word = compile_last_word(dec)
-    expected = elementary_last(phi.images[0].scale(F5.of(3)), 4)
+    expected = elementary_last(phi.images[0].scale(3), 4)
     assert word.evaluate(phi) == expected
 
 
@@ -477,6 +476,27 @@ def test_mixed_cube_seed_from_type_iv():
     assert verify_witness(word, phi, f, phi_inverse=phi_inv)
 
 
+def test_mixed_cube_seed_swaps_x1_squared_times_x2():
+    # over GF(8) the shear x2 -> x1 + x2 turns x1 + x2^3 into
+    # x1 + x1^3 + x1^2*x2 + x1*x2^2 + x2^3; isolating x1^2*x2 leaves a seed
+    # that normalize_to_seed must swap to x1*x2^2
+    f8 = GaloisField(2, 3)
+    phi = Endomorphism(f8, [parse_poly("x1 + x2^3", f8, 2), parse_poly("x2", f8, 2)])
+    assert compose(phi, phi) == identity(f8, 2)  # phi is its own inverse
+    shear = AffineMap(f8, [[1, 1], [0, 1]], [0, 0])
+    dec = dec_apply_affine(span_decomposition(phi, [1, 0]), shear)
+    dec = vandermonde_extract(dec, (2, 1))
+    assert dec.single_monomial()[0] == (2, 1)
+    seed_dec, seed_kind = normalize_to_seed(dec, "mixed-cube")
+    assert seed_kind == "cube"
+    assert seed_dec.target == parse_poly("x1*x2^2", f8, 2)
+    seed_word = compile_last_word(seed_dec)
+    for text in ("x2^2", "x2^3"):
+        f = parse_poly(text, f8, 2)
+        word = compile_tame_word(seed_word, seed_kind, f, 2)
+        assert verify_witness(word, phi, f, phi_inverse=phi), text
+
+
 def test_shift_extract_two_odd_exponents_char_two():
     # x1^3*x2 over GF(8) is case II (two odd exponents): the shift exposes
     # x1*x2, although x1^3 is 3 mod 4 as well
@@ -500,7 +520,7 @@ def tame_maps(draw):
     three variables with small non-linear parts, inverted factor by factor."""
     ring = ring_from_spec(draw(st.sampled_from(TAME_RINGS)))
     if ring.is_finite:
-        coeff = st.sampled_from([el.value for el in ring.elements()])
+        coeff = st.sampled_from([ring.index_value(i) for i in range(ring.order)])
     else:
         coeff = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
 
@@ -614,7 +634,7 @@ def elementary_maps(draw):
     """x1 + f(x2, x3), f a sum of at most three terms of degree 2 to 4."""
     ring = ring_from_spec(draw(st.sampled_from(ELEMENTARY_RINGS)))
     if ring.is_finite:
-        coeff = st.sampled_from([u.value for u in enumerate_units(ring)])
+        coeff = st.sampled_from(list(ring.iter_units()))
     else:
         coeff = st.integers(min_value=-3, max_value=3).map(ring.coerce_value)
     exps = st.tuples(st.just(0), st.integers(0, 3), st.integers(0, 3))
