@@ -349,11 +349,12 @@ def _reduction_moduli(ring):
 
 
 def reduction_search(phi):
-    """A proper ideal whose quotient map has no good monomials, if one is found."""
+    """The certificate of a quotient map with no good monomials, if one is found."""
     for q in _reduction_moduli(phi.ring):
         quotient = reduce_mod(phi, IdealHandle(phi.ring, [q]))
         if no_good_monomials(quotient):
-            return {"modulus": q, "quotient_ring": quotient.ring.spec_string()}
+            return {"kind": "reduction", "modulus": q,
+                    "quotient_ring": quotient.ring.spec_string()}
     return None
 
 
@@ -382,8 +383,8 @@ DIRECT_CASES = {"product": "a", "square": "b", "mixed-cube": "c", "pure-cube": "
 
 
 def direct_pattern_scan(phi):
-    """Look for an image of the form unit*m + affine with m a target
-    monomial of a kind the ring normalizes.
+    """The certificate of an image of the form unit*m + affine with m a
+    target monomial of a kind the ring normalizes, if one is found.
 
     Valid over any coefficient ring; this is the zero-order case of the
     difference-operator route.
@@ -396,8 +397,8 @@ def direct_pattern_scan(phi):
         (exps,) = nonlinear
         c, kind = img.terms[exps], target_kind(exps)
         if ring.is_unit(c) and kind is not None and normalizes(ring, n, kind):
-            return {"case": DIRECT_CASES[kind], "image": j, "monomial": exps,
-                    "coefficient": c, "kind": kind}
+            return {"kind": "direct", "image": j, "monomial": list(exps),
+                    "coefficient": ring.format_value(c), "case": DIRECT_CASES[kind]}
     return None
 
 
@@ -419,7 +420,7 @@ class Verdict(Record):
         # size); outside composite characteristic "goods" (its
         # image_good_monomials) and "ideal" (their good_ideal); "scan" (the
         # SpanScan) when the span step ran; and "image" = (delta spec or
-        # None, j, target kind) for a direct or delta match of phi(x_j)
+        # None, j) for a direct or delta match of phi(x_j)
         self.evidence = {} if evidence is None else evidence
 
     def to_json(self):
@@ -522,21 +523,11 @@ def decide(phi, k_size="auto", budget=200000):
                            reason="I-phi-proper")
     reduction = reduction_search(phi)
     if reduction is not None:
-        return verdict("NotStablyCotame", {
-            "kind": "reduction",
-            "modulus": reduction["modulus"],
-            "quotient_ring": reduction["quotient_ring"],
-        }, reason="reduction-to-ngg")
+        return verdict("NotStablyCotame", reduction, reason="reduction-to-ngg")
     direct = direct_pattern_scan(phi)
     if direct is not None:
-        evidence["image"] = (None, direct["image"], direct["kind"])
-        return verdict("StablyCotame", {
-            "kind": "direct",
-            "image": direct["image"],
-            "monomial": list(direct["monomial"]),
-            "coefficient": ring.format_value(direct["coefficient"]),
-            "case": direct["case"],
-        }, route=f"M-phi-case-{direct['case']}")
+        evidence["image"] = (None, direct["image"])
+        return verdict("StablyCotame", direct, route=f"M-phi-case-{direct['case']}")
     if ksz != "unavailable":
         scan = evidence["scan"] = span_good_scan(phi, ksz, budget=budget)
         diagnostics.extend(scan.diagnostics)
@@ -563,15 +554,12 @@ def decide(phi, k_size="auto", budget=200000):
         except ResourceLimit as exc:  # past its work bound: still Unknown
             found, note = None, str(exc)
         if found is not None:
-            spec, j, kind, pair = found
-            evidence["image"] = (spec, j, kind)
-            target = pattern_exps((0,) * n, pair)
+            spec, j, pair = found
+            evidence["image"] = (spec, j)
+            target = Polynomial.monomial(ring, pattern_exps((0,) * n, pair))
             return verdict("StablyCotame", {
-                "kind": "delta",
-                "image": j,
-                "l": list(spec.l),
-                "monomial": list(pattern_exps(spec.l, pair)),
-                "target": str(Polynomial.monomial(ring, target)),
+                "kind": "delta", "image": j, "l": list(spec.l),
+                "monomial": list(pattern_exps(spec.l, pair)), "target": str(target),
             }, route="delta-route")
         diagnostics.append(note)
     return verdict("Unknown")

@@ -281,7 +281,7 @@ def cmd_verify(args):
 
 def cmd_theta(args):
     ring = ring_from_spec(args.ring)
-    theta, theta_prime = endo.theta_map(args.N, ring, max_terms=args.max_terms)
+    theta, theta_prime = endo.theta_map(args.N, ring)
     payload = {
         "theta": theta.to_json(),
         "theta_prime": theta_prime.to_json(),
@@ -323,12 +323,10 @@ def cmd_reduce(args):
 
 def cmd_ngg_check(args):
     phi = _load_endo(args.phi, args.ring)
-    payload = {"ngg": True}
-    for j, img in enumerate(phi.images, start=1):
-        goods = classify.good_monomials(img)
-        if goods:
-            payload = {"ngg": False, "witness": _good_entry(phi, j, *goods[0])}
-            break
+    goods = classify.image_good_monomials(phi)
+    payload = {"ngg": not goods}
+    if goods:
+        payload["witness"] = _good_entry(phi, *goods[0])
     return _finish(args, "ngg-check", payload)
 
 
@@ -411,7 +409,6 @@ def build_parser(command=None):
                 ring_required=True):
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--analyze", action="store_true")
-        p.add_argument("--max-terms", type=int, default=2_000_000)
 
     if p := add("reduce", "pass to a quotient of the coefficient ring",
                 cmd_reduce):

@@ -73,12 +73,11 @@ def delta_module_membership(f, spec):
 
 
 def _admissible_patterns(n, p, l):
-    """(kind, (u, v)) patterns allowed by the order profile l: those whose
-    x^l*x_u*x_v has no exponent above p - 1, products before squares."""
+    """The pairs (u, v), u == v for a square, whose x^l*x_u*x_v has no
+    exponent above p - 1: products before squares."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     pairs += [(u, u) for u in range(1, n + 1)]
-    return [("square" if u == v else "product", (u, v)) for u, v in pairs
-            if max(pattern_exps(l, (u, v))) < p]
+    return [pair for pair in pairs if max(pattern_exps(l, pair)) < p]
 
 
 def pattern_exps(base, pair):
@@ -90,7 +89,7 @@ def pattern_exps(base, pair):
 
 
 def delta_match(phi, spec, j, pair=None, charge=lambda terms: None):
-    """The first (kind, (u, v)) whose difference-operator pattern phi(x_j)
+    """The first pair (u, v) whose difference-operator pattern phi(x_j)
     matches, or None; a given pair restricts the search to its pattern.
 
     phi(x_j) must be c*m, c a unit and m = x^l*x_u*x_v (x^l*x_u^2 for a
@@ -102,12 +101,12 @@ def delta_match(phi, spec, j, pair=None, charge=lambda terms: None):
     ring, n = phi.ring, phi.nvars
     patterns = _admissible_patterns(n, ring.characteristic, spec.l)
     if pair is not None:
-        patterns = [pat for pat in patterns if pat[1] == tuple(sorted(pair))]
+        patterns = [uv for uv in patterns if uv == tuple(sorted(pair))]
         if not patterns:
             raise ValueError(f"order profile {spec.l} admits no pattern at {pair}")
     img = phi.images[j - 1]
     differences = None
-    for kind, uv in patterns:
+    for uv in patterns:
         wanted = pattern_exps(spec.l, uv)
         c = img.terms.get(wanted)
         if c is None or not ring.is_unit(c):
@@ -116,12 +115,12 @@ def delta_match(phi, spec, j, pair=None, charge=lambda terms: None):
             differences = delta_power(img, spec, charge)
         m = Polynomial.monomial(ring, wanted, c)
         if (differences - delta_power(m, spec)).is_affine():
-            return kind, uv
+            return uv
     return None
 
 
 def delta_search(phi):
-    """(spec, j, kind, pair) of the first match over the order profiles l in
+    """(spec, j, pair) of the first match over the order profiles l in
     itertools.product order, then the images, with unit steps; None if none.
     A match at (l, j) needs a term x^e = x^l*x_u*x_v of phi(x_j) with no e_i
     above p - 1: only the profiles read off such terms are tried, each on the
@@ -154,7 +153,7 @@ def delta_search(phi):
         if work + first > DELTA_WORK:
             charge(first)  # raises
         for j in sorted(profiles[l]):
-            found = delta_match(phi, spec, j, charge=charge)
-            if found is not None:
-                return (spec, j, *found)
+            pair = delta_match(phi, spec, j, charge=charge)
+            if pair is not None:
+                return spec, j, pair
     return None

@@ -314,6 +314,15 @@ def try_invert(phi):
         return None
 
 
+def _bounded(phi, limit, what):
+    """phi, once its images hold at most limit terms in all; past that a
+    ResourceLimit that names what grew."""
+    size = sum(len(img.terms) for img in phi.images)
+    if size > limit:
+        raise ResourceLimit(f"{what} grew to {size} terms (limit {limit})")
+    return phi
+
+
 # ---------------------------------------------------------------------------
 # the swap-conjugate gallery
 # ---------------------------------------------------------------------------
@@ -343,13 +352,7 @@ def theta_map(N, ring, max_terms=2_000_000):
     backward = compose(pi, beta_inv)
 
     def guarded(a, b):
-        out = compose(a, b)
-        size = _term_count(out)
-        if size > max_terms:
-            raise ResourceLimit(
-                f"theta composition grew to {size} terms (limit {max_terms})"
-            )
-        return out
+        return _bounded(compose(a, b), max_terms, "theta composition")
 
     fwd_n = forward
     bwd_n = backward
@@ -371,14 +374,17 @@ def theta_map(N, ring, max_terms=2_000_000):
 _EVAL_TERM_FLOOR = 10_000
 
 
-def _term_count(phi):
-    return sum(len(img.terms) for img in phi.images)
-
-
 def _map_degree(phi):
     return max(
         (img.total_deg() for img in phi.images if not img.is_zero()), default=0
     )
+
+
+# The most letters times ambient^3 that a word file may hold: a dense affine
+# letter in m variables over F_7 builds and evaluates in 1-2 us times m^3
+# (Python 3.11, Xeon), so 13 distinct ones in 33 variables take ~0.8 s; twice
+# the size of theta N=2's 3,814-letter words in 4 variables.
+MAX_WORD_SIZE = 500_000
 
 
 class GeneratorWord:
@@ -423,23 +429,19 @@ class GeneratorWord:
         outgrows the term limit raises ResourceLimit.
         """
         ring = phi.ring
-        if phi.nvars == self.ambient - 1:
-            phi_ext = extend(phi, 1)
-            inv_ext = extend(phi_inverse, 1) if phi_inverse is not None else None
-        elif phi.nvars == self.ambient:
-            phi_ext = phi
-            inv_ext = phi_inverse
-        else:
+        extra = self.ambient - phi.nvars
+        if extra not in (0, 1):
             raise ValueError(
                 f"word has ambient {self.ambient}, phi has {phi.nvars} variables"
             )
-        if inv_ext is None and -1 in self.letters:
-            base = try_invert(phi)
-            if base is None:
+        if phi_inverse is None and -1 in self.letters:
+            phi_inverse = try_invert(phi)
+            if phi_inverse is None:
                 raise Unsupported(
                     "word uses phi^-1; supply the inverse tuple explicitly"
                 )
-            inv_ext = extend(base, self.ambient - base.nvars)
+        phi_ext = extend(phi, extra)
+        inv_ext = None if phi_inverse is None else extend(phi_inverse, extra)
         ident = identity(ring, self.ambient)
         # Any bracket eta o phi o A o phi^-1 o eta^-1 of a witness word has
         # degree at most deg phi, so it fits however dense it is; a bracket
@@ -453,12 +455,7 @@ class GeneratorWord:
         )
 
         def bounded(out):
-            size = _term_count(out)
-            if size > limit:
-                raise ResourceLimit(
-                    f"word evaluation grew to {size} terms (limit {limit})"
-                )
-            return out
+            return _bounded(out, limit, "word evaluation")
 
         # phi o A o phi^-1 for each distinct inner value A, computed once
         brackets = {}
@@ -523,6 +520,11 @@ class GeneratorWord:
             _field(data, "ambient", _is_positive_int, "a positive integer"),
             "'ambient'", MAX_VARIABLES + 1)
         entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
+        size = len(entries) * ambient**3
+        if size > MAX_WORD_SIZE:
+            raise ResourceLimit(
+                f"a word of {len(entries)} letters in {ambient} variables has size"
+                f" {size} (letters * ambient^3), past the limit of {MAX_WORD_SIZE}")
         letters = []
         # a word file repeats a few letters many times: build each once, keyed
         # on the repr of its A and b, which tells apart JSON values of any type

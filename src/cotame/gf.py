@@ -4,7 +4,7 @@ A field of order at most 2^10 adds, negates, multiplies and inverts by
 table lookup: on first use it builds log and antilog tables over a
 generator of the unit group and Zech logs log(1 + g^k), all O(order).  The
 values stay coefficient tuples; larger fields keep the schoolbook product
-and polynomial division.
+and polynomial division, and invert as a^(q-2).
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ def _poly_mul_mod_p(a, b, p):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
     return _poly_trim(out)
-
-
-def _poly_sub_p(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def _poly_divmod_p(a, b, p):
@@ -137,6 +130,8 @@ class GaloisField(Ring):
             self._spec += ":[" + ",".join(map(str, modulus)) + "]"
         if self.order > _TABLE_MAX_ORDER:
             self._log = self._exp = self._zech = self._neg_log = None
+            self.add, self.neg = self._slow_add, self._slow_neg
+            self.mul, self.inv = self._slow_mul, self._slow_inv
 
     def _pad(self, c):
         c = list(c)[: self.e]
@@ -172,13 +167,10 @@ class GaloisField(Ring):
         self._neg_log = log[self._slow_neg(one)]
 
     def add(self, a, b):
-        log = self._log
-        if log is None:
-            return self._slow_add(a, b)
-        i = log.get(a)
+        i = self._log.get(a)
         if i is None:
             return b
-        j = log.get(b)
+        j = self._log.get(b)
         if j is None:
             return a
         # g^i + g^j = g^i * (1 + g^(j-i))
@@ -186,27 +178,18 @@ class GaloisField(Ring):
         return self._zero if z is None else self._exp[i + z]
 
     def neg(self, a):
-        log = self._log
-        if log is None:
-            return self._slow_neg(a)
-        i = log.get(a)
+        i = self._log.get(a)
         return a if i is None else self._exp[i + self._neg_log]
 
     def mul(self, a, b):
         log = self._log
-        if log is None:
-            return self._slow_mul(a, b)
-        i = log.get(a)
-        j = log.get(b)
+        i, j = log.get(a), log.get(b)
         if i is None or j is None:
             return self._zero
         return self._exp[i + j]
 
     def inv(self, a):
-        log = self._log
-        if log is None:
-            return self._slow_inv(a)
-        i = log.get(a)
+        i = self._log.get(a)
         if i is None:
             raise NotAUnit("0 is not invertible")
         return self._exp[self.order - 1 - i]
@@ -226,16 +209,8 @@ class GaloisField(Ring):
     def _slow_inv(self, a):
         if all(x == 0 for x in a):
             raise NotAUnit("0 is not invertible")
-        # extended Euclid in F_p[y]
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _poly_divmod_p(r0, r1, self.p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub_p(t0, _poly_mul_mod_p(q, t1, self.p), self.p)
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c_inv = pow(r0[0], -1, self.p)
-        return self._pad([(x * c_inv) % self.p for x in t0])
+        # Fermat: a^(q-1) = 1 for a unit a of the q-element field
+        return self.pow(a, self.order - 2)
 
     def is_unit(self, a):
         return any(x != 0 for x in a)

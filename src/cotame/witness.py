@@ -73,20 +73,17 @@ class SpanDecomposition:
         )
 
 
-def span_decomposition(phi, combo):
-    """Decomposition of sum combo_i * phi(x_i), built from scratch."""
+def image_decomposition(phi, j):
+    """Decomposition of phi(x_j): the one term 1 * phi(x_j)."""
     ring, n = phi.ring, phi.nvars
-    zero = ring.zero_value()
-    target = Polynomial.zero(ring, n)
-    ident = AffineMap.identity(ring, n)
-    terms = []
-    for i, c in enumerate(combo, start=1):
-        cv = ring.coerce_value(c)
-        if cv == zero:
-            continue
-        terms.append((cv, ident, i))
-        target = target + phi.images[i - 1].scale(cv)
-    return SpanDecomposition(phi, target, terms)
+    return SpanDecomposition(phi, phi.images[j - 1],
+                             [(ring.one_value(), AffineMap.identity(ring, n), j)])
+
+
+def span_decomposition(phi, combo):
+    """Decomposition of sum combo_i * phi(x_i)."""
+    return dec_linear_combine([(c, image_decomposition(phi, i))
+                               for i, c in enumerate(combo, start=1)])
 
 
 def dec_apply_affine(dec, eta):
@@ -233,8 +230,7 @@ def shift_extract(dec, k_size=None):
         raise DegreeConditionError(
             "shifted monomial violates the separable degree bound"
         )
-    out = vandermonde_extract(shifted, target)
-    return out, target_kind(target), target
+    return vandermonde_extract(shifted, target)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +314,17 @@ def _relabel_perm(n, sources, targets):
     return [v if v is not None else next(rest) for v in perm]
 
 
-def normalize_to_seed(dec, kind):
-    """Route a unit times a target monomial of the kind to x1*x2 (product
-    seed) or x1*x2^2 (cube seed).
+def normalize_to_seed(dec):
+    """Route a unit times a target monomial to x1*x2 (product seed) or
+    x1*x2^2 (cube seed), by the kind of the monomial.
 
     Returns (dec, seed_kind) with the target coefficient scaled to one.
     """
     ring, n = dec.phi.ring, dec.phi.nvars
     exps, value = dec.single_monomial()
-    if target_kind(exps) != kind:
-        raise ValueError(f"target {dec.target} is not of kind {kind!r}")
+    kind = target_kind(exps)
+    if kind is None:
+        raise ValueError(f"target {dec.target} is not a seed target")
     dec = dec_scale(dec, ring.inv(value))
     if kind == "product":
         support = [i + 1 for i, t in enumerate(exps) if t > 0]
@@ -465,25 +462,23 @@ def _seed_from_span(phi, scan, k_size):
     if dec.target != witness.candidate:
         raise ValueError("span witness failed to rebuild")
     extracted = vandermonde_extract(dec, witness.monomial)
-    if witness.gm_type.target(phi.nvars) == witness.monomial:
-        return normalize_to_seed(extracted, target_kind(witness.monomial))
-    extracted, kind, _ = shift_extract(extracted, k_size)
-    return normalize_to_seed(extracted, kind)
+    if witness.gm_type.target(phi.nvars) != witness.monomial:
+        extracted = shift_extract(extracted, k_size)
+    return normalize_to_seed(extracted)
 
 
-def _seed_from_image(phi, j, kind, spec=None):
+def _seed_from_image(phi, j, spec=None):
     """(seed decomposition, seed kind) from phi(x_j), taken through the
     spec.l translation differences when a delta spec is given: what is left
-    is a unit times a target monomial of the kind plus affine terms.  A
-    direct match is the zero-order delta match."""
+    is a unit times a target monomial plus affine terms.  A direct match is
+    the zero-order delta match."""
     ring, n = phi.ring, phi.nvars
-    dec = SpanDecomposition(
-        phi, phi.images[j - 1], [(ring.one_value(), AffineMap.identity(ring, n), j)])
+    dec = image_decomposition(phi, j)
     for i, (li, ai) in enumerate(zip(spec.l, spec.a) if spec else (), start=1):
         eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
         for _ in range(li):
             dec = dec_linear_combine([(1, dec_apply_affine(dec, eta)), (-1, dec)])
-    return normalize_to_seed(dec_less_affine(dec), kind)
+    return normalize_to_seed(dec_less_affine(dec))
 
 
 def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
@@ -507,8 +502,8 @@ def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
         seed_dec, seed_kind = _seed_from_span(
             phi, evidence["scan"], evidence["k_size"])
     else:
-        spec, j, kind = evidence["image"]
-        seed_dec, seed_kind = _seed_from_image(phi, j, kind, spec)
+        spec, j = evidence["image"]
+        seed_dec, seed_kind = _seed_from_image(phi, j, spec)
     seed_word = compile_last_word(seed_dec)
     word = compile_tame_word(seed_word, seed_kind, target, phi.nvars)
     return word, WitnessInfo(verdict.route, seed_kind)

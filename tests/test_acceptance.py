@@ -294,8 +294,8 @@ def test_criterion_9_delta_route():
     scan = span_good_scan(phi, 3)
     assert not scan.certified_full()
     spec = DeltaSpec.ones(F3, (0, 1, 1))
-    assert delta_match(phi, spec, 1) == ("product", (2, 3))
-    seed, kind = _seed_from_image(phi, 1, "product", spec)
+    assert delta_match(phi, spec, 1) == (2, 3)
+    seed, kind = _seed_from_image(phi, 1, spec)
     assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
     seed.validate()
     f = parse_poly("x2*x3", F3, 3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotame.cli import COMMANDS, build_parser, emit_report, run
+from cotame.endo import MAX_WORD_SIZE
 from cotame.poly import MAX_VARIABLES
 
 OK, ERROR, UNKNOWN = 0, 1, 2
@@ -846,6 +847,42 @@ def test_variable_counts_are_bounded(tmp_path, capsys, entry):
     assert code == ERROR
     assert json.loads(out)["payload"] == {
         "error": f"{name} is {limit + 1}, past the limit of {limit} variables"}
+
+
+def unit_letter(m, shift=False):
+    """The identity letter in m variables, or with shift x1 -> x1 + x2."""
+    A = [[int(i == j) for j in range(m)] for i in range(m)]
+    A[1][0] = int(shift)
+    return {"kind": "affine", "A": A, "b": [0] * m}
+
+
+def test_word_size_is_bounded(tmp_path, capsys):
+    m = 10
+    count = MAX_WORD_SIZE // m**3
+    assert count * m**3 == MAX_WORD_SIZE
+    phi = write_phi(tmp_path, "phi.json", "Fp:7", m - 1, [f"x{i}" for i in range(1, m)])
+    word = tmp_path / "word.json"
+    argv = ["verify", "--phi", phi, "--target", "x2", "--word", str(word)]
+    # at the bound: the shift x1 -> x1 + x2, then identities
+    letters = [unit_letter(m, shift=True)] + [unit_letter(m)] * (count - 1)
+    word.write_text(json.dumps({"ambient": m, "letters": letters}))
+    code, out = run_cli(capsys, argv)
+    assert (code, json.loads(out)["payload"]) == (OK, {"match": True, "word_length": count})
+    # one letter more, or 14 distinct dense letters in 33 variables (~0.6 s
+    # to build one by one), are refused before any letter is built
+    past = [(m, letters + [unit_letter(m)]),
+            (MAX_VARIABLES + 1, [dense_letter(MAX_VARIABLES + 1, seed=s)
+                                 for s in range(14)])]
+    for ambient, letters in past:
+        word.write_text(json.dumps({"ambient": ambient, "letters": letters}))
+        start = time.perf_counter()
+        code, out = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1
+        size = len(letters) * ambient**3
+        assert size > MAX_WORD_SIZE and code == ERROR
+        assert json.loads(out)["payload"] == {"error": (
+            f"a word of {len(letters)} letters in {ambient} variables has size {size}"
+            f" (letters * ambient^3), past the limit of {MAX_WORD_SIZE}")}
 
 
 def exit_outcome(capsys, parse, argv):

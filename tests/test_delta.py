@@ -298,7 +298,7 @@ def unit_plus_affine(f, exps):
 
 
 def product_order_search(phi):
-    """(spec, j, kind, pair) of the first match in itertools.product order
+    """(spec, j, pair) of the first match in itertools.product order
     over every order profile, each image and each admissible pattern; a match
     needs the membership of phi(x_j) less its pattern term and differences
     that are a unit times the target plus affine terms."""
@@ -309,7 +309,7 @@ def product_order_search(phi):
             continue
         spec = DeltaSpec.ones(ring, l)
         for j, img in enumerate(phi.images, start=1):
-            for kind, uv in _admissible_patterns(n, p, l):
+            for uv in _admissible_patterns(n, p, l):
                 wanted = pattern_exps(l, uv)
                 c = img.terms.get(wanted)
                 if c is None or not ring.is_unit(c):
@@ -318,7 +318,7 @@ def product_order_search(phi):
                 differences = delta_power(img, spec)
                 if (delta_module_membership(rest, spec) and unit_plus_affine(
                         differences, pattern_exps((0,) * n, uv)) is not None):
-                    return spec, j, kind, uv
+                    return spec, j, uv
     return None
 
 
@@ -387,8 +387,8 @@ def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
 def test_a_map_beyond_the_old_cap_takes_the_delta_route():
     # p^n = 343: the search once refused every map with p^n > 128
     phi = elementary(parse_poly("x2^7*x3 + x2^3*x3^2", F7, 3))
-    spec, j, kind, pair = delta_search(phi)
-    assert (spec.l, j, kind, pair) == ((0, 1, 2), 1, "square", (2, 2))
+    spec, j, pair = delta_search(phi)
+    assert (spec.l, j, pair) == ((0, 1, 2), 1, (2, 2))
     assert decide(phi).route == "delta-route"
     f = parse_poly("x2*x3", F7, 3)
     word, info = build_witness_with_info(phi, f)
@@ -414,8 +414,8 @@ def test_the_work_bound_stops_the_search_without_a_verdict():
 def test_delta_route_product_case():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
     spec = DeltaSpec.ones(F3, (0, 1, 1))
-    assert delta_match(phi, spec, 1) == ("product", (2, 3))
-    seed, kind = _seed_from_image(phi, 1, "product", spec)
+    assert delta_match(phi, spec, 1) == (2, 3)
+    seed, kind = _seed_from_image(phi, 1, spec)
     assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
     seed.validate()
 
@@ -437,9 +437,9 @@ def test_delta_search_finds_certificate():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
     found = delta_search(phi)
     assert found is not None
-    spec, j, kind, pair = found
-    assert delta_match(phi, spec, j) == (kind, pair)
-    seed, _ = _seed_from_image(phi, j, kind, spec)
+    spec, j, pair = found
+    assert delta_match(phi, spec, j) == pair
+    seed, _ = _seed_from_image(phi, j, spec)
     seed.validate()
     exps, value = seed.single_monomial()
     assert value == F3.one_value()
@@ -467,8 +467,8 @@ def test_delta_route_witness_end_to_end():
 @pytest.mark.parametrize("decided, other, ring, refusal", [
     # the differences of x1 + x2*x3 at l = (0, 1, 1) are the constant 1
     ("x2^2*x3^2", "x2*x3", F3, "not a single monomial"),
-    # a direct match is the zero-order case: x2^2 is not a product
-    ("x2*x3", "x2^2", F5, "is not of kind 'product'"),
+    # a direct match is the zero-order case: x2^4 is no seed target
+    ("x2*x3", "x2^4", F5, "is not a seed target"),
 ])
 def test_a_verdict_on_another_map_is_refused(decided, other, ring, refusal):
     verdict = decide(elementary(parse_poly(decided, ring, 3)))
@@ -488,10 +488,10 @@ def planted_map(rng, ring, n):
     p = ring.characteristic
     while True:
         l = (0,) + tuple(rng.randrange(p) for _ in range(n - 1))
-        patterns = [pat for pat in _admissible_patterns(n, p, l) if 1 not in pat[1]]
+        patterns = [pair for pair in _admissible_patterns(n, p, l) if 1 not in pair]
         if any(l) and patterns:
             break
-    _, pair = rng.choice(patterns)
+    pair = rng.choice(patterns)
     added = Polynomial.monomial(ring, pattern_exps(l, pair),
                                 rng.randrange(1, ring.order))
     for _ in range(rng.randint(0, 2)):
@@ -549,7 +549,7 @@ def test_delta_match_agrees_with_witness_decomposition(phi):
             continue
         spec = DeltaSpec.ones(ring, l)
         for j, img in enumerate(phi.images, start=1):
-            for kind, pair in patterns:
+            for pair in patterns:
                 matched = delta_match(phi, spec, j, pair) is not None
                 # the preconditions that decide checks before the differences
                 wanted = pattern_exps(l, pair)
@@ -564,15 +564,15 @@ def test_delta_match_agrees_with_witness_decomposition(phi):
                     built = unit_plus_affine(delta_power(img, spec),
                                              pattern_exps((0,) * n, pair)) is not None
                 if built:
-                    seed, seed_kind = _seed_from_image(phi, j, kind, spec)
+                    seed, seed_kind = _seed_from_image(phi, j, spec)
                     seed.validate()
                     assert seed_kind == "product" and seed.target == x1x2
-                assert matched == built, (l, j, kind, pair)
+                assert matched == built, (l, j, pair)
     verdict = decide(phi)
     if verdict.route == "delta-route":
-        spec, j, kind = verdict.evidence["image"]
-        matched_kind, pair = delta_match(phi, spec, j)
-        assert matched_kind == kind
+        spec, j = verdict.evidence["image"]
+        pair = delta_match(phi, spec, j)
+        assert pair is not None
         (target,) = parse_poly(verdict.certificate["target"], ring, n).terms
         differences = delta_power(phi.images[j - 1], spec)
         assert unit_plus_affine(differences, target) is not None

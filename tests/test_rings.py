@@ -245,6 +245,31 @@ def test_gf_above_the_table_bound_stays_schoolbook(a, b, c):
     assert ring._log is None and ring._exp is None and ring._zech is None
 
 
+# y^7 + 2y^2 + 1 is irreducible over F_3, and 3^7 = 2,187 is above the table bound
+GF2187 = ring_from_spec("GF:3^7:[1,0,2,0,0,0,0,1]")
+gf2187_values = st.integers(0, GF2187.order - 1).map(GF2187.index_value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf2187_values, gf2187_values, gf2187_values)
+def test_gf_of_odd_characteristic_above_the_table_bound(a, b, c):
+    ring = GF2187
+    add, mul = ring.add, ring.mul
+    zero, one = ring.zero_value(), ring.one_value()
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, zero) == a and mul(a, one) == a
+    assert add(a, ring.neg(a)) == zero
+    if any(a):
+        assert mul(a, ring.inv(a)) == one
+    else:
+        with pytest.raises(NotAUnit):
+            ring.inv(a)
+    assert ring._log is None and ring._exp is None and ring._zech is None
+
+
 def test_ring_pow_is_repeated_multiplication():
     for ring in (RationalField(), IntegerModRing(12), GaloisField(3, 2)):
         a = ring.coerce_value(2) if ring.order is None else list(ring.iter_units())[-1]

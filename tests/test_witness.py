@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cotame.classify import decide, degree_condition, span_good_scan
+from cotame.classify import decide, degree_condition, span_good_scan, target_kind
 from cotame.endo import AffineMap, invert_structured, theta_map, verify_witness
 from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.gf import GaloisField
@@ -246,16 +246,18 @@ def test_shift_extract_cases():
     phi = phi_product()
     dec = span_decomposition(phi, [1, 0, 0])
     dec = vandermonde_extract(dec, (0, 1, 1))
-    out, kind, target = shift_extract(dec, 5)
-    assert kind == "product" and target == (0, 1, 1)
+    out = shift_extract(dec, 5)
+    target, _ = out.single_monomial()
+    assert target_kind(target) == "product" and target == (0, 1, 1)
     out.validate()
 
     # square over Q: shift of x2^2 contains x2^2 again
     phiq = elementary(P("x2^2"))
     decq = span_decomposition(phiq, [1, 0, 0])
     decq = vandermonde_extract(decq, (0, 2, 0))
-    outq, kindq, targetq = shift_extract(decq, None)
-    assert kindq == "square" and targetq == (0, 2, 0)
+    outq = shift_extract(decq, None)
+    targetq, _ = outq.single_monomial()
+    assert target_kind(targetq) == "square" and targetq == (0, 2, 0)
     outq.validate()
 
     # shift of (x1+1)(x2+1)^2 contains x1*x2^2 (two variables, char 2)
@@ -264,7 +266,7 @@ def test_shift_extract_cases():
 
 
 def test_convert_square():
-    out, kind = _seed_from_image(elementary(P("x2^2")), 1, "square")
+    out, kind = _seed_from_image(elementary(P("x2^2")), 1)
     assert kind == "product" and out.target == P("x1*x2")
     out.validate()
     # over F5 as well
@@ -487,7 +489,8 @@ def test_mixed_cube_seed_swaps_x1_squared_times_x2():
     dec = dec_apply_affine(span_decomposition(phi, [1, 0]), shear)
     dec = vandermonde_extract(dec, (2, 1))
     assert dec.single_monomial()[0] == (2, 1)
-    seed_dec, seed_kind = normalize_to_seed(dec, "mixed-cube")
+    assert target_kind(dec.single_monomial()[0]) == "mixed-cube"
+    seed_dec, seed_kind = normalize_to_seed(dec)
     assert seed_kind == "cube"
     assert seed_dec.target == parse_poly("x1*x2^2", f8, 2)
     seed_word = compile_last_word(seed_dec)
@@ -503,10 +506,11 @@ def test_shift_extract_two_odd_exponents_char_two():
     f8 = GaloisField(2, 3)
     phi = Endomorphism(f8, [parse_poly("x1 + x1^3*x2", f8, 2), parse_poly("x2", f8, 2)])
     dec = vandermonde_extract(span_decomposition(phi, [1, 0]), (3, 1))
-    out, kind, target = shift_extract(dec, 8)
-    assert kind == "product" and target == (1, 1)
+    out = shift_extract(dec, 8)
+    target, _ = out.single_monomial()
+    assert target_kind(target) == "product" and target == (1, 1)
     out.validate()
-    seed_dec, seed_kind = normalize_to_seed(out, kind)
+    seed_dec, seed_kind = normalize_to_seed(out)
     assert seed_kind == "product"
     assert seed_dec.target == parse_poly("x1*x2", f8, 2)
 
