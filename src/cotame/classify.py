@@ -116,10 +116,10 @@ def good_monomials(f):
 
 
 def image_good_monomials(phi):
-    """All (image j, exponents, coefficient, type) of the good monomials of
-    phi's images, in image order and then monomial order."""
-    return [(j, *good) for j, img in enumerate(phi.images, start=1)
-            for good in good_monomials(img)]
+    """Each (image j, exponents, coefficient, type) of a good monomial of
+    phi's images, in image then monomial order, one image at a time."""
+    return ((j, *good) for j, img in enumerate(phi.images, start=1)
+            for good in good_monomials(img))
 
 
 def good_ideal(phi):
@@ -510,7 +510,7 @@ def decide(phi, k_size="auto", budget=200000):
         diagnostics.append(f"characteristic {p} is composite;"
                            " good-monomial criteria skipped")
     else:
-        goods = evidence["goods"] = image_good_monomials(phi)
+        goods = evidence["goods"] = list(image_good_monomials(phi))
         ideal = evidence["ideal"] = IdealHandle(
             ring, [coeff for _, _, coeff, _ in goods])
         if ideal.is_zero():

@@ -323,10 +323,10 @@ def cmd_reduce(args):
 
 def cmd_ngg_check(args):
     phi = _load_endo(args.phi, args.ring)
-    goods = classify.image_good_monomials(phi)
-    payload = {"ngg": not goods}
-    if goods:
-        payload["witness"] = _good_entry(phi, *goods[0])
+    first = next(classify.image_good_monomials(phi), None)
+    payload = {"ngg": first is None}
+    if first is not None:
+        payload["witness"] = _good_entry(phi, *first)
     return _finish(args, "ngg-check", payload)
 
 

@@ -380,11 +380,10 @@ def _map_degree(phi):
     )
 
 
-# The most letters times ambient^3 that a word file may hold: a dense affine
-# letter in m variables over F_7 builds and evaluates in 1-2 us times m^3
-# (Python 3.11, Xeon), so 13 distinct ones in 33 variables take ~0.8 s; twice
-# the size of theta N=2's 3,814-letter words in 4 variables.
-MAX_WORD_SIZE = 500_000
+# The most work a word file may ask for, as GeneratorWord.from_json counts it:
+# up to ~1 us a unit over F_7 (Python 3.11, Xeon).  The golden corpus's witness
+# words for its maps padded to 32 variables weigh up to 3,643,761 (1 s to verify).
+MAX_WORD_SIZE = 5_000_000
 
 
 class GeneratorWord:
@@ -520,20 +519,27 @@ class GeneratorWord:
             _field(data, "ambient", _is_positive_int, "a positive integer"),
             "'ambient'", MAX_VARIABLES + 1)
         entries = _field(data, "letters", lambda v: isinstance(v, list), "a list")
-        size = len(entries) * ambient**3
+        # a word file repeats a few letters many times: build each once, keyed
+        # on the repr of its A and b, which tells apart JSON values of any type
+        keys = [repr((e["A"], e.get("b"))) if isinstance(e, dict)
+                and isinstance(e.get("A"), list) else None for e in entries]
+        # the work they ask for, before any is built: ambient^3 to build each
+        # distinct affine letter (Berkowitz) and ambient * (ambient + nonzeros
+        # of A) to compose each letter; phi^+-1 has no A
+        nonzeros = {key: sum(v not in (0, "0") for row in e["A"]
+                             if isinstance(row, list) for v in row)
+                    for key, e in dict(zip(keys, entries)).items() if key is not None}
+        size = ambient * (len(nonzeros) * ambient**2
+                          + sum(ambient + nonzeros.get(key, 0) for key in keys))
         if size > MAX_WORD_SIZE:
             raise ResourceLimit(
                 f"a word of {len(entries)} letters in {ambient} variables has size"
-                f" {size} (letters * ambient^3), past the limit of {MAX_WORD_SIZE}")
-        letters = []
-        # a word file repeats a few letters many times: build each once, keyed
-        # on the repr of its A and b, which tells apart JSON values of any type
-        built = {}
-        for entry in entries:
+                f" {size}, past the limit of {MAX_WORD_SIZE}")
+        letters, built = [], {}
+        for entry, key in zip(entries, keys):
             kind = _field(entry, "kind", lambda v: v in ("affine", "phi"),
                           "'affine' or 'phi'")
             if kind == "affine":
-                key = repr((entry.get("A"), entry.get("b")))
                 if key not in built:
                     built[key] = AffineMap.from_json(ring, entry, ambient)
                 letters.append(built[key])

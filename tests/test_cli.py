@@ -849,40 +849,68 @@ def test_variable_counts_are_bounded(tmp_path, capsys, entry):
         "error": f"{name} is {limit + 1}, past the limit of {limit} variables"}
 
 
-def unit_letter(m, shift=False):
-    """The identity letter in m variables, or with shift x1 -> x1 + x2."""
+def unit_letter(m, shift=False, translate=None):
+    """The identity letter in m variables, with shift x1 -> x1 + x2, or with
+    translation x_(k+1) -> x_(k+1) + c for translate = (k, c)."""
     A = [[int(i == j) for j in range(m)] for i in range(m)]
     A[1][0] = int(shift)
-    return {"kind": "affine", "A": A, "b": [0] * m}
+    b = [0] * m
+    if translate is not None:
+        b[translate[0]] = translate[1]
+    return {"kind": "affine", "A": A, "b": b}
 
 
 def test_word_size_is_bounded(tmp_path, capsys):
-    m = 10
-    count = MAX_WORD_SIZE // m**3
-    assert count * m**3 == MAX_WORD_SIZE
+    m = MAX_VARIABLES + 1
     phi = write_phi(tmp_path, "phi.json", "Fp:7", m - 1, [f"x{i}" for i in range(1, m)])
     word = tmp_path / "word.json"
     argv = ["verify", "--phi", phi, "--target", "x2", "--word", str(word)]
-    # at the bound: the shift x1 -> x1 + x2, then identities
-    letters = [unit_letter(m, shift=True)] + [unit_letter(m)] * (count - 1)
+    # the shift x1 -> x1 + x2, pairs of translations by c and -c at x_k, each
+    # a new letter (m^3 to build it, m * (m + nonzeros) to compose it), then
+    # pairs phi o phi^-1 (m^2 each) up to the bound
+    translations = [unit_letter(m, translate=(k, c * sign))
+                    for k in range(m) for c in range(1, 4) for sign in (1, -1)]
+    shift, translation, phi_pair = m**3 + m * (2 * m + 1), m**3 + 2 * m * m, 2 * m * m
+    pairs, rest = divmod(MAX_WORD_SIZE - shift, 2 * translation)
+    letters = ([unit_letter(m, shift=True)] + translations[:2 * pairs]
+               + [{"kind": "phi", "exp": 1}, {"kind": "phi", "exp": -1}]
+               * (rest // phi_pair))
+    size = MAX_WORD_SIZE - rest % phi_pair
     word.write_text(json.dumps({"ambient": m, "letters": letters}))
     code, out = run_cli(capsys, argv)
-    assert (code, json.loads(out)["payload"]) == (OK, {"match": True, "word_length": count})
-    # one letter more, or 14 distinct dense letters in 33 variables (~0.6 s
-    # to build one by one), are refused before any letter is built
-    past = [(m, letters + [unit_letter(m)]),
-            (MAX_VARIABLES + 1, [dense_letter(MAX_VARIABLES + 1, seed=s)
-                                 for s in range(14)])]
-    for ambient, letters in past:
-        word.write_text(json.dumps({"ambient": ambient, "letters": letters}))
+    assert (code, json.loads(out)["payload"]) == (
+        OK, {"match": True, "word_length": len(letters)})
+    # one letter more, or one dense letter 160 times (~3 s to compose), are
+    # refused before any letter is built
+    dense = dense_letter(m)
+    nonzero = sum(v != 0 for row in dense["A"] for v in row)
+    past = [(letters + [translations[0]], size + 2 * m * m),
+            ([dense] * 160, m**3 + 160 * m * (m + nonzero))]
+    for letters, size in past:
+        word.write_text(json.dumps({"ambient": m, "letters": letters}))
         start = time.perf_counter()
         code, out = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1
-        size = len(letters) * ambient**3
         assert size > MAX_WORD_SIZE and code == ERROR
         assert json.loads(out)["payload"] == {"error": (
-            f"a word of {len(letters)} letters in {ambient} variables has size {size}"
-            f" (letters * ambient^3), past the limit of {MAX_WORD_SIZE}")}
+            f"a word of {len(letters)} letters in {m} variables has size {size},"
+            f" past the limit of {MAX_WORD_SIZE}")}
+
+
+# elementary maps of the golden corpus and targets whose witness words the
+# size bound must admit at any variable count: the 148-letter word of f5
+# and the 370-letter word of gf9c, whose 83 distinct letters weigh most
+@pytest.mark.parametrize("ring, f, target, n", [
+    ("Fp:5", "x1 + x2*x3", "x2^2*x3^2", 16),
+    ("Fp:5", "x1 + x2*x3", "x2^2*x3^2", MAX_VARIABLES),
+    ("GF:3^2", "x1 + [1,1]*x2^2*x3 + x3^4", "x2*x3", MAX_VARIABLES)])
+def test_witness_words_verify_at_many_variables(tmp_path, capsys, ring, f, target, n):
+    phi = write_phi(tmp_path, "phi.json", ring, n, [f] + [f"x{i}" for i in range(2, n + 1)])
+    word = str(tmp_path / "word.json")
+    code, out = run_cli(capsys, ["witness", "--phi", phi, "--target", target, "-o", word])
+    assert code == OK, out
+    code, out = run_cli(capsys, ["verify", "--phi", phi, "--target", target, "--word", word])
+    assert (code, json.loads(out)["payload"]["match"]) == (OK, True), out
 
 
 def exit_outcome(capsys, parse, argv):
