@@ -104,6 +104,12 @@ def good_monomial_type(exps, n, p):
     return NOT_GOOD
 
 
+def good_entry(ring, exps, coeff, case):
+    """How a report prints a good monomial; each caller puts its own keys first."""
+    return {"monomial": list(exps), "coefficient": ring.format_value(coeff),
+            "case": case}
+
+
 def good_monomials(f):
     """All (exponents, raw coefficient, type) triples of good monomials in f."""
     p = _guard_characteristic(f.ring.characteristic)
@@ -151,13 +157,10 @@ class SpanWitness(Record):
     __slots__ = _fields = ("combo", "candidate", "monomial", "coefficient", "gm_type")
 
     def describe(self):
-        return {
-            "combo": [self.candidate.ring.format_value(c) for c in self.combo],
-            "candidate": str(self.candidate),
-            "monomial": list(self.monomial),
-            "coefficient": self.candidate.ring.format_value(self.coefficient),
-            "case": self.gm_type.tag,
-        }
+        ring = self.candidate.ring
+        return {"combo": [ring.format_value(c) for c in self.combo],
+                "candidate": str(self.candidate),
+                **good_entry(ring, self.monomial, self.coefficient, self.gm_type.tag)}
 
 
 class SpanScan(Record):
@@ -397,8 +400,8 @@ def direct_pattern_scan(phi):
         (exps,) = nonlinear
         c, kind = img.terms[exps], target_kind(exps)
         if ring.is_unit(c) and kind is not None and normalizes(ring, n, kind):
-            return {"kind": "direct", "image": j, "monomial": list(exps),
-                    "coefficient": ring.format_value(c), "case": DIRECT_CASES[kind]}
+            return {"kind": "direct", "image": j,
+                    **good_entry(ring, exps, c, DIRECT_CASES[kind])}
     return None
 
 
@@ -407,32 +410,18 @@ def direct_pattern_scan(phi):
 # ---------------------------------------------------------------------------
 
 class Verdict(Record):
+    # answer: "StablyCotame" | "NotStablyCotame" | "Unknown".  evidence,
+    # outside equality and repr, is what decide found, kept in memory for
+    # witness and classify: "phi" (the map decided) and "k_size" (the
+    # resolved base-field size); outside composite characteristic "goods"
+    # (its image_good_monomials) and "ideal" (their good_ideal); and "scan"
+    # (the SpanScan) when the span step ran
     _fields = ("answer", "route", "reason", "certificate", "diagnostics")
     __slots__ = _fields + ("evidence",)
 
-    def __init__(self, answer, route=None, reason=None, certificate=None,
-                 diagnostics=None, evidence=None):
-        self.answer = answer  # "StablyCotame" | "NotStablyCotame" | "Unknown"
-        self.route, self.reason, self.certificate = route, reason, certificate
-        self.diagnostics = [] if diagnostics is None else diagnostics
-        # what decide found, kept in memory for witness and classify,
-        # outside equality and repr: "k_size" (the resolved base-field
-        # size); outside composite characteristic "goods" (its
-        # image_good_monomials) and "ideal" (their good_ideal); "scan" (the
-        # SpanScan) when the span step ran; and "image" = (delta spec or
-        # None, j) for a direct or delta match of phi(x_j)
-        self.evidence = {} if evidence is None else evidence
-
     def to_json(self):
         # every certificate value decide builds is a str, an int or a list
-        cert = self.certificate
-        return {
-            "answer": self.answer,
-            "route": self.route,
-            "reason": self.reason,
-            "certificate": None if cert is None else dict(cert),
-            "diagnostics": list(self.diagnostics),
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 def _no_finite_base_field(ring, k_size):
@@ -463,21 +452,27 @@ def resolve_k_size(ring, k_size="auto"):
 NO_ROUTE = "no span, direct, or difference-operator route certified this map"
 
 
-def check_witness_target(phi, target, max_degree=4):
-    """The checks on a witness target that come before deciding: n >= 2, the
-    target in R[x_2..x_n] and its degree at most the word-size cap."""
+def witness_verdict(phi, target, k_size="auto", budget=200000, max_degree=4):
+    """decide's verdict on phi, the one input of a witness word for target.
+
+    The target is checked first: n >= 2, the target in R[x_2..x_n] and its
+    degree at most the word-size cap.  NoRouteFound for a verdict with no
+    route, which no word can certify.
+    """
     if phi.nvars < 2:
         raise ValueError("need n >= 2")
     if target.nvars != phi.nvars:
         raise ValueError("target must live in R[x_1..x_n]")
-    if target.is_zero():
-        return
-    if target.deg_xi(1) > 0:
-        raise NoRouteFound("target must lie in R[x_2..x_n]")
-    if target.total_deg() > max_degree:
-        raise ResourceLimit(
-            f"target degree {target.total_deg()} exceeds the word-size cap {max_degree}"
-        )
+    if not target.is_zero():
+        if target.deg_xi(1) > 0:
+            raise NoRouteFound("target must lie in R[x_2..x_n]")
+        if target.total_deg() > max_degree:
+            raise ResourceLimit(f"target degree {target.total_deg()} exceeds"
+                                f" the word-size cap {max_degree}")
+    verdict = decide(phi, k_size=k_size, budget=budget)
+    if verdict.route is None:
+        raise NoRouteFound(NO_ROUTE)
+    return verdict
 
 
 def decide(phi, k_size="auto", budget=200000):
@@ -501,10 +496,12 @@ def decide(phi, k_size="auto", budget=200000):
     p = ring.characteristic
     composite = p != 0 and not is_prime(p)
     # every verdict shares the notes so far and what the searches found
-    diagnostics, evidence = [], {"k_size": ksz}
+    diagnostics, evidence = [], {"phi": phi, "k_size": ksz}
 
     def verdict(answer, certificate=None, route=None, reason=None):
-        return Verdict(answer, route, reason, certificate, diagnostics, evidence)
+        out = Verdict(answer, route, reason, certificate, diagnostics)
+        out.evidence = evidence
+        return out
 
     if composite:
         diagnostics.append(f"characteristic {p} is composite;"
@@ -526,7 +523,6 @@ def decide(phi, k_size="auto", budget=200000):
         return verdict("NotStablyCotame", reduction, reason="reduction-to-ngg")
     direct = direct_pattern_scan(phi)
     if direct is not None:
-        evidence["image"] = (None, direct["image"])
         return verdict("StablyCotame", direct, route=f"M-phi-case-{direct['case']}")
     if ksz != "unavailable":
         scan = evidence["scan"] = span_good_scan(phi, ksz, budget=budget)
@@ -555,7 +551,6 @@ def decide(phi, k_size="auto", budget=200000):
             found, note = None, str(exc)
         if found is not None:
             spec, j, pair = found
-            evidence["image"] = (spec, j)
             target = Polynomial.monomial(ring, pattern_exps((0,) * n, pair))
             return verdict("StablyCotame", {
                 "kind": "delta", "image": j, "l": list(spec.l),

@@ -170,17 +170,12 @@ def cmd_compose(args):
 
 def cmd_invert(args):
     phi = _load_endo(args.phi, args.ring)
-    inverse = endo.invert_structured(phi, hint=args.hint).to_json()
+    inverse = endo.invert_structured(phi).to_json()
     return _finish(args, "invert", inverse, artifact=inverse)
 
 
 def _good_entry(phi, j, exps, coeff, gm_type):
-    return {
-        "image": j,
-        "monomial": list(exps),
-        "coefficient": phi.ring.format_value(coeff),
-        "case": gm_type.tag,
-    }
+    return {"image": j, **classify.good_entry(phi.ring, exps, coeff, gm_type.tag)}
 
 
 def _verdict_code(verdict):
@@ -234,25 +229,22 @@ def cmd_witness(args):
     # then a supplied inverse; the builder loads only for a route
     inverse = _resolve_inverse(phi, args.phi_inverse) if args.phi_inverse else None
     try:
-        classify.check_witness_target(phi, target, args.max_degree)
-        verdict = classify.decide(phi, k_size=ksize, budget=args.budget)
-        if verdict.route is None:
-            raise NoRouteFound(classify.NO_ROUTE)
-        if inverse is None:
-            inverse = endo.try_invert(phi)
-        word, info = witness.build_witness_with_info(
-            phi, target, max_degree=args.max_degree, verdict=verdict)
+        verdict = classify.witness_verdict(phi, target, ksize, args.budget,
+                                           args.max_degree)
     except NoRouteFound as exc:
         args.output = None  # no word: the -o path is left untouched
         return _finish(args, "witness", {"error": str(exc)}, code=UNKNOWN)
+    if inverse is None:
+        inverse = endo.try_invert(phi)
+    word, seed_kind = witness.build_witness_with_info(verdict, target)
     verified = None
     if inverse is not None:
         verified = endo.verify_witness(word, phi, target, phi_inverse=inverse)
         if not verified:
             raise CotameError("compiled word failed verification")
     payload = {
-        "route": info.route,
-        "seed_kind": info.seed_kind,
+        "route": verdict.route,
+        "seed_kind": seed_kind,
         "word_length": len(word),
         "verified": verified,
         "word": word.to_json(),
@@ -375,7 +367,6 @@ def build_parser(command=None):
 
     if p := add("invert", "invert a structured map exactly", cmd_invert):
         p.add_argument("--phi", required=True)
-        p.add_argument("--hint", choices=("affine", "triangular", "elementary"))
 
     if p := add("classify", "good monomials, ideals and the verdict",
                 cmd_classify):

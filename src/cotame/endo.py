@@ -281,18 +281,17 @@ def _triangular_inverse(phi):
     return Endomorphism(ring, inv_images)
 
 
-def invert_structured(phi, hint=None):
-    """Exact inverse of an affine / elementary / triangular map.
+def invert_structured(phi):
+    """Exact inverse of an affine map, or else of a triangular one (an
+    elementary map is triangular).
 
     The result is verified by composing with phi in both orders; anything
     that fails the check raises instead of returning a wrong inverse.
     """
-    if hint == "affine" or (hint is None and phi.is_affine()):
+    if phi.is_affine():
         inverse = AffineMap.from_affine_endo(phi).inverse().to_endo()
-    elif hint in (None, "triangular", "elementary"):
-        inverse = _triangular_inverse(phi)
     else:
-        raise ValueError(f"unknown inversion hint {hint!r}")
+        inverse = _triangular_inverse(phi)
     message = "computed inverse failed the composition check"
     return check_inverse(phi, inverse, message)
 
@@ -347,7 +346,7 @@ def theta_map(N, ring, max_terms=2_000_000):
     if N < 1:
         raise ValueError("N must be >= 1")
     beta, pi = _theta_generators(ring)
-    beta_inv = invert_structured(beta, hint="triangular")
+    beta_inv = invert_structured(beta)
     forward = compose(beta, pi)
     backward = compose(pi, beta_inv)
 

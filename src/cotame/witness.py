@@ -22,20 +22,18 @@ compiled word.
 from __future__ import annotations
 
 from .classify import (
-    NO_ROUTE,
-    check_witness_target,
-    decide,
     degree_condition,
     good_monomial_type,
     target_kind,
+    witness_verdict,
 )
 # re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
 from .delta import delta_search
 from .endo import AffineMap, GeneratorWord, conjugate_word, swap_perm
-from .errors import DegreeConditionError, NoRouteFound, NotAUnit, Unsupported
+from .errors import DegreeConditionError, NotAUnit, Unsupported
 from .linalg import solve_field_system
 from .poly import Polynomial, p_power_split
-from .rings import Record, distinct_scalars, find_special_unit
+from .rings import distinct_scalars, find_special_unit
 
 class SpanDecomposition:
     """target = h + sum a * eta(phi(x_i)), with h what validate() leaves;
@@ -445,10 +443,6 @@ def compile_tame_word(seed_word, seed_kind, f, n):
 # seed construction and the full pipeline
 # ---------------------------------------------------------------------------
 
-class WitnessInfo(Record):
-    __slots__ = _fields = ("route", "seed_kind")
-
-
 def _seed_from_span(phi, scan, k_size):
     """(seed decomposition, seed kind) from a span scan that certified J-full.
 
@@ -467,49 +461,44 @@ def _seed_from_span(phi, scan, k_size):
     return normalize_to_seed(extracted)
 
 
-def _seed_from_image(phi, j, spec=None):
-    """(seed decomposition, seed kind) from phi(x_j), taken through the
-    spec.l translation differences when a delta spec is given: what is left
-    is a unit times a target monomial plus affine terms.  A direct match is
-    the zero-order delta match."""
+def _seed_from_image(phi, j, l=()):
+    """(seed decomposition, seed kind) from phi(x_j), taken through l_i
+    unit-step translation differences in each x_i, as delta_search matches
+    them: what is left is a unit times a target monomial plus affine terms.
+    A direct match is the zero-order delta match."""
     ring, n = phi.ring, phi.nvars
     dec = image_decomposition(phi, j)
-    for i, (li, ai) in enumerate(zip(spec.l, spec.a) if spec else (), start=1):
-        eta = AffineMap.variable_shift(Polynomial.constant(ring, n, ai), n, i)
+    one = Polynomial.constant(ring, n, ring.one_value())
+    for i, li in enumerate(l, start=1):
+        eta = AffineMap.variable_shift(one, n, i)
         for _ in range(li):
             dec = dec_linear_combine([(1, dec_apply_affine(dec, eta)), (-1, dec)])
     return normalize_to_seed(dec_less_affine(dec))
 
 
-def build_witness_with_info(phi, target, k_size="auto", max_degree=4,
-                            verdict=None):
-    """Compile a generator word evaluating to the tame generator epsilon(target).
+def build_witness_with_info(verdict, target):
+    """(word, seed kind): a generator word evaluating to the tame generator
+    epsilon(target), for a verdict of witness_verdict.
 
     The word lives in n+1 variables; its evaluation against extend(phi, 1)
-    equals extend(elementary(target), 1) exactly.  The seed comes from the
-    evidence of decide's route, base-field size included, so the word
-    certifies decide's verdict.  A caller that has already decided, or
-    wants other options of decide, passes the verdict; k_size serves only
-    the decide made here without one.
+    equals extend(elementary(target), 1) exactly, where phi is the map the
+    verdict decided.  The seed comes from the evidence of the verdict's
+    route, so the word certifies that verdict: the span scan and base-field
+    size of J-full, else the image and order profile of the certificate.
     """
-    check_witness_target(phi, target, max_degree)
-    if verdict is None:
-        verdict = decide(phi, k_size=k_size)
-    evidence = verdict.evidence
-    if verdict.route is None:
-        raise NoRouteFound(NO_ROUTE)
+    evidence, cert = verdict.evidence, verdict.certificate
+    phi = evidence["phi"]
     if verdict.route == "J-full":
         seed_dec, seed_kind = _seed_from_span(
             phi, evidence["scan"], evidence["k_size"])
     else:
-        spec, j = evidence["image"]
-        seed_dec, seed_kind = _seed_from_image(phi, j, spec)
+        seed_dec, seed_kind = _seed_from_image(phi, cert["image"], cert.get("l", ()))
     seed_word = compile_last_word(seed_dec)
-    word = compile_tame_word(seed_word, seed_kind, target, phi.nvars)
-    return word, WitnessInfo(verdict.route, seed_kind)
+    return compile_tame_word(seed_word, seed_kind, target, phi.nvars), seed_kind
 
 
-def build_witness(phi, target, k_size="auto", **kwargs):
-    word, _ = build_witness_with_info(phi, target, k_size=k_size, **kwargs)
+def build_witness(phi, target, k_size="auto", max_degree=4):
+    verdict = witness_verdict(phi, target, k_size, max_degree=max_degree)
+    word, _ = build_witness_with_info(verdict, target)
     return word
 

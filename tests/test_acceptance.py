@@ -177,7 +177,7 @@ def test_criterion_3_maubach_willems_boundary():
     lengths = []
     for text in ("x2*x3", "x2^3", "x3^2 + 2*x2"):
         f = parse_poly(text, Q, 3)
-        word, info = build_witness_with_info(phi_q, f)
+        word, _ = build_witness_with_info(decide(phi_q), f)
         assert verify_witness(word, phi_q, f)
         lengths.append(len(word))
     report(3, f"char-2 obstruction + 3 verified words over Q {lengths}",
@@ -209,7 +209,7 @@ def test_criterion_5_witness_pipeline_f5():
     lengths = {}
     for text in ("x2*x3", "x2^2", "x2^2*x3", "x3^3", "x2 + x3^2"):
         f = parse_poly(text, F5, 3)
-        word, info = build_witness_with_info(phi, f)
+        word, _ = build_witness_with_info(decide(phi), f)
         assert verify_witness(word, phi, f), text
         lengths[text] = len(word)
     report(5, f"5 verified words, lengths {lengths}", time.time() - t0, 120)
@@ -231,7 +231,7 @@ def test_criterion_6_theta_desk_scale():
     theta1_inv = compose(compose(compose(pi, beta_inv), pi), compose(beta, pi))
     assert compose(theta1, theta1_inv) == identity(F7, 3)
     target = parse_poly("x2*x3", F7, 3)
-    word, info = build_witness_with_info(theta1, target)
+    word, _ = build_witness_with_info(v, target)
     assert verify_witness(word, theta1, target, phi_inverse=theta1_inv)
     elapsed_f7 = time.time() - t0
     t1 = time.time()
@@ -295,12 +295,13 @@ def test_criterion_9_delta_route():
     assert not scan.certified_full()
     spec = DeltaSpec.ones(F3, (0, 1, 1))
     assert delta_match(phi, spec, 1) == (2, 3)
-    seed, kind = _seed_from_image(phi, 1, spec)
+    seed, kind = _seed_from_image(phi, 1, spec.l)
     assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
     seed.validate()
     f = parse_poly("x2*x3", F3, 3)
-    word, winfo = build_witness_with_info(phi, f)
-    assert winfo.route == "delta-route"
+    verdict = decide(phi)
+    word, _ = build_witness_with_info(verdict, f)
+    assert verdict.route == "delta-route"
     assert verify_witness(word, phi, f)
     report(9, f"difference-operator certificate + verified word (len {len(word)})",
            time.time() - t0, 120)
@@ -312,7 +313,7 @@ def test_criterion_10_quintic_boundary():
     v9 = decide(phi9)
     assert v9.answer == "StablyCotame"
     f = parse_poly("x2*x3", F9, 3)
-    word, _ = build_witness_with_info(phi9, f)
+    word, _ = build_witness_with_info(v9, f)
     assert verify_witness(word, phi9, f)
     phi3 = elementary(parse_poly("x2^5", F3, 3))
     v3 = decide(phi3)

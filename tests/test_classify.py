@@ -742,7 +742,7 @@ def test_decide_soundness_certificates_verify():
         v = decide(phi)
         assert v.answer == "StablyCotame"
         f = parse_poly(target_text, phi.ring, 3)
-        word, _ = build_witness_with_info(phi, f)
+        word, _ = build_witness_with_info(v, f)
         assert verify_witness(word, phi, f)
     negative = elementary(parse_poly("x2^2", F2, 3))
     v = decide(negative)

@@ -283,6 +283,15 @@ def test_compose_and_invert_cli(tmp_path, capsys):
     )
 
 
+def test_invert_has_no_hint(tmp_path, capsys):
+    # the shape of the map picks the inverse: affine, else triangular
+    phi = write_phi(tmp_path, "phi.json", "Fp:5", 3, ["x1 + x2*x3", "x2", "x3"])
+    out, err, code = exit_outcome(
+        capsys, run, ["invert", "--phi", phi, "--hint", "triangular"])
+    assert (out, code) == ("", 2)
+    assert err.startswith("usage: cotame") and "--hint" in err
+
+
 def test_theta_analyze(capsys):
     code, out = run_cli(
         capsys, ["theta", "--ring", "Fp:7", "--N", "1", "--analyze"]
@@ -1044,7 +1053,6 @@ def test_witness_without_a_word_writes_no_file(tmp_path, capsys, ring, images,
 
 def test_witness_decides_once(tmp_path, capsys, monkeypatch):
     import cotame.classify
-    import cotame.witness
 
     theta = str(tmp_path / "theta.json")
     run_cli(capsys, ["theta", "--ring", "Fp:7", "--N", "1", "-o", theta])
@@ -1056,7 +1064,6 @@ def test_witness_decides_once(tmp_path, capsys, monkeypatch):
         return decide(*args, **kwargs)
 
     monkeypatch.setattr(cotame.classify, "decide", counted)
-    monkeypatch.setattr(cotame.witness, "decide", counted)
     code, out = run_cli(capsys, ["witness", "--phi", theta, "--target", "x2*x3"])
     assert code == OK
     assert json.loads(out)["payload"]["route"] == "J-full"

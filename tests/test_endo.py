@@ -378,7 +378,7 @@ def test_triangular_inverse_back_substitution():
             P("x3"),
         ],
     )
-    inv = invert_structured(beta, hint="triangular")
+    inv = invert_structured(beta)
     assert inv.images[0] == P("x1 - (x2 - x3^2)^2*x2^2")
     assert inv.images[1] == P("x2 - x3^2")
     assert compose(beta, inv) == identity(Q, 3)
@@ -393,7 +393,7 @@ def test_elementary_inverse():
 
 def test_affine_inverse_consistency():
     m = AffineMap(Q, [[0, 1, 0], [1, 0, 0], [0, 2, 1]], [3, 0, 1])
-    via_endo = invert_structured(m.to_endo(), hint="affine")
+    via_endo = invert_structured(m.to_endo())
     assert via_endo == m.inverse().to_endo()
 
 
@@ -608,11 +608,12 @@ def test_word_memo_matches_naive_evaluation(ring, seed, shifts_only):
 
 def test_theta_word_substitutes_into_the_large_image_once(monkeypatch):
     from cotame.endo import first_mismatch, theta_map
+    from cotame.classify import decide
     from cotame.witness import build_witness_with_info
 
     F7 = PrimeField(7)
     theta, _ = theta_map(1, F7)
-    word, _ = build_witness_with_info(theta, P("x2*x3", F7))
+    word, _ = build_witness_with_info(decide(theta), P("x2*x3", F7))
     large = extend(theta, 1).images[1]
     assert len(large.terms) == 47
     calls = []

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cotame.poly as poly_module
+from cotame.classify import decide
 from cotame.endo import theta_map, verify_witness
 from cotame.poly import Polynomial, _pack, _powers, _unpack, parse_poly
 from cotame.rings import ring_from_spec
@@ -390,7 +391,7 @@ def test_theta_word_verify_work(monkeypatch):
     F7 = ring_from_spec("Fp:7")
     theta, _ = theta_map(1, F7)
     target = parse_poly("x2*x3", F7, 3)
-    word, _ = build_witness_with_info(theta, target)
+    word, _ = build_witness_with_info(decide(theta), target)
     assert len(word) == 92
     counts = count_products(monkeypatch)
     # theta is an involution, so it is its own inverse

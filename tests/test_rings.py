@@ -22,7 +22,6 @@ from cotame.rings import (
     find_special_unit,
     ring_from_spec,
 )
-from cotame.witness import WitnessInfo
 
 
 def test_make_ring_examples():
@@ -292,8 +291,8 @@ RECORD_CASES = [
      " coefficient=4, gm_type=GoodMonomialType(tag='I', i=2, j=3))"),
     (SpanScan, ((), True, 24, ("note",)),
      "SpanScan(witnesses=(), exhaustive=True, examined=24, diagnostics=('note',))"),
-    (WitnessInfo, ("J-full", "product"),
-     "WitnessInfo(route='J-full', seed_kind='product')"),
+    (DeltaSpec, (PrimeField(7), (1, 2), (3, 6)),
+     f"DeltaSpec(ring={PrimeField(7)!r}, l=(1, 2), a=(3, 6))"),
     (ModulePattern, (3, 1, 1, frozenset({0})),
      "ModulePattern(p=3, d=1, e=1, shifts=frozenset({0}))"),
     (DeltaSpec, (PrimeField(5), (2,), (1,)),
@@ -309,7 +308,6 @@ def test_records_keep_equality_hash_and_repr(cls, values, text):
     a, b = cls(*values), cls(*values)
     assert a == b and hash(a) == hash(b) and a._values() == values
     assert repr(a) == text and a != values
-    if cls is not Verdict:  # its constructor has defaults and takes evidence
-        for wrong in (values[:-1], values + (None,)):
-            with pytest.raises((TypeError, ValueError)):
-                cls(*wrong)
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises((TypeError, ValueError)):
+            cls(*wrong)

@@ -17,7 +17,7 @@ Q = RationalField()
 
 def theta_inverse(ring, N):
     beta, pi = _theta_generators(ring)
-    beta_inv = invert_structured(beta, hint="triangular")
+    beta_inv = invert_structured(beta)
     fwd = compose(beta, pi)
     bwd = compose(pi, beta_inv)
     fwd_n, bwd_n = fwd, bwd
@@ -75,7 +75,7 @@ def test_theta_decide_and_witness_over_f7():
     v = decide(theta1)
     assert v.answer == "StablyCotame"
     target = parse_poly("x2*x3", F7, 3)
-    word, info = build_witness_with_info(theta1, target)
+    word, _ = build_witness_with_info(v, target)
     assert verify_witness(word, theta1, target, phi_inverse=theta_inverse(F7, 1))
 
 

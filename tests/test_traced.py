@@ -53,3 +53,24 @@ def test_traced_run_of_a_decide_request(tmp_path):
     record = json.loads(spans.read_text().splitlines()[0])
     assert record["exit"] == 0
     assert record["agg"]["classify.decide"][0] == 1
+
+
+def test_traced_run_of_a_witness_request(tmp_path):
+    # the builder runs once, on decide's verdict, and its word is the report's
+    (tmp_path / "phi.json").write_text(json.dumps(
+        {"ring": "Fp:5", "n": 3, "images": ["x1 + x2*x3", "x2", "x3"]}
+    ))
+    spans = tmp_path / "spans.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "r1", "--",
+         "witness", "--phi", "phi.json", "--target", "x2^2*x3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["route"] == "M-phi-case-a" and payload["verified"] is True
+    record = json.loads(spans.read_text().splitlines()[0])
+    assert record["agg"]["classify.decide"][0] == 1
+    assert record["agg"]["witness.build"][0] == 1
+    assert record["counters"]["word_letters"] == payload["word_length"]

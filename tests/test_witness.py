@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cotame.classify import decide, degree_condition, span_good_scan, target_kind
+from cotame.classify import (decide, degree_condition, span_good_scan, target_kind,
+                             witness_verdict)
 from cotame.endo import AffineMap, invert_structured, theta_map, verify_witness
 from cotame.errors import DegreeConditionError, NoRouteFound, NotAUnit, ResourceLimit
 from cotame.gf import GaloisField
@@ -395,7 +396,7 @@ def test_build_witness_end_to_end_examples():
     phi = phi_product()
     for text in ("x2*x3", "x2^2", "x2^2*x3", "x3^3", "x2 + x3^2"):
         f = parse_poly(text, F5, 3)
-        word, info = build_witness_with_info(phi, f)
+        word, _ = build_witness_with_info(decide(phi), f)
         assert verify_witness(word, phi, f), text
 
 
@@ -410,7 +411,7 @@ def test_build_witness_type_one_route():
 def test_build_witness_mutation_fails():
     phi = phi_product()
     f = parse_poly("x2*x3", F5, 3)
-    word, _ = build_witness_with_info(phi, f)
+    word, _ = build_witness_with_info(decide(phi), f)
     assert verify_witness(word, phi, f)
     from cotame.endo import GeneratorWord
 
@@ -452,8 +453,8 @@ def test_cube_route_end_to_end():
     phi = elementary(parse_poly("x2^3", f8, 2), nvars=2)
     for text in ("x2^3", "x2^2", "x2^4"):
         f = parse_poly(text, f8, 2)
-        word, info = build_witness_with_info(phi, f)
-        assert info.seed_kind == "cube"
+        word, seed_kind = build_witness_with_info(decide(phi), f)
+        assert seed_kind == "cube"
         assert verify_witness(word, phi, f), text
 
 
@@ -471,8 +472,8 @@ def test_mixed_cube_seed_from_type_iv():
 
     assert good_monomial_type((1, 6), 2, 2).tag == "IV"
     f = parse_poly("x2^2", f16, 2)
-    word, info = build_witness_with_info(phi, f)
-    assert info.seed_kind == "cube"
+    word, seed_kind = build_witness_with_info(decide(phi), f)
+    assert seed_kind == "cube"
     phi_inv = compose(invert_structured(tame2), invert_structured(tame1))
     assert compose(phi, phi_inv) == identity(f16, 2)
     assert verify_witness(word, phi, f, phi_inverse=phi_inv)
@@ -546,7 +547,7 @@ def tame_maps(draw):
         else:
             factor = Endomorphism(ring, [x[0] + part([2, 3]), x[1] + part([3]), x[2]])
         phi = compose(phi, factor)
-        phi_inverse = compose(invert_structured(factor, hint="triangular"), phi_inverse)
+        phi_inverse = compose(invert_structured(factor), phi_inverse)
     return phi, phi_inverse
 
 
@@ -560,10 +561,9 @@ def test_witness_compiles_every_stably_cotame_verdict(case):
     verdict = decide(phi)
     if verdict.answer != "StablyCotame":
         with pytest.raises(NoRouteFound):
-            build_witness_with_info(phi, target)
+            witness_verdict(phi, target)
         return
-    word, info = build_witness_with_info(phi, target)
-    assert info.route == verdict.route
+    word, _ = build_witness_with_info(verdict, target)
     assert verify_witness(word, phi, target, phi_inverse=phi_inverse)
 
 
@@ -594,10 +594,40 @@ def counted_validations(monkeypatch):
 def test_a_build_checks_its_decomposition_once(monkeypatch, make, route):
     phi = make()
     target = parse_poly("x2*x3", phi.ring, 3)
+    verdict = decide(phi)
     calls = counted_validations(monkeypatch)
-    _, info = build_witness_with_info(phi, target)
-    assert info.route == route
+    build_witness_with_info(verdict, target)
+    assert verdict.route == route
     assert len(calls) == 1
+
+
+# (ring, n, f, target, route, whether the all-ones shift runs) of one
+# elementary map x1 + f per route
+VERDICT_MAPS = [
+    ("Fp:5", 3, "x2*x3", "x2*x3", "M-phi-case-a", False),
+    ("Q", 3, "x2^2", "x2*x3", "M-phi-case-b", False),
+    ("GF:2^2", 2, "x2^3", "x2^2", "M-phi-case-d", False),
+    ("Fp:5", 3, "x2*x3 + x2^3", "x2*x3", "J-full", False),
+    ("GF:3^2", 3, "x2^5", "x2*x3", "J-full", True),
+    ("Fp:3", 3, "x2^2*x3^2", "x2*x3", "delta-route", False),
+]
+
+
+@pytest.mark.parametrize("spec, n, f, text, route, shifted", VERDICT_MAPS)
+def test_the_word_of_a_verdict_verifies_against_its_own_map(monkeypatch, spec, n, f,
+                                                            text, route, shifted):
+    # the builder reads the map, and the seed, from the verdict alone
+    ring = ring_from_spec(spec)
+    verdict = decide(elementary(parse_poly(f, ring, n), nvars=n))
+    assert verdict.route == route
+    shifts = []
+    shift_extract = witness.shift_extract
+    monkeypatch.setattr(witness, "shift_extract",
+                        lambda *args: shifts.append(1) or shift_extract(*args))
+    target = parse_poly(text, ring, n)
+    word, _ = build_witness_with_info(verdict, target)
+    assert bool(shifts) == shifted
+    assert verify_witness(word, verdict.evidence["phi"], target)
 
 
 def test_a_large_broken_seed_is_refused(monkeypatch):
@@ -609,7 +639,7 @@ def test_a_large_broken_seed_is_refused(monkeypatch):
     monkeypatch.setattr(witness, "_seed_from_image", lambda *_: (broken, "product"))
     calls = counted_validations(monkeypatch)
     with pytest.raises(ValueError, match="decomposition identity failed"):
-        build_witness_with_info(phi, parse_poly("x2*x3", F5, 3))
+        build_witness_with_info(decide(phi), parse_poly("x2*x3", F5, 3))
     assert calls == [2001]
 
 
@@ -656,7 +686,6 @@ def test_every_route_of_an_elementary_map_gives_a_balanced_word(phi, text):
     if verdict.route is None:
         return
     target = parse_poly(text, phi.ring, 3)
-    word, info = build_witness_with_info(phi, target, verdict=verdict)
-    assert info.route == verdict.route
+    word, _ = build_witness_with_info(verdict, target)
     assert verify_witness(word, phi, target)
     assert sum(letter for letter in word.letters if type(letter) is int) == 0
