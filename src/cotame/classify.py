@@ -418,6 +418,7 @@ class Verdict(Record):
     # (the SpanScan) when the span step ran
     _fields = ("answer", "route", "reason", "certificate", "diagnostics")
     __slots__ = _fields + ("evidence",)
+    __hash__ = None  # its certificate is a dict, its diagnostics a list
 
     def to_json(self):
         # every certificate value decide builds is a str, an int or a list

@@ -84,24 +84,23 @@ def _k_size(args):
     return "auto" if args.ksize is None else args.ksize
 
 
-def _dumps(value, artifact, text, indent=""):
-    """json.dumps(value, indent=2) at the nesting `indent`, where each
-    occurrence of the object `artifact` is already encoded as `text`.
-    Keys are strings, as in every report."""
-    if value is artifact:
-        return text.replace("\n", "\n" + indent)
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = [f"{json.dumps(key)}: {_dumps(v, artifact, text, inner)}"
-                 for key, v in value.items()]
-        opening, closing = "{", "}"
-    elif isinstance(value, list) and value:
-        items = [_dumps(v, artifact, text, inner) for v in value]
-        opening, closing = "[", "]"
-    else:
-        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-    return (f"{opening}\n{inner}" + f",\n{inner}".join(items)
-            + f"\n{indent}{closing}")
+def _dumps(value, memo):
+    """json.dumps(value, indent=2).  memo maps the id of each non-empty dict,
+    list or tuple already encoded to (it, its text), which holding it keeps
+    valid; a container that occurs again is not encoded again, only
+    re-indented.  Keys are strings, as in every report."""
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        return json.dumps(value)
+    if id(value) not in memo:
+        if isinstance(value, dict):
+            items = [f"{json.dumps(key)}: {_dumps(v, memo)}"
+                     for key, v in value.items()]
+        else:
+            items = [_dumps(v, memo) for v in value]
+        body = ",\n".join(items).replace("\n", "\n  ")
+        opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+        memo[id(value)] = (value, f"{opening}\n  {body}\n{closing}")
+    return memo[id(value)][1]
 
 
 def emit_report(result, fmt="json", artifact=None, text=None):
@@ -111,9 +110,7 @@ def emit_report(result, fmt="json", artifact=None, text=None):
     `artifact` inside `result`, and is reused instead of encoded again.
     """
     if fmt == "json":
-        if text is None:
-            return json.dumps(result, indent=2) + "\n"
-        return _dumps(result, artifact, text) + "\n"
+        return _dumps(result, {id(artifact): (artifact, text)} if text else {}) + "\n"
     lines = [f"status: {result['status']}", f"command: {result['command']}"]
     payload = result.get("payload") or {}
     for key, value in payload.items():
@@ -134,7 +131,7 @@ def _finish(args, command, payload, diagnostics=None, code=OK, artifact=None):
     text = None
     if getattr(args, "output", None):
         if artifact is not None:
-            text = json.dumps(artifact, indent=2)
+            text = _dumps(artifact, {})
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_report(result, args.format) if text is None
                      else text + "\n")

@@ -11,6 +11,7 @@ and `theta` runs no builder code.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import NotAUnit, ResourceLimit, Unsupported
@@ -423,8 +424,14 @@ class GeneratorWord:
         distinct bracket phi o A o phi^-1 is composed once per call, keyed
         on the exact value of A.  Each non-affine image g of phi^-1 is
         substituted into C = phi o A once per call and per value of C at the
-        variables g reads, all that g(C) depends on.  A partial product that
-        outgrows the term limit raises ResourceLimit.
+        variables g reads, all that g(C) depends on.
+
+        The top-level units then fold by two exact rules, tested on values;
+        a shift adds to one x_k a polynomial free of x_k, fixing the rest.
+        Affine a, b with b o a = id around a shift B are one unit a o B o b,
+        built once per (a, B, b); a run of shifts of one x_k is one map, as
+        (x_k + p) o (x_k + q) = x_k + p + q.  A partial product, fused unit
+        or run sum past the term limit raises ResourceLimit.
         """
         ring = phi.ring
         extra = self.ambient - phi.nvars
@@ -468,25 +475,26 @@ class GeneratorWord:
                 substituted[key] = g.substitute(images)
             return substituted[key]
 
-        # stack items: ("open", None) for a pending phi, ("val", endo) otherwise
-        stack = []
+        # units: the top-level letters and brackets.  stack: from the first
+        # unclosed phi on, ("open", None) for a phi, ("val", endo) after it
+        units, stack = [], []
 
         def fold_value(value):
-            if stack and stack[-1][0] == "val":
+            if not stack:
+                units.append(value)
+            elif stack[-1][0] == "val":
                 stack[-1] = ("val", bounded(compose(stack[-1][1], value)))
             else:
                 stack.append(("val", value))
 
         for letter in self.letters:
             if isinstance(letter, AffineMap):
-                fold_value(letter.to_endo())
+                fold_value(letter.to_endo() if stack else letter)
             elif letter == 1:
                 stack.append(("open", None))
+            elif not stack:
+                fold_value(inv_ext)
             else:
-                opened = any(kind == "open" for kind, _ in stack)
-                if not opened:
-                    fold_value(inv_ext)
-                    continue
                 inner = ident
                 if stack[-1][0] == "val":
                     inner = stack.pop()[1]
@@ -498,19 +506,59 @@ class GeneratorWord:
                         substitute_once(i, g, outer)
                         for i, g in enumerate(inv_ext.images)]))
                 fold_value(bracket)
+        # shifts: unit id -> (k, p) if the unit is the shift x_k + p
+        shifts, fused, top = {}, {}, []
+        zero = ring.zero_value()
+
+        def shift_of(unit):
+            if id(unit) not in shifts:
+                moved = [] if isinstance(unit, AffineMap) else [
+                    (k, img - x) for k, (img, x) in enumerate(
+                        zip(unit.images, ident.images)) if img != x]
+                shifts[id(unit)] = moved[0] if len(moved) == 1 and not any(
+                    e[moved[0][0]] for e in moved[0][1].terms) else (None, None)
+            return shifts[id(unit)]
+
+        for unit in units:
+            top.append(unit)
+            a, B, b = ([None] * 3 + top)[-3:]
+            if not (isinstance(a, AffineMap) and isinstance(b, AffineMap)
+                    and shift_of(B)[0] is not None):
+                continue
+            key = (id(a), id(B), id(b))
+            if key not in fused:
+                fused[key], (k, q) = None, shift_of(B)
+                if compose(a.to_endo(), b.to_endo()) == ident:
+                    # x_j goes to x_j + b.A[k][j] * q(a), as b_j(a) = x_j
+                    qa = a.apply(q)
+                    fused[key] = bounded(Endomorphism(ring, [
+                        x if c == zero else x + qa.scale(c)
+                        for x, c in zip(ident.images, b.A[k])]))
+            if fused[key] is not None:
+                top[-3:] = [fused[key]]
         acc = ident
+        for k, run in itertools.groupby(top, key=lambda unit: shift_of(unit)[0]):
+            run = [unit.to_endo() if isinstance(unit, AffineMap) else unit
+                   for unit in run]
+            if k is not None and len(run) > 1:
+                images = list(ident.images)
+                images[k] = sum((shift_of(unit)[1] for unit in run), images[k])
+                run = [bounded(Endomorphism(ring, images))]
+            for value in run:
+                acc = bounded(compose(acc, value))
         for kind, value in stack:
             acc = bounded(compose(acc, phi_ext if kind == "open" else value))
         return acc
 
     def to_json(self):
-        letters = [
-            {"kind": "affine", **letter.to_json()}
-            if isinstance(letter, AffineMap)
-            else {"kind": "phi", "exp": letter}
-            for letter in self.letters
-        ]
-        return {"ambient": self.ambient, "letters": letters}
+        """The word file's object; the entries of one letter object are one
+        shared dict, which the CLI's writer encodes once."""
+        distinct = {id(letter): letter for letter in self.letters}
+        shared = {key: {"kind": "affine", **letter.to_json()}
+                  if isinstance(letter, AffineMap) else {"kind": "phi", "exp": letter}
+                  for key, letter in distinct.items()}
+        return {"ambient": self.ambient,
+                "letters": [shared[id(letter)] for letter in self.letters]}
 
     @classmethod
     def from_json(cls, ring, data):

@@ -58,7 +58,9 @@ def is_prime(n):
 class Record:
     """Equality, hash and repr over the attributes named in ``_fields``, as
     a frozen dataclass generates them, without importing ``dataclasses``.
-    The constructor takes one value per field, in order."""
+    The hash needs every field hashable; a subclass with a field that may
+    not be sets ``__hash__ = None``.  The constructor takes one value per
+    field, in order."""
 
     __slots__ = ()
 

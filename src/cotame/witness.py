@@ -27,13 +27,21 @@ from .classify import (
     target_kind,
     witness_verdict,
 )
-# re-exported for bench/traced.py, whose wrap here never fires: decide calls delta's
-from .delta import delta_search
 from .endo import AffineMap, GeneratorWord, conjugate_word, swap_perm
 from .errors import DegreeConditionError, NotAUnit, Unsupported
 from .linalg import solve_field_system
 from .poly import Polynomial, p_power_split
 from .rings import distinct_scalars, find_special_unit
+
+
+def __getattr__(name):
+    """delta_search, imported on first access (bench/traced.py wraps it as a
+    name of this module), so that loading this module never compiles delta."""
+    if name == "delta_search":
+        from .delta import delta_search
+        return delta_search
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class SpanDecomposition:
     """target = h + sum a * eta(phi(x_i)), with h what validate() leaves;

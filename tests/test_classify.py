@@ -785,3 +785,23 @@ def test_both_odd_coefficients_vanish_in_two_variables_char_two():
                         ring.spec_string(),
                         phi,
                     )
+
+
+@pytest.mark.parametrize("ring, image, answer", [
+    (F5, "x1 + x2*x3", "StablyCotame"),
+    (F3, "x1 + x2^3", "NotStablyCotame"),
+    (IntegerModRing(6), "x1 + 3*x2^2", "NotStablyCotame"),
+    (F3, "x1 + x2^5", "Unknown"),
+])
+def test_no_verdict_is_hashable(ring, image, answer):
+    # a verdict compares by value, but its certificate and diagnostics are
+    # mutable, so no verdict has a hash, with or without a certificate
+    n = 3 if ring.characteristic != 6 else 2
+    phi = Endomorphism(ring, [parse_poly(image, ring, n)]
+                       + [Polynomial.variable(ring, n, i) for i in range(2, n + 1)])
+    verdict = decide(phi)
+    assert verdict.answer == answer
+    assert (verdict.certificate is None) == (answer == "Unknown")
+    assert verdict == decide(phi)
+    with pytest.raises(TypeError, match="unhashable type: 'Verdict'"):
+        hash(verdict)

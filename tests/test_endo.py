@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import random
 import re
 import time
@@ -604,6 +606,101 @@ def test_word_memo_matches_naive_evaluation(ring, seed, shifts_only):
     letters.append(sigma.inverse())
     word = GeneratorWord(ambient, letters)
     assert word.evaluate(phi, phi_inv) == naive_evaluate(word, phi, phi_inv)
+
+
+FOLD_RINGS = [PrimeField(2), F5, GaloisField(2, 2), GaloisField(3, 2),
+              IntegerRing(), Z6, Q]
+# the degree of each block's map; a word's blocks multiply to at most 8, which
+# keeps every partial product far below the term limit
+FOLD_BLOCKS = {"x4-run": 2, "x1-run": 2, "conjugated": 2, "mismatch": 2,
+               "scaled": 2, "nested": 4, "phi": 2, "phi-inverse": 2, "affine": 1}
+
+
+def fold_block(rng, ring, kind, etas):
+    """The letters of one block of a fold word in 4 variables, for phi
+    fixing x4.  A shift bracket [1, s, -1], s adding a linear form in x1..x3
+    to x4, adds a polynomial in x1..x3 to x4; conjugated by eta (from a
+    small pool, so that triples repeat, or a fresh copy of the same value)
+    it still does, and the swap of x1 and x4 makes it a shift of x1.  An
+    affine map of all four variables conjugates it into no shift at all."""
+    def s4():
+        form = Polynomial(ring, 3, {(0,) * 3: rng.randint(-2, 2), **{
+            tuple(int(t == i) for t in range(3)): rng.randint(-2, 2)
+            for i in range(3)}})
+        return AffineMap.variable_shift(form, 4, 4)
+
+    def conjugated(s):
+        eta = rng.choice(etas)
+        if rng.random() < 0.3:
+            eta = AffineMap(ring, eta.A, eta.b)
+        return [eta, *bracket(s), eta.inverse()]
+
+    if kind == "x4-run":
+        run = []
+        for _ in range(rng.randint(1, 3)):
+            run += conjugated(s4()) if rng.random() < 0.7 else bracket(s4())
+        return run
+    if kind == "x1-run":
+        tau = AffineMap.permutation(ring, swap_perm(4, (1, 4)))
+        run = []
+        for _ in range(rng.randint(1, 2)):
+            run += [tau, *conjugated(s4()), tau]
+        return run
+    if kind == "conjugated":
+        eta = random_affine(rng, ring, 4)
+        return [eta, *bracket(s4()), eta.inverse()]
+    if kind == "mismatch":
+        eta = rng.choice(etas)
+        return [eta, *bracket(s4()), rng.choice([eta, random_affine(rng, ring, 4)])]
+    if kind == "scaled":  # x4 to a unit times x4 plus a form: no shifts
+        return [rng.choice(etas), *bracket(shift(rng, ring, 4)),
+                *bracket(shift(rng, ring, 4))]
+    if kind == "nested":
+        eta = rng.choice(etas)
+        return [1, eta, *bracket(s4()), eta.inverse(), -1]
+    if kind == "affine":
+        return [random_affine(rng, ring, 4)]
+    return [1] if kind == "phi" else [-1]
+
+
+def fold_words():
+    kinds = st.lists(st.sampled_from(sorted(FOLD_BLOCKS)), min_size=1, max_size=3)
+    return kinds.filter(
+        lambda ks: functools.reduce(operator.mul, map(FOLD_BLOCKS.get, ks)) <= 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOLD_RINGS), st.integers(0, 2**32), fold_words())
+def test_word_fold_matches_naive_evaluation(ring, seed, kinds):
+    """Conjugated shift brackets, neighbours that are not inverses, shift runs
+    in x4 and in x1, nested brackets and unmatched phi^{+-1}: folding the
+    top-level units changes no value."""
+    rng = random.Random(seed)
+    phi, phi_inv = memo_phi(ring)
+    etas = [random_affine(rng, ring, 3).embed(4) for _ in range(2)]
+    letters = [letter for kind in kinds for letter in fold_block(rng, ring, kind, etas)]
+    word = GeneratorWord(4, letters)
+    assert word.evaluate(phi, phi_inv) == naive_evaluate(word, phi, phi_inv)
+
+
+def test_long_gf9_word_folds_into_fewer_products_than_brackets(monkeypatch):
+    from cotame.classify import decide
+    from cotame.witness import build_witness_with_info
+
+    GF9 = GaloisField(3, 2)
+    phi = elementary(P("x2^5", GF9, 3))
+    target = P("x2^2*x3^2 + x3^3", GF9, 3)
+    word, _ = build_witness_with_info(decide(phi), target)
+    assert len(word) == 892 and word.letters.count(1) == 160
+    data = json.loads(json.dumps(word.to_json()))
+    loaded = GeneratorWord.from_json(GF9, data)
+    value, calls = evaluate_counting(monkeypatch, loaded, phi, invert_structured(phi))
+    assert value == extend(elementary(target), 1)
+    # a product bracket by bracket composes at least once per bracket; the
+    # fold composes each distinct bracket once, then each conjugated shift
+    # once per (eta, bracket, eta^-1) and each run of them into the product
+    # as one map
+    assert calls < 160
 
 
 def test_theta_word_substitutes_into_the_large_image_once(monkeypatch):

@@ -48,7 +48,7 @@ MAPS = sorted(BASE + ["cotame.maps"])
 VERIFIER = sorted(MAPS + ["cotame.endo", "cotame.linalg"])
 DECIDER = sorted(MAPS + ["cotame.classify"])
 DELTA = sorted(DECIDER + ["cotame.delta"])
-EVERYTHING = sorted(DELTA + ["cotame.endo", "cotame.linalg", "cotame.witness"])
+BUILDER = sorted(DECIDER + ["cotame.endo", "cotame.linalg", "cotame.witness"])
 
 
 def with_gf(modules):
@@ -70,7 +70,8 @@ def executed_modules(setup, argv=(), cwd=None):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A map over F_5, a word for x2*x3, and maps over Z/6, Q, F_3 (decided
-    by the difference operators) and GF(2^5) (the span-gf2e map, Unknown)."""
+    by the difference operators), GF(2^5) (the span-gf2e map, Unknown) and
+    GF(9) (the quintic, decided by the span scan)."""
     tmp = tmp_path_factory.mktemp("startup")
     maps = {
         "phi": ("Fp:5", ["x1 + x2*x3", "x2", "x3"]),
@@ -78,6 +79,7 @@ def files(tmp_path_factory):
         "phiq": ("Q", ["x1 + 1/2*x2^2", "x2"]),
         "delta": ("Fp:3", ["x1 + x2^2*x3^2", "x2", "x3"]),
         "span": ("GF:2^5", ["x1 + x2^31*x3 + x2*x3^31", "x2", "x3"]),
+        "quintic": ("GF:3^2", ["x1 + x2^5", "x2", "x3"]),
     }
     for name, (ring, images) in maps.items():
         (tmp / f"{name}.json").write_text(
@@ -104,7 +106,13 @@ CASES = [
     case(["decide", "--phi", "phi.json"], DECIDER),
     case(["classify", "--phi", "phi.json"], DECIDER),
     case(["ngg-check", "--phi", "phi.json"], DECIDER),
-    case(["witness", "--phi", "phi.json", "--target", "x2*x3"], EVERYTHING),
+    case(["witness", "--phi", "phi.json", "--target", "x2*x3"], BUILDER),
+    # a J-full witness runs the span scan, never the difference operators
+    case(["witness", "--phi", "quintic.json", "--target", "x2*x3"],
+         with_gf(BUILDER), "witness-J-full"),
+    # a delta-route witness loads delta through decide
+    case(["witness", "--phi", "delta.json", "--target", "x2*x3"],
+         sorted(BUILDER + ["cotame.delta"]), "witness-delta"),
     case(["theta", "--ring", "Fp:7", "--N", "1"], VERIFIER),
     case(["theta", "--ring", "Fp:7", "--N", "1", "--analyze"],
          sorted(VERIFIER + ["cotame.classify"]), "theta-analyze"),
@@ -158,7 +166,7 @@ def test_package_import_executes_no_submodule():
 
 def test_package_names_resolve_on_access():
     _, executed, _ = executed_modules("import cotame\ncotame.build_witness")
-    assert executed == [m for m in EVERYTHING if m != "cotame.cli"]
+    assert executed == [m for m in BUILDER if m != "cotame.cli"]
     for name in cotame.__all__:
         assert getattr(cotame, name) is not None
     assert set(cotame.__all__) <= set(dir(cotame))
