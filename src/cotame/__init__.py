@@ -42,10 +42,7 @@ _EXPORTS = {
         "compile_tame_word", "convert_cube", "convert_square",
         "shift_extract", "vandermonde_extract",
     ),
-    "delta": (
-        "DeltaSpec", "delta_apply", "delta_match", "delta_module_membership",
-        "delta_power",
-    ),
+    "delta": ("delta_apply", "delta_match", "delta_power"),
     "errors": (),  # in __all__ as before; its names stay in cotame.errors
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -551,11 +551,11 @@ def decide(phi, k_size="auto", budget=200000):
         except ResourceLimit as exc:  # past its work bound: still Unknown
             found, note = None, str(exc)
         if found is not None:
-            spec, j, pair = found
+            l, j, pair = found
             target = Polynomial.monomial(ring, pattern_exps((0,) * n, pair))
             return verdict("StablyCotame", {
-                "kind": "delta", "image": j, "l": list(spec.l),
-                "monomial": list(pattern_exps(spec.l, pair)), "target": str(target),
+                "kind": "delta", "image": j, "l": list(l),
+                "monomial": list(pattern_exps(l, pair)), "target": str(target),
             }, route="delta-route")
         diagnostics.append(note)
     return verdict("Unknown")

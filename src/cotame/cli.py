@@ -103,14 +103,11 @@ def _dumps(value, memo):
     return memo[id(value)][1]
 
 
-def emit_report(result, fmt="json", artifact=None, text=None):
+def emit_report(result, fmt="json", memo=None):
     """Render a command result; field order is fixed for byte-stable output.
-
-    `text`, when given, is json.dumps(artifact, indent=2) for the object
-    `artifact` inside `result`, and is reused instead of encoded again.
-    """
+    `memo` is _dumps's, so a container it has encoded is not encoded again."""
     if fmt == "json":
-        return _dumps(result, {id(artifact): (artifact, text)} if text else {}) + "\n"
+        return _dumps(result, {} if memo is None else memo) + "\n"
     lines = [f"status: {result['status']}", f"command: {result['command']}"]
     payload = result.get("payload") or {}
     for key, value in payload.items():
@@ -128,16 +125,14 @@ def _finish(args, command, payload, diagnostics=None, code=OK, artifact=None):
         "payload": payload,
         "diagnostics": list(diagnostics or ()),
     }
-    text = None
+    memo = {}
     if getattr(args, "output", None):
-        if artifact is not None:
-            text = _dumps(artifact, {})
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(result, args.format) if text is None
-                     else text + "\n")
+            fh.write(emit_report(result, args.format, memo) if artifact is None
+                     else _dumps(artifact, memo) + "\n")
         result = dict(result)
         result["written"] = args.output
-    sys.stdout.write(emit_report(result, args.format, artifact, text))
+    sys.stdout.write(emit_report(result, args.format, memo))
     return code
 
 

@@ -21,10 +21,6 @@ class CompositeCharacteristic(CotameError):
     """Good-monomial machinery requires characteristic zero or prime."""
 
 
-class ZeroPolynomial(CotameError):
-    """The zero polynomial has no weighted degree or top part."""
-
-
 class DegreeConditionError(CotameError):
     """A separable degree exceeds the base-field bound, or too few scalars exist."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported, ZeroPolynomial
+from .errors import PolynomialSyntaxError, ResourceLimit, Unsupported
 from .rings import (_MAX_DIGITS, IntegerModRing, IntegerRing, RationalField,
                     _parse_int, is_prime)
 
@@ -331,26 +331,6 @@ class Polynomial:
             return NEG_INF
         exps = [e[i - 1] for e in self.terms]
         return max(exps) // p_power_split(exps, p)
-
-    def weighted_deg(self, weights):
-        if len(weights) != self.nvars:
-            raise ValueError("weight vector length must equal nvars")
-        if not self.terms:
-            raise ZeroPolynomial("the zero polynomial has no weighted degree")
-        return max(sum(w * e for w, e in zip(weights, exps)) for exps in self.terms)
-
-    def top_w_part(self, weights):
-        """Sum of the terms attaining the maximal weighted degree."""
-        top = self.weighted_deg(weights)
-        return Polynomial(
-            self.ring,
-            self.nvars,
-            {
-                exps: v
-                for exps, v in self.terms.items()
-                if sum(w * e for w, e in zip(weights, exps)) == top
-            },
-        )
 
     # -- printing -------------------------------------------------------------------
     def __str__(self):

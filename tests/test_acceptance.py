@@ -24,7 +24,7 @@ from cotame.rings import (
     PrimeField,
     RationalField,
 )
-from cotame.delta import DeltaSpec, delta_match
+from cotame.delta import delta_match
 from cotame.witness import (
     _seed_from_image,
     build_witness_with_info,
@@ -293,9 +293,8 @@ def test_criterion_9_delta_route():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
     scan = span_good_scan(phi, 3)
     assert not scan.certified_full()
-    spec = DeltaSpec.ones(F3, (0, 1, 1))
-    assert delta_match(phi, spec, 1) == (2, 3)
-    seed, kind = _seed_from_image(phi, 1, spec.l)
+    assert delta_match(phi, (0, 1, 1), 1) == (2, 3)
+    seed, kind = _seed_from_image(phi, 1, (0, 1, 1))
     assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
     seed.validate()
     f = parse_poly("x2*x3", F3, 3)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -10,17 +11,15 @@ from cotame.classify import decide
 from cotame.endo import AffineMap, try_invert, verify_witness
 from cotame.linalg import solve_field_system
 from cotame.maps import Endomorphism, elementary
-from cotame.errors import ResourceLimit, Unsupported
+from cotame.errors import ResourceLimit
 from cotame.poly import Polynomial, parse_poly
 from cotame.rings import PrimeField, ring_from_spec
 from cotame import delta, witness
 from cotame.delta import (
-    DeltaSpec,
     DELTA_WORK,
     _admissible_patterns,
     delta_apply,
     delta_match,
-    delta_module_membership,
     delta_power,
     delta_search,
     pattern_exps,
@@ -37,19 +36,21 @@ F7 = PrimeField(7)
 # the oracle: membership by one exact linear solve over the module's generators
 # ---------------------------------------------------------------------------
 
-def kernel_generator(ring, n, i, a):
-    """x_i^p - a^{p-1} x_i, the invariant of the step-a translation in x_i."""
+def kernel_generator(ring, n, i):
+    """x_i^p - x_i, the invariant of the translation x_i -> x_i + 1."""
     p = ring.characteristic
-    av = ring.coerce_value(a)
     lead = Polynomial.monomial(
         ring, tuple(p if t == i - 1 else 0 for t in range(n)), ring.one_value()
     )
-    coeff = ring.pow(av, p - 1)
-    lin = Polynomial.variable(ring, n, i).scale(ring.neg(coeff))
-    return lead + lin
+    return lead - Polynomial.variable(ring, n, i)
 
 
-def solved_membership(f, spec):
+def closed_form_membership(f, l):
+    """Membership in the module of delta_match, read off delta^l f."""
+    return delta_power(f, l).is_affine()
+
+
+def solved_membership(f, l):
     """Membership in sum_i R x_i x^l + sum_i sum_{j<l_i} A_i x_i^j.
 
     A_i is generated by the kernel polynomial q_i and the other variables,
@@ -63,7 +64,6 @@ def solved_membership(f, spec):
         return True
     D = f.total_deg() + p
     gens = []
-    l = spec.l
     base_exps = tuple(l)
     # x_0 = 1 alongside the variables
     gens.append(Polynomial.monomial(ring, base_exps, ring.one_value()))
@@ -72,7 +72,7 @@ def solved_membership(f, spec):
         exps[i - 1] += 1
         gens.append(Polynomial.monomial(ring, tuple(exps), ring.one_value()))
     for i in range(1, n + 1):
-        q = kernel_generator(ring, n, i, spec.a[i - 1])
+        q = kernel_generator(ring, n, i)
         q_pows = [Polynomial.constant(ring, n, 1)]
         while len(q_pows) * p <= D:
             q_pows.append(q_pows[-1] * q)
@@ -125,7 +125,7 @@ def random_poly(rng, ring, nvars, max_deg=4, max_terms=4):
 
 def test_delta_apply_example():
     f = parse_poly("x1^2", F3, 1)
-    assert delta_apply(f, 1, 1) == parse_poly("2*x1 + 1", F3, 1)
+    assert delta_apply(f, 1) == parse_poly("2*x1 + 1", F3, 1)
 
 
 def test_delta_nilpotency():
@@ -134,14 +134,14 @@ def test_delta_nilpotency():
         f = random_poly(rng, F3, 2)
         out = f
         for _ in range(3):
-            out = delta_apply(out, 1, 1)
+            out = delta_apply(out, 1)
         assert out.is_zero()
 
 
 def test_delta_degree_drops():
     for d in range(1, 8):
         f = parse_poly(f"x1^{d}", F3, 1)
-        out = delta_apply(f, 1, 1)
+        out = delta_apply(f, 1)
         assert out.is_zero() or out.deg_xi(1) < d
 
 
@@ -149,58 +149,45 @@ def test_deltas_commute():
     rng = random.Random(59)
     for _ in range(15):
         f = random_poly(rng, F3, 2)
-        a = delta_apply(delta_apply(f, 1, 1), 2, 2)
-        b = delta_apply(delta_apply(f, 2, 2), 1, 1)
+        a = delta_apply(delta_apply(f, 1), 2)
+        b = delta_apply(delta_apply(f, 2), 1)
         assert a == b
 
 
 def test_delta_kernel_linearity():
     # delta_i is linear over polynomials fixed by the translation
     rng = random.Random(61)
-    q = kernel_generator(F3, 2, 1, 1)
-    assert delta_apply(q, 1, 1).is_zero()
+    q = kernel_generator(F3, 2, 1)
+    assert delta_apply(q, 1).is_zero()
     for _ in range(10):
         f = random_poly(rng, F3, 2)
-        lhs = delta_apply(q * f, 1, 1)
-        rhs = q * delta_apply(f, 1, 1)
+        lhs = delta_apply(q * f, 1)
+        rhs = q * delta_apply(f, 1)
         assert lhs == rhs
 
 
 def test_delta_power_spec():
-    spec = DeltaSpec.ones(F3, (0, 1, 1))
     f = parse_poly("x2^2*x3^2", F3, 3)
-    out = delta_power(f, spec)
+    out = delta_power(f, (0, 1, 1))
     expected = parse_poly("(x2+1)^2*(x3+1)^2 - (x2+1)^2*x3^2 - x2^2*(x3+1)^2 + x2^2*x3^2", F3, 3)
     assert out == expected
     assert out == parse_poly("x2*x3 + 2*x2 + 2*x3 + 1", F3, 3).scale(4)
 
 
-def test_delta_spec_validation():
-    with pytest.raises(ValueError):
-        DeltaSpec.ones(F3, (3, 0, 0))
-    with pytest.raises(Unsupported):
-        from cotame.rings import IntegerModRing
-
-        DeltaSpec.ones(IntegerModRing(6), (1, 0))
-    with pytest.raises(ValueError):
-        DeltaSpec(F3, (1, 1), (F3.zero_value(), F3.one_value()))
-
-
 def test_module_membership_examples():
-    spec = DeltaSpec.ones(F3, (1, 1, 0))
-    q1 = kernel_generator(F3, 3, 1, 1)
-    assert delta_module_membership(q1, spec)
-    assert delta_module_membership(Polynomial.constant(F3, 3, 2), spec)
+    l = (1, 1, 0)
+    q1 = kernel_generator(F3, 3, 1)
+    assert closed_form_membership(q1, l)
+    assert closed_form_membership(Polynomial.constant(F3, 3, 2), l)
     x_l = parse_poly("x1*x2", F3, 3)  # the base monomial x^l
-    assert delta_module_membership(parse_poly("x1*x1*x2", F3, 3), spec)
-    assert not delta_module_membership(parse_poly("x1*x2*x3", F3, 3) * x_l, spec)
+    assert closed_form_membership(parse_poly("x1*x1*x2", F3, 3), l)
+    assert not closed_form_membership(parse_poly("x1*x2*x3", F3, 3) * x_l, l)
 
 
 def test_module_membership_rejects_target():
     # x1*x2*x^l is exactly the complement the route extracts
-    spec = DeltaSpec.ones(F3, (1, 1, 0))
     target = parse_poly("x1^2*x2^2", F3, 3)
-    assert not delta_module_membership(target, spec)
+    assert not closed_form_membership(target, (1, 1, 0))
 
 
 ORACLE_RINGS = [
@@ -209,10 +196,42 @@ ORACLE_RINGS = [
 
 
 @st.composite
+def profiled_polys(draw):
+    """(f, l): f a few terms with exponents up to p + 1, l_i <= p - 1."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    p, units = ring.characteristic, list(ring.iter_units())
+    n = draw(st.integers(1, 3))
+    f = Polynomial.zero(ring, n)
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, p + 1)) for _ in range(n))
+        f = f + Polynomial.monomial(ring, exps, draw(st.sampled_from(units)))
+    return f, tuple(draw(st.integers(0, p - 1)) for _ in range(n))
+
+
+def translation_form(f, l):
+    """sum over 0 <= k <= l of prod_i (-1)^(l_i - k_i) C(l_i, k_i) * f(x + k),
+    each f(x + k) by substitute."""
+    ring, n = f.ring, f.nvars
+    out = Polynomial.zero(ring, n)
+    for k in itertools.product(*(range(li + 1) for li in l)):
+        images = [Polynomial.variable(ring, n, i + 1) + Polynomial.constant(ring, n, ki)
+                  for i, ki in enumerate(k)]
+        c = math.prod((-1) ** (li - ki) * math.comb(li, ki) for li, ki in zip(l, k))
+        out = out + f.substitute(images).scale(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(profiled_polys())
+def test_delta_power_is_the_translation_form(case):
+    f, l = case
+    assert delta_power(f, l) == translation_form(f, l)
+
+
+@st.composite
 def membership_cases(draw):
-    """(f, spec): f a sum of x^l, x_i*x^l and q_i^s*x_i^j*mu with j < l_i,
-    plus optional noise, so that it is a member or not; some steps differ
-    from one."""
+    """(f, l): f a sum of x^l, x_i*x^l and q_i^s*x_i^j*mu with j < l_i,
+    plus optional noise, so that it is a member or not."""
     ring = draw(st.sampled_from(ORACLE_RINGS))
     p, units = ring.characteristic, list(ring.iter_units())
     n = draw(st.sampled_from((2, 3)))
@@ -224,7 +243,6 @@ def membership_cases(draw):
         l.append(draw(st.integers(0, min(p - 1, budget))))
         budget -= l[-1]
     l = tuple(draw(st.permutations(l)))
-    spec = DeltaSpec(ring, l, tuple(draw(st.sampled_from(units)) for _ in l))
 
     def term(exps):
         return Polynomial.monomial(ring, exps, draw(st.sampled_from(units)))
@@ -239,7 +257,7 @@ def membership_cases(draw):
             j = draw(st.integers(0, l[i - 1] - 1))
             mu = term(tuple(j if t == i - 1 else draw(st.integers(0, 1))
                             for t in range(n)))
-            q = kernel_generator(ring, n, i, spec.a[i - 1])
+            q = kernel_generator(ring, n, i)
             f = f + (mu * q if draw(st.booleans()) else mu)
     # noise: x^l times a quadratic monomial, which leaves the module unless
     # the differences lose it, and a monomial near x^l
@@ -248,16 +266,16 @@ def membership_cases(draw):
         f = f + term(pattern_exps(l, pair))
     if draw(st.booleans()):
         f = f + term(tuple(draw(st.integers(0, li + 1)) for li in l))
-    return f, spec
+    return f, l
 
 
 @settings(max_examples=60, deadline=None)
 @given(membership_cases())
 def test_closed_form_membership_agrees_with_the_solve(case):
-    f, spec = case
-    member = delta_module_membership(f, spec)
+    f, l = case
+    member = closed_form_membership(f, l)
     event("member" if member else "not a member")
-    assert member == solved_membership(f, spec)
+    assert member == solved_membership(f, l)
 
 
 # membership must not grow with the image's degree or the number of
@@ -297,7 +315,7 @@ def unit_plus_affine(f, exps):
 
 
 def product_order_search(phi):
-    """(spec, j, pair) of the first match in itertools.product order
+    """(l, j, pair) of the first match in itertools.product order
     over every order profile, each image and each admissible pattern; a match
     needs the membership of phi(x_j) less its pattern term and differences
     that are a unit times the target plus affine terms."""
@@ -306,7 +324,6 @@ def product_order_search(phi):
     for l in itertools.product(range(p), repeat=n):
         if not any(l):
             continue
-        spec = DeltaSpec.ones(ring, l)
         for j, img in enumerate(phi.images, start=1):
             for uv in _admissible_patterns(n, p, l):
                 wanted = pattern_exps(l, uv)
@@ -314,10 +331,10 @@ def product_order_search(phi):
                 if c is None or not ring.is_unit(c):
                     continue
                 rest = img - Polynomial.monomial(ring, wanted, c)
-                differences = delta_power(img, spec)
-                if (delta_module_membership(rest, spec) and unit_plus_affine(
+                differences = delta_power(img, l)
+                if (closed_form_membership(rest, l) and unit_plus_affine(
                         differences, pattern_exps((0,) * n, uv)) is not None):
-                    return spec, j, uv
+                    return l, j, uv
     return None
 
 
@@ -345,7 +362,7 @@ def searched_maps(draw):
             f = f + term(pattern_exps(l, pair))
             i = draw(st.integers(1, n))
             if l[i - 1]:
-                q = kernel_generator(ring, n, i, ring.one_value())
+                q = kernel_generator(ring, n, i)
                 f = f + q * term(pattern_exps((0,) * n, (i,) * (l[i - 1] - 1)))
         images.append(f)
     return Endomorphism(ring, images)
@@ -357,10 +374,7 @@ def test_the_search_over_read_profiles_agrees_with_the_product_order_walk(phi):
     found = delta_search(phi)
     expected = product_order_search(phi)
     event("match" if expected else "no match")
-    if expected is None:
-        assert found is None
-    else:
-        assert (found[0].l, *found[1:]) == (expected[0].l, *expected[1:])
+    assert found == expected
 
 
 def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
@@ -370,10 +384,10 @@ def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
     calls = []
     power = delta.delta_power
 
-    def counted(f, spec, charge=lambda terms: None):
+    def counted(f, l, charge=lambda terms: None):
         if len(f.terms) > 1:  # not the pattern monomial: an image, once
-            calls.append((spec.l, images.get(id(f))))
-        return power(f, spec, charge)
+            calls.append((l, images.get(id(f))))
+        return power(f, l, charge)
 
     monkeypatch.setattr(delta, "delta_power", counted)
     assert delta_search(phi) is not None
@@ -386,8 +400,7 @@ def test_the_differences_of_an_image_are_taken_once_per_profile(monkeypatch):
 def test_a_map_beyond_the_old_cap_takes_the_delta_route():
     # p^n = 343: the search once refused every map with p^n > 128
     phi = elementary(parse_poly("x2^7*x3 + x2^3*x3^2", F7, 3))
-    spec, j, pair = delta_search(phi)
-    assert (spec.l, j, pair) == ((0, 1, 2), 1, (2, 2))
+    assert delta_search(phi) == ((0, 1, 2), 1, (2, 2))
     assert decide(phi).route == "delta-route"
     f = parse_poly("x2*x3", F7, 3)
     word, _ = build_witness_with_info(decide(phi), f)
@@ -412,33 +425,24 @@ def test_the_work_bound_stops_the_search_without_a_verdict():
 
 def test_delta_route_product_case():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
-    spec = DeltaSpec.ones(F3, (0, 1, 1))
-    assert delta_match(phi, spec, 1) == (2, 3)
-    seed, kind = _seed_from_image(phi, 1, spec.l)
+    assert delta_match(phi, (0, 1, 1), 1) == (2, 3)
+    seed, kind = _seed_from_image(phi, 1, (0, 1, 1))
     assert kind == "product" and seed.target == parse_poly("x1*x2", F3, 3)
     seed.validate()
 
 
 def test_delta_route_affine_no_route():
     phi = AffineMap.translation(F3, [1, 0, 0]).to_endo()
-    spec = DeltaSpec.ones(F3, (0, 1, 1))
-    assert delta_match(phi, spec, 1) is None
-
-
-def test_delta_route_bad_profile_precondition():
-    phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
-    spec = DeltaSpec.ones(F3, (2, 1, 1))  # l_1 = p-1 admits no pattern at (1,2)
-    with pytest.raises(ValueError):
-        delta_match(phi, spec, 1, pair=(1, 2))
+    assert delta_match(phi, (0, 1, 1), 1) is None
 
 
 def test_delta_search_finds_certificate():
     phi = elementary(parse_poly("x2^2*x3^2", F3, 3))
     found = delta_search(phi)
     assert found is not None
-    spec, j, pair = found
-    assert delta_match(phi, spec, j) == pair
-    seed, _ = _seed_from_image(phi, j, spec.l)
+    l, j, pair = found
+    assert delta_match(phi, l, j) == pair
+    seed, _ = _seed_from_image(phi, j, l)
     seed.validate()
     exps, value = seed.single_monomial()
     assert value == F3.one_value()
@@ -470,7 +474,7 @@ def test_delta_route_witness_end_to_end():
 
 def planted_map(rng, ring, n):
     """x1 + unit*x^l*x_u*x_v (x_u^2 for a square) + members of the module
-    of delta_module_membership + noise, all in x2..xn; elementary, so a
+    of delta_match + noise, all in x2..xn; elementary, so a
     word for it can be verified."""
     p = ring.characteristic
     while True:
@@ -484,7 +488,7 @@ def planted_map(rng, ring, n):
     for _ in range(rng.randint(0, 2)):
         i = rng.randrange(2, n + 1)
         if l[i - 1]:
-            q = kernel_generator(ring, n, i, ring.one_value())
+            q = kernel_generator(ring, n, i)
             j = rng.randrange(l[i - 1])  # q_i * x_i^j with j < l_i
             xij = Polynomial.monomial(ring, pattern_exps((0,) * n, (i,) * j))
             added = added + (q * xij).scale(rng.randrange(1, ring.order))
@@ -534,37 +538,32 @@ def test_delta_match_agrees_with_witness_decomposition(phi):
         patterns = _admissible_patterns(n, p, l)
         if not any(l) or not patterns:
             continue
-        spec = DeltaSpec.ones(ring, l)
         for j, img in enumerate(phi.images, start=1):
+            built = []
             for pair in patterns:
-                matched = delta_match(phi, spec, j, pair) is not None
                 # the preconditions that decide checks before the differences
                 wanted = pattern_exps(l, pair)
                 c = img.terms.get(wanted)
-                built = (
-                    c is not None
-                    and ring.is_unit(c)
-                    and delta_module_membership(
-                        img - Polynomial.monomial(ring, wanted, c), spec)
-                )
-                if built:
-                    built = unit_plus_affine(delta_power(img, spec),
-                                             pattern_exps((0,) * n, pair)) is not None
-                if built:
-                    seed, seed_kind = _seed_from_image(phi, j, spec.l)
+                if (c is not None and ring.is_unit(c) and closed_form_membership(
+                        img - Polynomial.monomial(ring, wanted, c), l)
+                        and unit_plus_affine(delta_power(img, l), pattern_exps(
+                            (0,) * n, pair)) is not None):
+                    seed, seed_kind = _seed_from_image(phi, j, l)
                     seed.validate()
                     assert seed_kind == "product" and seed.target == x1x2
-                assert matched == built, (l, j, pair)
+                    built.append(pair)
+            # the match is the first admissible pair whose build holds
+            assert delta_match(phi, l, j) == (built[0] if built else None), (l, j)
     verdict = decide(phi)
     if verdict.route == "delta-route":
         cert = verdict.certificate
-        spec, j = DeltaSpec.ones(ring, cert["l"]), cert["image"]
-        pair = delta_match(phi, spec, j)
+        l, j = tuple(cert["l"]), cert["image"]
+        pair = delta_match(phi, l, j)
         assert pair is not None
         (target,) = parse_poly(verdict.certificate["target"], ring, n).terms
-        differences = delta_power(phi.images[j - 1], spec)
+        differences = delta_power(phi.images[j - 1], l)
         assert unit_plus_affine(differences, target) is not None
-        assert verdict.certificate["monomial"] == list(pattern_exps(spec.l, pair))
+        assert verdict.certificate["monomial"] == list(pattern_exps(l, pair))
         f = parse_poly("x2*x3" if n > 2 else "x2^2", ring, n)
         word, _ = build_witness_with_info(verdict, f)
         if try_invert(phi) is not None:  # the random maps are not automorphisms

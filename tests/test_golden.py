@@ -85,4 +85,4 @@ def test_every_witness_word_evaluates_to_its_value_bracket_by_bracket(corpus):
         word = GeneratorWord.from_json(phi.ring, read(argv, "-o"))
         assert word.evaluate(phi, inverse) == bracket_by_bracket(word, phi, inverse), name
         checked += 1
-    assert checked == 27
+    assert checked == 28

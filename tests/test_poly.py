@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotame.errors import PolynomialSyntaxError, ZeroPolynomial
+from cotame.errors import PolynomialSyntaxError
 from cotame.gf import GaloisField
 from cotame.poly import NEG_INF, Polynomial, p_power_split, parse_poly
 from cotame.rings import PrimeField, RationalField, ring_from_spec
@@ -129,28 +129,6 @@ def test_separable_degree_frobenius_invariance():
         if g.is_zero():
             continue
         assert g.sep_deg_xi(1) == gp.sep_deg_xi(1)
-
-
-def test_weighted_parts():
-    f = P("x1 - x3^2")
-    assert f.weighted_deg((2, 0, 1)) == 2
-    assert f.top_w_part((2, 0, 1)) == f
-    h2 = P("x2 - x1^2*(x1 - x3^2)^2")
-    assert h2.top_w_part((1, 0, 0)) == P("-x1^4")
-    assert h2.top_w_part((0, 0, 1)) == P("-x1^2*x3^4")
-    with pytest.raises(ZeroPolynomial):
-        Polynomial.zero(Q, 3).weighted_deg((1, 1, 1))
-
-
-def test_top_part_multiplicative_over_domain():
-    rng = random.Random(11)
-    for _ in range(25):
-        f = random_poly(rng, F5, 2)
-        g = random_poly(rng, F5, 2)
-        if f.is_zero() or g.is_zero():
-            continue
-        w = (rng.randint(-2, 3), rng.randint(-2, 3))
-        assert (f * g).top_w_part(w) == f.top_w_part(w) * g.top_w_part(w)
 
 
 def test_substitution_is_ring_homomorphism():

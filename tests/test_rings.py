@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from cotame.classify import (NOT_GOOD, GoodMonomialType, ModulePattern,
                              SpanScan, SpanWitness, Verdict)
-from cotame.delta import DeltaSpec
 from cotame.errors import NoSuchUnit, NotAUnit, ResourceLimit
 from cotame.gf import DEFAULT_MODULI, GaloisField
 from cotame.rings import (
@@ -291,12 +290,11 @@ RECORD_CASES = [
      " coefficient=4, gm_type=GoodMonomialType(tag='I', i=2, j=3))"),
     (SpanScan, ((), True, 24, ("note",)),
      "SpanScan(witnesses=(), exhaustive=True, examined=24, diagnostics=('note',))"),
-    (DeltaSpec, (PrimeField(7), (1, 2), (3, 6)),
-     f"DeltaSpec(ring={PrimeField(7)!r}, l=(1, 2), a=(3, 6))"),
+    (ModulePattern, (5, 1, 2, frozenset({0, 1})),
+     "ModulePattern(p=5, d=1, e=2, shifts=frozenset({0, 1}))"),
     (ModulePattern, (3, 1, 1, frozenset({0})),
      "ModulePattern(p=3, d=1, e=1, shifts=frozenset({0}))"),
-    (DeltaSpec, (PrimeField(5), (2,), (1,)),
-     f"DeltaSpec(ring={PrimeField(5)!r}, l=(2,), a=(1,))"),
+    (GoodMonomialType, ("V", 2, 2), "GoodMonomialType(tag='V', i=2, j=2)"),
     (Verdict, ("Unknown", None, "why", None, ("note",)),
      "Verdict(answer='Unknown', route=None, reason='why', certificate=None,"
      " diagnostics=('note',))"),
